@@ -8,8 +8,9 @@ The symmetric equilibrium of the approximate learner game minimizes
 
 On a one-dimensional instance chosen so the stationarity condition becomes
 theta^3 + theta - 2 = 0, the equilibrium is exactly theta = 1 — a hand-check
-for both solvers. The script then shows the equilibrium coincides with ridge
-regression whose penalty weight is set by the equilibrium itself.
+for the spectral solver and its projected-gradient cross-check. The script
+then shows the equilibrium coincides with ridge regression whose penalty
+weight is set by the equilibrium itself.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from advreg.baselines import fit_ridge
 from advreg.equilibrium import (
     equilibrium_objective,
-    solve_equilibrium_bisection,
+    solve_equilibrium,
     solve_equilibrium_pgd,
 )
 from advreg.game import GameParams
@@ -26,7 +27,7 @@ X = np.array([[1.0]])
 y = np.array([2.0])
 params = GameParams(n=1, beta=0.5, lam=1.0, z=np.array([1.0]))
 
-for solve in (solve_equilibrium_bisection, solve_equilibrium_pgd):
+for solve in (solve_equilibrium, solve_equilibrium_pgd):
     sol = solve(X, y, params)
     f_star = equilibrium_objective(sol.theta_star, X, y, params)
     print(f"{sol.solver:>9s}: theta* = {sol.theta_star[0]:.10f}  "
@@ -42,7 +43,7 @@ z = y + rng.uniform(0.5, 1.5, 30)
 
 for beta in (0.0, 0.3, 0.6, 0.9):
     params = GameParams(n=5, beta=beta, lam=1.0, z=z)
-    sol = solve_equilibrium_bisection(X, y, params)
+    sol = solve_equilibrium(X, y, params)
     kappa = 2.0 * beta * (params.n + 1) * float(np.sum((z - y) ** 2)) / params.lam**2
     alpha = 0.5 * kappa * sol.s_star
     ridge = fit_ridge(X, y, alpha) if alpha > 0 else None

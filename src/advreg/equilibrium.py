@@ -1,25 +1,30 @@
 """Symmetric equilibrium of the decoupled learner game.
 
 With every learner using the surrogate cost, the unique symmetric
-equilibrium is the minimizer over the feasible ball of
+equilibrium is the minimizer over the feasible ball ||theta|| <= R of
 
     f(theta) = ||X theta - y||^2 + (kappa / 4) * (theta^T theta)^2,
     kappa = 2 * beta * (n + 1) * ||z - y||^2 / lam^2,
 
-a strictly convex objective. Two independent solvers are provided and
-cross-checked in the tests:
+a strictly convex objective. Its KKT conditions read
 
-* `solve_equilibrium_bisection` — the stationarity condition
-  (X^T X + (kappa/2) s I) theta = X^T y with s = theta^T theta reduces the
-  problem to one scalar root-find; g(s) = ||theta(s)||^2 - s is strictly
-  decreasing on [0, ||theta_OLS||^2], so bisection brackets the root, and a
-  few safeguarded Newton steps polish it to near machine precision.
-* `solve_equilibrium_pgd` — projected gradient descent with Armijo
-  backtracking, the workhorse that also handles an active ball constraint.
+    (X^T X + (kappa s / 2 + mu) I) theta = X^T y,   s = theta^T theta,
 
-When the unconstrained stationary point lies outside the ball, the
-bisection result is only the radial projection (flagged `on_boundary`);
-`solve_equilibrium` then defers to PGD, which is authoritative there.
+with mu >= 0 the ball's multiplier. Two independent solvers are provided
+and cross-checked in the tests:
+
+* `solve_equilibrium` — exact and spectral. One eigendecomposition
+  X^T X = V diag(lam_i) V^T with b = V^T X^T y gives
+  ||theta||^2 = sum_i b_i^2 / (lam_i + shift)^2 for any diagonal shift.
+  Inside the ball the shift is kappa s / 2 and s solves the secular
+  equation sum_i b_i^2 / (lam_i + kappa s / 2)^2 = s. The ball binds
+  exactly when that residual is still positive at s = R^2; then (the
+  trust-region case of More & Sorensen, 1983) the shift is
+  kappa R^2 / 2 + mu and mu solves sum_i b_i^2 / (lam_i + shift)^2 = R^2.
+  Each residual is convex, strictly decreasing and nonnegative at zero,
+  so Newton started from zero climbs monotonically to the root.
+* `solve_equilibrium_pgd` — projected gradient descent with backtracking,
+  kept as the independent oracle the tests compare against.
 """
 
 import warnings
@@ -29,7 +34,7 @@ import numpy as np
 
 from .exceptions import MaxItersExceeded, NonFinite, NotPositiveDefinite, SingularDesign
 from .game import sq_norm
-from .linalg import pd_check, solve_spd
+from .linalg import pd_check, solve_spd, sym_eig
 
 
 @dataclass(eq=False)
@@ -38,7 +43,7 @@ class EquilibriumSolution:
     s_star: float          # theta_star^T theta_star
     grad_norm: float       # ||gradient of f at theta_star||
     iterations: int
-    solver: str            # "bisection" | "pgd"
+    solver: str            # "spectral" | "pgd"
     on_boundary: bool
     converged: bool = True
 
@@ -89,68 +94,7 @@ def _resolve_radius(X, y, params):
     return default_radius(X, y)
 
 
-def solve_equilibrium_bisection(X, y, params, tol=1e-10):
-    """Scalar-root solver for the symmetric equilibrium.
-
-    Bisects g(s) = ||theta(s)||^2 - s on [0, ||theta_OLS||^2] until the
-    bracket width drops below `tol`, then applies up to 4 safeguarded
-    Newton steps (g' = -kappa * theta^T M^-1 theta - 1 <= -1, so Newton is
-    well defined and stays in the bracket). If the resulting point lies
-    outside the feasible ball it is radially projected and flagged
-    `on_boundary`; the PGD solver is authoritative in that regime.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    XtX = X.T @ X
-    Xty = X.T @ y
-    if not pd_check(XtX):
-        raise SingularDesign("X^T X is not numerically positive definite")
-    radius = _resolve_radius(X, y, params)
-    kappa = _kappa(params, y)
-    if not np.isfinite(kappa):
-        raise NonFinite("quartic coefficient overflowed")
-    eye = np.eye(X.shape[1])
-
-    theta_ols = _ols(XtX, Xty)
-    if kappa == 0.0:
-        # surrogate collapses to plain least squares
-        return _finish(theta_ols, X, y, params, radius, 0, "bisection")
-
-    def theta_of(s):
-        th = solve_spd(XtX + (0.5 * kappa * s) * eye, Xty)
-        if not np.all(np.isfinite(th)):
-            raise NonFinite("bisection iterate is non-finite")
-        return th
-
-    lo, hi = 0.0, sq_norm(theta_ols)
-    iters = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sq_norm(theta_of(mid)) - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    s = 0.5 * (lo + hi)
-    for _ in range(4):
-        M = XtX + (0.5 * kappa * s) * eye
-        th = solve_spd(M, Xty)
-        g = sq_norm(th) - s
-        if abs(g) <= 1e-15 * max(1.0, s):
-            break
-        gprime = -kappa * float(th @ solve_spd(M, th)) - 1.0
-        step = s - g / gprime
-        s = min(max(step, lo), hi)
-        iters += 1
-    theta = theta_of(s)
-    return _finish(theta, X, y, params, radius, iters, "bisection")
-
-
-def _finish(theta, X, y, params, radius, iters, solver, converged=True):
-    nrm = float(np.sqrt(theta @ theta))
-    on_boundary = nrm > radius * (1.0 + 1e-12)
-    if on_boundary:
-        theta = project_to_ball(theta, radius)
+def _solution(theta, X, y, params, iters, solver, on_boundary, converged=True):
     grad = equilibrium_gradient(theta, X, y, params)
     return EquilibriumSolution(
         theta_star=theta,
@@ -166,14 +110,18 @@ def _finish(theta, X, y, params, radius, iters, solver, converged=True):
 def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
     """Projected gradient descent on f over the feasible ball.
 
-    Armijo backtracking (c1 = 1e-4, shrink 0.5) starting from step
-    1 / L_hat, where L_hat = 2 * (Gershgorin bound on X^T X) +
-    6 * kappa * R^2 upper-bounds the curvature on the ball; accepted
-    steps double on the next iteration so the step length adapts to the
-    local curvature. Stops when the projected-gradient measure at the
-    reference step falls below tol * (1 + ||2 X^T y||). Hitting
-    `max_iters` returns the best iterate flagged `converged=False` and
-    emits a MaxItersExceeded warning.
+    Backtracking (shrink 0.5) starting from step 1 / L_hat, where
+    L_hat = 2 * (Gershgorin bound on X^T X) + 6 * kappa * R^2 upper-bounds
+    the curvature on the ball; accepted steps double on the next iteration
+    so the step length adapts to the local curvature. A step is accepted
+    when the Armijo condition (c1 = 1e-4) holds or, because near the
+    optimum f cannot resolve a decrease below its own rounding, when the
+    approximate Armijo condition of Hager & Zhang (2005) holds: f rises by
+    at most 1e-14 |f| and the directional derivative at the candidate is
+    at most 0.8 times the magnitude of the one at the current iterate.
+    Stops when the projected-gradient measure at the reference step falls
+    below tol * (1 + ||2 X^T y||). Hitting `max_iters` returns the best
+    iterate flagged `converged=False` and emits a MaxItersExceeded warning.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -207,8 +155,14 @@ def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
         while True:
             cand = project_to_ball(theta - t * grad, radius)
             f_cand = equilibrium_objective(cand, X, y, params)
-            decrease = float(grad @ (cand - theta))
-            if np.isfinite(f_cand) and f_cand <= f_cur + c1 * decrease:
+            step = cand - theta
+            decrease = float(grad @ step)
+            if np.isfinite(f_cand) and (
+                f_cand <= f_cur + c1 * decrease
+                or (f_cand <= f_cur + 1e-14 * abs(f_cur)
+                    and float(equilibrium_gradient(cand, X, y, params) @ step)
+                    <= -0.8 * decrease)
+            ):
                 break
             t *= 0.5
             if t < 1e-300:
@@ -219,16 +173,68 @@ def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
         warnings.warn(
             f"projected gradient stopped at max_iters={max_iters}", MaxItersExceeded
         )
-    sol = _finish(theta, X, y, params, radius, iters, "pgd", converged=converged)
-    # boundary contact is legitimate here, not a hand-off signal
-    nrm = float(np.sqrt(sol.theta_star @ sol.theta_star))
-    sol.on_boundary = nrm >= radius * (1.0 - 1e-9)
-    return sol
+    on_boundary = float(np.sqrt(theta @ theta)) >= radius * (1.0 - 1e-9)
+    return _solution(theta, X, y, params, iters, "pgd", on_boundary, converged)
 
 
-def solve_equilibrium(X, y, params, tol=1e-10, pgd_tol=1e-8, max_iters=50000):
-    """Bisection first; fall back to PGD when the ball constraint binds."""
-    sol = solve_equilibrium_bisection(X, y, params, tol=tol)
-    if sol.on_boundary:
-        return solve_equilibrium_pgd(X, y, params, tol=pgd_tol, max_iters=max_iters)
-    return sol
+def _newton_from_zero(g):
+    """Root of a convex, strictly decreasing g with g(0) >= 0.
+
+    `g(t)` returns ``(value, slope)``. A convex function lies above its
+    tangents, so every Newton step from the left lands at or before the
+    root and the iterates rise monotonically; the first step that fails to
+    rise marks the root to rounding. Returns ``(root, steps)``.
+    """
+    t, steps = 0.0, 0
+    while True:
+        value, slope = g(t)
+        nxt = t - value / slope
+        if not nxt > t:
+            return t, steps
+        t, steps = nxt, steps + 1
+
+
+def solve_equilibrium(X, y, params):
+    """Exact equilibrium from one eigendecomposition of X^T X.
+
+    Raises SingularDesign when X^T X is not numerically positive definite
+    and NonFinite when the quartic coefficient overflows.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    XtX = X.T @ X
+    if not pd_check(XtX):
+        raise SingularDesign("X^T X is not numerically positive definite")
+    radius = _resolve_radius(X, y, params)
+    kappa = _kappa(params, y)
+    if not np.isfinite(kappa):
+        raise NonFinite("quartic coefficient overflowed")
+    lam, V = sym_eig(XtX)
+    b = V.T @ (X.T @ y)
+    b2 = b * b
+
+    def sq_norm_at(shift):
+        """||theta||^2 at a diagonal shift, and its derivative in the shift."""
+        w = b2 / (lam + shift) ** 2
+        return float(np.sum(w)), -2.0 * float(np.sum(w / (lam + shift)))
+
+    def interior(s):
+        v, dv = sq_norm_at(0.5 * kappa * s)
+        return v - s, 0.5 * kappa * dv - 1.0
+
+    r2 = radius * radius
+    on_boundary = interior(r2)[0] > 0.0
+    if on_boundary:
+        base = 0.5 * kappa * r2
+
+        def binding(mu):
+            v, dv = sq_norm_at(base + mu)
+            return v - r2, dv
+
+        mu, steps = _newton_from_zero(binding)
+        shift = base + mu
+    else:
+        s, steps = _newton_from_zero(interior)
+        shift = 0.5 * kappa * s
+    theta = V @ (b / (lam + shift))
+    return _solution(theta, X, y, params, steps, "spectral", on_boundary)

@@ -1,9 +1,9 @@
 """Small dense linear-algebra kernel used by every other module.
 
 All matrices here are plain numpy arrays, small (tens to a few hundred
-rows), symmetric positive definite where stated. The routines are
-deterministic: no pivoting heuristics, fixed sweep order, fixed
-tie-breaking, so repeated runs produce bit-identical results.
+rows), symmetric positive definite where stated. The factorizations are
+numpy's LAPACK routines; on top of them this module keeps the library's
+own positive-definiteness threshold (PIVOT_RTOL) and symmetry check.
 """
 
 import numpy as np
@@ -29,38 +29,24 @@ def _require_square_symmetric(A, name="A"):
 def _cholesky(A):
     """Lower-triangular factor of symmetric positive definite A.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
+    Raises NotPositiveDefinite when LAPACK rejects A or a pivot
+    (squared diagonal entry of the factor) falls at or below
     PIVOT_RTOL times the largest diagonal entry of the input.
     """
-    n = A.shape[0]
-    L = np.array(A, dtype=float, copy=True)
-    max_diag = float(np.max(np.diag(L))) if n else 0.0
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
+    max_diag = float(np.max(np.diag(A))) if A.size else 0.0
     threshold = PIVOT_RTOL * max_diag if max_diag > 0 else 0.0
-    for j in range(n):
-        pivot = L[j, j]
-        if not pivot > threshold:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} is not above {threshold:.3e}"
-            )
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] /= L[j, j]
-            L[j + 1 :, j + 1 :] -= np.outer(L[j + 1 :, j], L[j + 1 :, j])
-    return np.tril(L)
-
-
-def _forward_sub(L, b):
-    x = np.array(b, dtype=float, copy=True)
-    for i in range(L.shape[0]):
-        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
-    return x
-
-
-def _back_sub(U, b):
-    x = np.array(b, dtype=float, copy=True)
-    for i in range(U.shape[0] - 1, -1, -1):
-        x[i] = (x[i] - U[i, i + 1 :] @ x[i + 1 :]) / U[i, i]
-    return x
+    pivots = np.diag(L) ** 2
+    low = np.flatnonzero(~(pivots > threshold))
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at column {j} is not above {threshold:.3e}"
+        )
+    return L
 
 
 def solve_spd(A, b):
@@ -86,13 +72,8 @@ def solve_spd(A, b):
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"b has shape {b.shape}, expected ({A.shape[0]},)")
-    L = _cholesky(A)
-    x = _back_sub(L.T, _forward_sub(L, b))
-    # one step of iterative refinement; cheap and tightens the residual
-    r = b - A @ x
-    if np.any(r):
-        x = x + _back_sub(L.T, _forward_sub(L, r))
-    return x
+    _cholesky(A)
+    return np.linalg.solve(A, b)
 
 
 def pd_check(A):
@@ -124,61 +105,19 @@ def rank_one_inverse_update(A_inv, v):
 
 
 def sym_eig(A):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as orthonormal columns. The sweep
-    order is fixed, so the output is deterministic.
+    descending order and eigenvectors as orthonormal columns.
 
-    Raises NoConvergence if the off-diagonal mass has not dropped below
-    ``1e-12 * ||A||_F`` after ``100 * d**2`` sweeps (never seen in practice).
+    Raises NoConvergence if LAPACK reports that the decomposition did not
+    converge.
     """
     A = _require_square_symmetric(A)
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         raise DimensionMismatch("cannot decompose an empty matrix")
-    if n == 1:
-        return A[0, :1].astype(float).copy(), np.eye(1)
-    B = np.array(A, dtype=float, copy=True)
-    V = np.eye(n)
-    fro = float(np.sqrt(np.sum(A * A)))
-    tol = 1e-12 * max(fro, np.finfo(float).tiny)
-    max_sweeps = 100 * n * n
-    converged = False
-
-    def _off_norm(M):
-        # summing only the off-diagonal entries avoids the cancellation
-        # (and NaN from sqrt of a tiny negative) of ||M||_F^2 - ||diag||^2
-        strict = ~np.eye(n, dtype=bool)
-        return float(np.sqrt(np.sum(M[strict] ** 2)))
-
-    for _ in range(max_sweeps):
-        if _off_norm(B) <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = B[p, q]
-                if abs(apq) <= tol / (n * n):
-                    continue
-                tau = (B[q, q] - B[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                bp, bq = B[:, p].copy(), B[:, q].copy()
-                B[:, p] = c * bp - s * bq
-                B[:, q] = s * bp + c * bq
-                bp, bq = B[p, :].copy(), B[q, :].copy()
-                B[p, :] = c * bp - s * bq
-                B[q, :] = s * bp + c * bq
-                B[p, q] = B[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        converged = _off_norm(B) <= tol
-    if not converged:
-        raise NoConvergence(f"Jacobi sweeps exceeded cap {max_sweeps}")
-    vals = np.diag(B).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], V[:, order]
+    try:
+        vals, vecs = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
+    return vals[::-1], vecs[:, ::-1]

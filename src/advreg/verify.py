@@ -25,7 +25,7 @@ import numpy as np
 from .equilibrium import (
     default_radius,
     equilibrium_gradient,
-    solve_equilibrium_bisection,
+    solve_equilibrium,
 )
 from .exceptions import DimensionMismatch
 from .game import (
@@ -299,7 +299,7 @@ def check_equilibrium_fixed_point(trials=1000, seed=0, directions=200):
         inst = _draw_instance(rng, full_rank=True)
         X, y = inst["X"], inst["y"]
         params = _params(inst)
-        sol = solve_equilibrium_bisection(X, y, params)
+        sol = solve_equilibrium(X, y, params)
         grad = equilibrium_gradient(sol.theta_star, X, y, params)
         R = default_radius(X, y)
         d = X.shape[1]

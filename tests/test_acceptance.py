@@ -17,7 +17,6 @@ from advreg.equilibrium import (
     equilibrium_gradient,
     equilibrium_objective,
     solve_equilibrium,
-    solve_equilibrium_bisection,
     solve_equilibrium_pgd,
 )
 from advreg.evaluate import GameSetting, ScenarioConfig, run_sweep
@@ -84,8 +83,10 @@ def test_criterion_3_solver_agreement_and_gradients():
         X, y, z, thetas, lam = _draw_instance(rng, full_rank=True)
         params = GameParams(n=thetas.shape[0], beta=float(rng.uniform(0, 1)),
                             lam=lam, z=z)
-        a = solve_equilibrium_bisection(X, y, params).theta_star
-        b = solve_equilibrium_pgd(X, y, params).theta_star
+        a = solve_equilibrium(X, y, params).theta_star
+        oracle = solve_equilibrium_pgd(X, y, params)
+        assert oracle.converged
+        b = oracle.theta_star
         worst_gap = max(worst_gap,
                         float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a))))
 

@@ -4,10 +4,13 @@ The load-bearing oracle is a one-dimensional instance whose stationarity
 condition reduces to the cubic t^3 + t - 2 = 0 with unique real root
 t = 1: n=1, beta=0.5, lam=1, X=[[1]], y=[2], z=[1] gives the objective
 (t-2)^2 + 0.5 t^4, whose derivative 2(t-2) + 2t^3 vanishes at t=1.
-Everything else is property-based: the two independent solvers must
-agree, gradients must match central differences, and the quartic term's
-ridge correspondence must hold at the solution.
+Everything else is property-based: the spectral solver must agree with
+the projected-gradient oracle, inside the ball and with the ball
+binding; gradients must match central differences; and the quartic
+term's ridge correspondence must hold at the solution.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ from advreg.equilibrium import (
     equilibrium_objective,
     project_to_ball,
     solve_equilibrium,
-    solve_equilibrium_bisection,
     solve_equilibrium_pgd,
 )
 from advreg.game import GameParams
@@ -135,7 +137,7 @@ def test_project_radial_scaling():
 
 # ----------------------------------------------------------------- solvers
 
-@pytest.mark.parametrize("solve", [solve_equilibrium_bisection, solve_equilibrium_pgd])
+@pytest.mark.parametrize("solve", [solve_equilibrium, solve_equilibrium_pgd])
 def test_solver_beta_zero_reduces_to_ols(solve):
     rng = np.random.default_rng(4)
     X = rng.normal(size=(8, 3))
@@ -150,12 +152,12 @@ def test_bisection_z_equals_y_reduces_to_ols():
     X = rng.normal(size=(7, 2))
     y = rng.normal(size=7)
     p = GameParams(n=3, beta=0.9, lam=1.0, z=y.copy(), theta_radius=50.0)
-    sol = solve_equilibrium_bisection(X, y, p)
+    sol = solve_equilibrium(X, y, p)
     assert np.allclose(sol.theta_star, fit_ols(X, y), atol=1e-8)
 
 
 def test_bisection_cubic_root():
-    sol = solve_equilibrium_bisection(CUBIC_X, CUBIC_Y, cubic_params())
+    sol = solve_equilibrium(CUBIC_X, CUBIC_Y, cubic_params())
     assert sol.theta_star[0] == pytest.approx(1.0, abs=1e-9)
     assert sol.s_star == pytest.approx(1.0, abs=1e-8)
     assert not sol.on_boundary
@@ -167,7 +169,7 @@ def test_pgd_cubic_root():
     assert sol.theta_star[0] == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("solve", [solve_equilibrium_bisection, solve_equilibrium_pgd])
+@pytest.mark.parametrize("solve", [solve_equilibrium, solve_equilibrium_pgd])
 def test_solver_small_ball_stops_on_boundary(solve):
     # unconstrained optimum is t=1; f decreases on [0,1], so R=0.5 binds
     sol = solve(CUBIC_X, CUBIC_Y, cubic_params(radius=0.5))
@@ -175,14 +177,24 @@ def test_solver_small_ball_stops_on_boundary(solve):
     assert sol.on_boundary
 
 
-def test_solvers_agree_on_random_instances():
+@pytest.mark.parametrize("rho", [None, 0.25, 0.5, 0.75],
+                         ids=["radius-10", "rho-0.25", "rho-0.5", "rho-0.75"])
+def test_solvers_agree_on_random_instances(rho):
+    # rho set: the radius is rho times the unconstrained equilibrium norm,
+    # so the ball binds
     rng = np.random.default_rng(6)
     for _ in range(100):
         X, y, p = random_instance(rng)
-        a = solve_equilibrium_bisection(X, y, p)
+        if rho is not None:
+            free = solve_equilibrium(X, y, replace(p, theta_radius=None))
+            p = replace(p, theta_radius=rho * np.sqrt(free.s_star))
+        a = solve_equilibrium(X, y, p)
         b = solve_equilibrium_pgd(X, y, p)
+        assert b.converged
         scale = 1 + np.linalg.norm(a.theta_star)
         assert np.linalg.norm(a.theta_star - b.theta_star) <= 1e-5 * scale
+        if rho is not None:
+            assert a.on_boundary and b.on_boundary
 
 
 def test_solution_feasible_and_stationary():
@@ -202,7 +214,7 @@ def test_interior_solution_matches_ridge_with_induced_penalty():
     rng = np.random.default_rng(8)
     for _ in range(25):
         X, y, p = random_instance(rng)
-        sol = solve_equilibrium_bisection(X, y, p)
+        sol = solve_equilibrium(X, y, p)
         if sol.on_boundary:
             continue
         kappa = 2.0 * p.beta * (p.n + 1) * float(np.sum((p.z - y) ** 2)) / p.lam**2
@@ -212,7 +224,7 @@ def test_interior_solution_matches_ridge_with_induced_penalty():
 
 def test_front_door_solver_prefers_bisection_label():
     sol = solve_equilibrium(CUBIC_X, CUBIC_Y, cubic_params())
-    assert sol.solver == "bisection"
+    assert sol.solver == "spectral"
     assert sol.theta_star[0] == pytest.approx(1.0, abs=1e-9)
 
 

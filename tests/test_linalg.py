@@ -1,5 +1,5 @@
 """Dense symmetric kernel: SPD solves, PD test, rank-one inverse updates,
-and the Jacobi eigensolver.  Oracles are hand inversions and the NumPy
+and the symmetric eigensolver.  Oracles are hand inversions and the NumPy
 reference decomposition on seeded random matrices."""
 
 import numpy as np
@@ -45,9 +45,14 @@ def test_solve_random_spd_residuals():
 
 
 def test_solve_rejects_indefinite():
-    A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    with pytest.raises(NotPositiveDefinite):
-        solve_spd(A, np.array([1.0, 1.0]))
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    # positive definite, but its pivot 1e-13 is below PIVOT_RTOL * max diag,
+    # which LAPACK alone would accept
+    tiny_pivot = np.diag([1.0, 1e-13])
+    for A in (indefinite, tiny_pivot):
+        with pytest.raises(NotPositiveDefinite):
+            solve_spd(A, np.array([1.0, 1.0]))
+        assert pd_check(A) is False
 
 
 def test_solve_rejects_shape_mismatch():
@@ -149,8 +154,8 @@ def test_sym_eig_reconstruction_and_order():
 
 
 def test_sym_eig_handles_tiny_off_diagonal_mass():
-    # Cancellation in the off-diagonal norm must not produce NaN: the naive
-    # total-minus-diagonal formula goes negative here in floating point.
+    # Eigenvalues spread over 16 orders of magnitude with tiny off-diagonal
+    # mass must still decompose into finite values.
     A = np.diag([1e8, 1.0, 1e-8]) + 1e-9
     A = (A + A.T) / 2
     vals, vecs = sym_eig(A)
