@@ -32,7 +32,6 @@ def _default_alpha_grid():
 
 @dataclass(eq=False)
 class FitConfig:
-    alpha: float = 1.0
     cd_tol: float = 1e-9
     cd_max_sweeps: int = 10000
     cv_folds: int = 5
@@ -43,7 +42,6 @@ class FitConfig:
 
     def as_dict(self):
         return {
-            "alpha": float(self.alpha),
             "cd_tol": float(self.cd_tol),
             "cd_max_sweeps": int(self.cd_max_sweeps),
             "cv_folds": int(self.cv_folds),

@@ -21,31 +21,28 @@ import sys
 
 import numpy as np
 
-from .baselines import FitConfig, cross_validate, fit_lasso, fit_ols, fit_ridge
+from .baselines import FitConfig
 from .data import (
     ConstantTarget,
     Standardizer,
     TargetSpec,
     apply_standardizer,
-    build_target,
     fit_standardizer,
     invert_standardizer,
-    label_stats,
     load_csv,
     split_train_test,
 )
-from .equilibrium import solve_equilibrium
 from .evaluate import (
     CSV_HEADER,
     KNOWN_ALGORITHMS,
+    STREAM_ACTUAL_TARGET,
     GameSetting,
     ScenarioConfig,
-    _resolve_target,
-    _setting_meta,
-    _target_meta,
-    derive_seed,
+    draw_target,
+    fit_model,
     run_scenario,
     run_sweep,
+    simulate_attack,
 )
 from .exceptions import (
     ConfigError,
@@ -60,14 +57,9 @@ from .exceptions import (
     SingularDesign,
     TooFewRows,
 )
-from .game import GameParams, ThetaProfile, attacker_best_response, attacker_cost
+from .game import GameParams, ThetaProfile, attacker_cost
 from .serialize import to_json, write_csv, write_json
 from .verify import ALL_CHECKS, CORE_CHECKS, run_checks
-
-# seed streams shared with the scenario harness: the defender builds its
-# estimated target on stream 1, the attacker materializes the real one on 2
-_STREAM_DEFENDER_TARGET = 1
-_STREAM_ACTUAL_TARGET = 2
 
 
 def _say(args, msg):
@@ -176,12 +168,20 @@ def _fit_from_dict(d):
         raise ConfigError(f"fit config must be a JSON object, got {d!r}")
     try:
         kwargs = {}
-        for key in ("alpha", "cd_tol", "cd_max_sweeps", "cv_folds", "cv_alpha_grid"):
+        for key in ("cd_tol", "cd_max_sweeps", "cv_folds", "cv_alpha_grid"):
             if d.get(key) is not None:
                 kwargs[key] = d[key]
         return FitConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit config {d!r}: {exc}") from exc
+
+
+def _target_echo(target, drawn):
+    """The target as given, with a drawn value pinned so a replay matches."""
+    echo = target.as_dict()
+    if drawn is not None:
+        echo["value"] = drawn
+    return echo
 
 
 def _emit_json(args, doc):
@@ -204,8 +204,6 @@ def cmd_train(args):
     if label is None:
         raise ConfigError("train needs a label column (--label or config)")
     algorithm = _pick(args.algorithm, cfg, "algorithm", None)
-    if algorithm not in KNOWN_ALGORITHMS:
-        raise ConfigError(f"algorithm must be one of {KNOWN_ALGORITHMS}, got {algorithm!r}")
     seed = _resolve_seed(args.seed, cfg)
     standardize = False if args.no_standardize else bool(cfg.get("standardize", True))
     n = int(_pick(args.n, cfg, "n", 5))
@@ -224,44 +222,12 @@ def cmd_train(args):
         X = apply_standardizer(std, ds.X)
     else:
         std, X = None, ds.X
-    y = ds.y
 
-    diagnostics = {}
-    echo_target = None
-    if algorithm == "ols":
-        theta = fit_ols(X, y)
-    elif algorithm in ("ridge", "lasso"):
-        if alpha is None:
-            alpha_sel, errs = cross_validate(X, y, algorithm, fit, seed=seed)
-            diagnostics["cv_errors"] = [float(e) for e in errs]
-        else:
-            alpha_sel = alpha
-        diagnostics["alpha"] = float(alpha_sel)
-        if algorithm == "ridge":
-            theta = fit_ridge(X, y, alpha_sel)
-        else:
-            theta = fit_lasso(X, y, alpha_sel, fit)
-    else:  # mlsg
-        rng = np.random.default_rng(derive_seed(seed, _STREAM_DEFENDER_TARGET))
-        target_r, drawn = _resolve_target(target, rng)
-        sigma = label_stats(y)[1]
-        z_hat = build_target(y, target_r, sigma)
-        params = GameParams(n=n, beta=beta, lam=lam, z=z_hat, theta_radius=radius)
-        sol = solve_equilibrium(X, y, params)
-        theta = sol.theta_star
-        diagnostics = {
-            "solver": sol.solver,
-            "iterations": sol.iterations,
-            "s_star": sol.s_star,
-            "grad_norm": sol.grad_norm,
-            "on_boundary": sol.on_boundary,
-            "converged": sol.converged,
-            "sigma": sigma,
-        }
-        echo_target = _target_meta(target)
-        if drawn is not None:
-            # pin the drawn value so a --config replay refits the same model
-            echo_target["value"] = drawn
+    # the scenario harness's fit path: same rows, seed and setting, same model
+    theta, diagnostics = fit_model(
+        algorithm, X, ds.y, setting=GameSetting(lam=lam, beta=beta, target=target),
+        n=n, theta_radius=radius, fit=fit, seed=seed, alpha=alpha,
+    )
 
     resolved = {
         "command": "train",
@@ -275,7 +241,7 @@ def cmd_train(args):
         "beta": beta,
         "theta_radius": radius,
         "alpha": alpha,
-        "target": echo_target,
+        "target": _target_echo(target, diagnostics.get("drawn_value")),
         "fit": fit.as_dict(),
     }
     model = {
@@ -373,15 +339,10 @@ def cmd_attack(args):
     else:
         std, X = None, ds.X
 
-    rng = np.random.default_rng(derive_seed(seed, _STREAM_ACTUAL_TARGET))
-    target_r, drawn = _resolve_target(target, rng)
-    sigma = label_stats(ds.y)[1]
-    z = build_target(ds.y, target_r, sigma)
-
+    z, sigma, drawn = draw_target(ds.y, target, seed, STREAM_ACTUAL_TARGET)
     profile = ThetaProfile(thetas)
-    params = GameParams(n=profile.n, beta=1.0, lam=lam, z=z)
-    X_att = attacker_best_response(profile, X, params)
-    cost = attacker_cost(profile, X, X_att, params)
+    X_att = simulate_attack(profile, X, z, lam)
+    cost = attacker_cost(profile, X, X_att, GameParams(n=profile.n, beta=1.0, lam=lam, z=z))
     shift = float(np.sqrt(np.sum((X_att - X) ** 2)))
     X_out = invert_standardizer(std, X_att) if std is not None else X_att
 
@@ -389,9 +350,6 @@ def cmd_attack(args):
     write_csv(args.out, header, rows)
     _say(args, f"wrote {args.out}")
 
-    echo_target = _target_meta(target)
-    if drawn is not None:
-        echo_target["value"] = drawn
     summary = {
         "config": {
             "command": "attack",
@@ -400,7 +358,7 @@ def cmd_attack(args):
             "label": label,
             "lambda": lam,
             "seed": seed,
-            "target": echo_target,
+            "target": _target_echo(target, drawn),
         },
         "summary": {
             "attacker_cost": cost,
@@ -452,18 +410,7 @@ def _scenario_from_config(cfg, seed):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    echo = {
-        "n": scen.n,
-        "seed": seed,
-        "algorithms": list(scen.algorithms),
-        "defender_knows_actual": scen.defender_knows_actual,
-        "standardize": scen.standardize,
-        "theta_radius": scen.theta_radius,
-        "defender_estimates": _setting_meta(scen.defender_estimates),
-        "actual": _setting_meta(scen.actual),
-        "fit": scen.fit.as_dict(),
-    }
-    return scen, echo
+    return scen, scen.as_dict()
 
 
 def _common_eval_inputs(args, cfg):

@@ -81,6 +81,15 @@ class TargetSpec:
     clip_min: float | None = None
     clip_max: float | None = None
 
+    def as_dict(self):
+        return {
+            "kind": "offset",
+            "delta_scale": float(self.delta_scale),
+            "mask": None if self.mask is None else list(self.mask),
+            "clip_min": self.clip_min,
+            "clip_max": self.clip_max,
+        }
+
 
 @dataclass(eq=False)
 class ConstantTarget:
@@ -97,6 +106,14 @@ class ConstantTarget:
     def __post_init__(self):
         if (self.value is None) == (self.value_range is None):
             raise ValueError("set exactly one of value / value_range")
+
+    def as_dict(self):
+        return {
+            "kind": "constant",
+            "value": self.value,
+            "value_range": None if self.value_range is None else list(self.value_range),
+            "mask": None if self.mask is None else list(self.mask),
+        }
 
 
 def _checked_mask(mask, m):
@@ -179,9 +196,11 @@ def load_csv(path, label):
                 raise ParseError(line, c + 1, f"non-finite value {cell!r}")
             values[r, c] = v
     keep = [j for j in range(len(header)) if j != label_idx]
+    # row-major copies: column reductions round by memory layout, so a file
+    # must load into the layout an in-memory dataset of the same rows has
     return Dataset(
-        X=values[:, keep],
-        y=values[:, label_idx],
+        X=np.ascontiguousarray(values[:, keep]),
+        y=values[:, label_idx].copy(),
         feature_names=[header[j] for j in keep],
         label_name=header[label_idx],
     )

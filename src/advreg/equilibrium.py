@@ -112,8 +112,9 @@ def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
 
     Backtracking (shrink 0.5) starting from step 1 / L_hat, where
     L_hat = 2 * (Gershgorin bound on X^T X) + 6 * kappa * R^2 upper-bounds
-    the curvature on the ball; accepted steps double on the next iteration
-    so the step length adapts to the local curvature. A step is accepted
+    the curvature on the ball; accepted steps double on the next iteration,
+    while the trial step stays shorter than the ball's diameter, so the
+    step length adapts to the local curvature. A step is accepted
     when the Armijo condition (c1 = 1e-4) holds or, because near the
     optimum f cannot resolve a decrease below its own rounding, when the
     approximate Armijo condition of Hager & Zhang (2005) holds: f rises by
@@ -168,7 +169,9 @@ def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
             if t < 1e-300:
                 raise NonFinite("line search collapsed")
         theta, f_cur = cand, f_cand
-        t *= 2.0
+        # a trial step longer than the ball's diameter moves no farther
+        if t * float(np.sqrt(grad @ grad)) < 2.0 * radius:
+            t *= 2.0
     if not converged:
         warnings.warn(
             f"projected gradient stopped at max_iters={max_iters}", MaxItersExceeded

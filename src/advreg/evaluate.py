@@ -6,7 +6,8 @@ attacker *actually* does at test time. Every deployed algorithm is cloned
 into n identical learners and attacked by its own optimal attacker; the
 reported numbers are root-mean-square errors on clean features, attacked
 features, and their beta-mixture (the expected risk under attack
-probability beta).
+probability beta). Models come from `fit_model`, the fit path the `train`
+command shares.
 
 Sweeps repeat scenarios over a lambda x beta grid with fresh seeded
 train/test splits per repeat. Each (cell, repeat) derives its own RNG seed
@@ -16,6 +17,7 @@ the aggregate is independent of execution order.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,8 +36,6 @@ from .equilibrium import solve_equilibrium
 from .exceptions import ConfigError, DimensionMismatch
 from .game import GameParams, ThetaProfile, attacker_best_response, sq_norm
 
-KNOWN_ALGORITHMS = ("lasso", "mlsg", "ols", "ridge")
-
 
 def derive_seed(base, *parts):
     """Deterministic 64-bit mix of a base seed with stream labels."""
@@ -48,10 +48,85 @@ def derive_seed(base, *parts):
 
 
 # fixed stream labels so reordering computations cannot reshuffle draws
-_STREAM_DEFENDER_TARGET = 1
-_STREAM_ACTUAL_TARGET = 2
-_STREAM_CV_RIDGE = 3
-_STREAM_CV_LASSO = 4
+STREAM_DEFENDER_TARGET = 1
+STREAM_ACTUAL_TARGET = 2
+STREAM_CV_RIDGE = 3
+STREAM_CV_LASSO = 4
+
+
+def draw_target(y, target, seed, stream):
+    """Attack target on labels y; returns (z, sigma, drawn).
+
+    A ranged constant draws its value on `stream` of `seed` and returns it
+    as `drawn` (None otherwise); offsets scale by sigma, the population std
+    of y.
+    """
+    drawn = None
+    if isinstance(target, ConstantTarget) and target.value_range is not None:
+        lo, hi = target.value_range
+        rng = np.random.default_rng(derive_seed(seed, stream))
+        drawn = float(rng.uniform(float(lo), float(hi)))
+        target = ConstantTarget(value=drawn, mask=target.mask)
+    sigma = label_stats(y)[1]
+    return build_target(y, target, sigma), sigma, drawn
+
+
+def _fit_mlsg(X, y, *, setting, n, theta_radius, seed, **_):
+    z_hat, sigma, drawn = draw_target(y, setting.target, seed, STREAM_DEFENDER_TARGET)
+    params = GameParams(
+        n=n, beta=setting.beta, lam=setting.lam, z=z_hat, theta_radius=theta_radius
+    )
+    sol = solve_equilibrium(X, y, params)
+    return sol.theta_star, {
+        "solver": sol.solver,
+        "iterations": sol.iterations,
+        "s_star": sol.s_star,
+        "grad_norm": sol.grad_norm,
+        "on_boundary": sol.on_boundary,
+        "converged": sol.converged,
+        "sigma": sigma,
+        "drawn_value": drawn,
+    }
+
+
+def _fit_ols(X, y, **_):
+    return fit_ols(X, y), {}
+
+
+def _fit_penalized(method, X, y, *, fit, seed, alpha, **_):
+    ridge = method == "ridge"
+    diagnostics = {}
+    if alpha is None:
+        stream = STREAM_CV_RIDGE if ridge else STREAM_CV_LASSO
+        alpha, errs = cross_validate(X, y, method, fit, seed=derive_seed(seed, stream))
+        diagnostics["cv_errors"] = [float(e) for e in errs]
+    diagnostics["alpha"] = float(alpha)
+    theta = fit_ridge(X, y, alpha) if ridge else fit_lasso(X, y, alpha, fit)
+    return theta, diagnostics
+
+
+_FITTERS = {
+    "lasso": partial(_fit_penalized, "lasso"),
+    "mlsg": _fit_mlsg,
+    "ols": _fit_ols,
+    "ridge": partial(_fit_penalized, "ridge"),
+}
+KNOWN_ALGORITHMS = tuple(sorted(_FITTERS))
+
+
+def fit_model(algorithm, X, y, *, setting, n, theta_radius, fit, seed, alpha=None):
+    """Fit one algorithm on (X, y); returns (theta, diagnostics).
+
+    `mlsg` plays the equilibrium against `setting`, the defender's view of
+    the game. Ridge and lasso cross-validate on the seed's CV stream unless
+    `alpha` is given.
+    """
+    if algorithm not in _FITTERS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; known: {KNOWN_ALGORITHMS}")
+    return _FITTERS[algorithm](
+        X, y, setting=setting, n=n, theta_radius=theta_radius, fit=fit, seed=seed,
+        alpha=alpha,
+    )
 
 
 @dataclass(eq=False)
@@ -61,6 +136,13 @@ class GameSetting:
     lam: float
     beta: float
     target: TargetSpec | ConstantTarget = field(default_factory=TargetSpec)
+
+    def as_dict(self):
+        return {
+            "lambda": float(self.lam),
+            "beta": float(self.beta),
+            "target": self.target.as_dict(),
+        }
 
 
 @dataclass(eq=False)
@@ -79,6 +161,19 @@ class ScenarioConfig:
         bad = [a for a in self.algorithms if a not in KNOWN_ALGORITHMS]
         if bad:
             raise ConfigError(f"unknown algorithms {bad}; known: {KNOWN_ALGORITHMS}")
+
+    def as_dict(self):
+        return {
+            "n": self.n,
+            "seed": int(self.seed),
+            "algorithms": list(self.algorithms),
+            "defender_knows_actual": self.defender_knows_actual,
+            "standardize": self.standardize,
+            "theta_radius": self.theta_radius,
+            "defender_estimates": self.defender_estimates.as_dict(),
+            "actual": self.actual.as_dict(),
+            "fit": self.fit.as_dict(),
+        }
 
 
 @dataclass(eq=False)
@@ -156,45 +251,21 @@ def expected_rmse(theta, X_clean, X_attacked, y, beta):
     return rmse_exp, rmse_clean, rmse_att
 
 
-def _resolve_target(target, rng):
-    """Draw the per-run value of a ranged constant target; echo the draw."""
-    if isinstance(target, ConstantTarget) and target.value_range is not None:
-        lo, hi = target.value_range
-        value = float(rng.uniform(float(lo), float(hi)))
-        return ConstantTarget(value=value, mask=target.mask), value
-    return target, None
-
-
-def _target_meta(target, drawn=None):
-    if isinstance(target, ConstantTarget):
-        meta = {
-            "kind": "constant",
-            "value": target.value,
-            "value_range": list(target.value_range) if target.value_range else None,
-            "mask": list(target.mask) if target.mask is not None else None,
-        }
-        if drawn is not None:
-            meta["drawn_value"] = drawn
-        return meta
-    return {
-        "kind": "offset",
-        "delta_scale": float(target.delta_scale),
-        "mask": list(target.mask) if target.mask is not None else None,
-        "clip_min": target.clip_min,
-        "clip_max": target.clip_max,
-    }
-
-
-def _setting_meta(setting, drawn=None):
-    return {
-        "lambda": float(setting.lam),
-        "beta": float(setting.beta),
-        "target": _target_meta(setting.target, drawn),
-    }
+def _target_used(target, drawn, sigma):
+    """Metadata of a target as built: a drawn value replaces the range."""
+    meta = target.as_dict()
+    if drawn is not None:
+        meta.update(value=drawn, value_range=None, drawn_value=drawn)
+    meta["sigma"] = sigma
+    return meta
 
 
 def run_scenario(train, test, cfg):
-    """Fit every algorithm, attack each with the actual setting, score RMSEs."""
+    """Fit every algorithm, attack each with the actual setting, score RMSEs.
+
+    Each side's target reads sigma from its own labels: the defender's
+    from the training labels, the attacker's from the test labels.
+    """
     if train.d != test.d:
         raise DimensionMismatch(f"train has {train.d} features, test has {test.d}")
     if cfg.standardize:
@@ -202,60 +273,26 @@ def run_scenario(train, test, cfg):
         X_tr = apply_standardizer(std, train.X)
         X_te = apply_standardizer(std, test.X)
     else:
-        std = None
-        X_tr, X_te = train.X.copy(), test.X.copy()
-    y_tr, y_te = train.y, test.y
-    sigma = label_stats(np.concatenate([y_tr, y_te]))[1]
+        X_tr, X_te = train.X, test.X
 
     est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
-    est_rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_DEFENDER_TARGET))
-    est_target, est_drawn = _resolve_target(est.target, est_rng)
-    z_hat = build_target(y_tr, est_target, sigma)
-
-    act_rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_ACTUAL_TARGET))
-    act_target, act_drawn = _resolve_target(cfg.actual.target, act_rng)
-    z_test = build_target(y_te, act_target, sigma)
-
-    thetas = {}
-    diagnostics = {}
-    for algo in cfg.algorithms:
-        if algo == "mlsg":
-            params = GameParams(
-                n=cfg.n, beta=est.beta, lam=est.lam, z=z_hat,
-                theta_radius=cfg.theta_radius,
-            )
-            sol = solve_equilibrium(X_tr, y_tr, params)
-            thetas[algo] = sol.theta_star
-            diagnostics[algo] = {
-                "solver": sol.solver,
-                "iterations": sol.iterations,
-                "s_star": sol.s_star,
-                "grad_norm": sol.grad_norm,
-                "on_boundary": sol.on_boundary,
-                "converged": sol.converged,
-            }
-        elif algo == "ols":
-            thetas[algo] = fit_ols(X_tr, y_tr)
-            diagnostics[algo] = {}
-        elif algo == "ridge":
-            alpha, errs = cross_validate(
-                X_tr, y_tr, "ridge", cfg.fit, seed=derive_seed(cfg.seed, _STREAM_CV_RIDGE)
-            )
-            thetas[algo] = fit_ridge(X_tr, y_tr, alpha)
-            diagnostics[algo] = {"alpha": alpha, "cv_errors": [float(e) for e in errs]}
-        elif algo == "lasso":
-            alpha, errs = cross_validate(
-                X_tr, y_tr, "lasso", cfg.fit, seed=derive_seed(cfg.seed, _STREAM_CV_LASSO)
-            )
-            thetas[algo] = fit_lasso(X_tr, y_tr, alpha, cfg.fit)
-            diagnostics[algo] = {"alpha": alpha, "cv_errors": [float(e) for e in errs]}
+    _, est_sigma, est_drawn = draw_target(
+        train.y, est.target, cfg.seed, STREAM_DEFENDER_TARGET
+    )
+    z_test, act_sigma, act_drawn = draw_target(
+        test.y, cfg.actual.target, cfg.seed, STREAM_ACTUAL_TARGET
+    )
 
     results = {}
-    for algo in sorted(thetas):
-        theta = thetas[algo]
+    diagnostics = {}
+    for algo in sorted(cfg.algorithms):
+        theta, diagnostics[algo] = fit_model(
+            algo, X_tr, train.y, setting=est, n=cfg.n, theta_radius=cfg.theta_radius,
+            fit=cfg.fit, seed=cfg.seed,
+        )
         profile = ThetaProfile.symmetric(theta, cfg.n)
         X_att = simulate_attack(profile, X_te, z_test, cfg.actual.lam)
-        exp, clean, att = expected_rmse(theta, X_te, X_att, y_te, cfg.actual.beta)
+        exp, clean, att = expected_rmse(theta, X_te, X_att, test.y, cfg.actual.beta)
         results[algo] = {
             "rmse_expected": exp,
             "rmse_clean": clean,
@@ -264,24 +301,13 @@ def run_scenario(train, test, cfg):
         }
 
     metadata = {
-        "config": {
-            "n": cfg.n,
-            "seed": int(cfg.seed),
-            "algorithms": list(cfg.algorithms),
-            "defender_knows_actual": cfg.defender_knows_actual,
-            "standardize": cfg.standardize,
-            "theta_radius": cfg.theta_radius,
-            "defender_estimates": _setting_meta(cfg.defender_estimates),
-            "actual": _setting_meta(cfg.actual),
-            "fit": cfg.fit.as_dict(),
-        },
+        "config": cfg.as_dict(),
         "resolved": {
-            "sigma": sigma,
-            "sigma_source": "train_test_union_population",
+            "sigma_source": "defender_train_actual_test_population",
             "rows_train": train.m,
             "rows_test": test.m,
-            "defender_target": _target_meta(est_target, est_drawn),
-            "actual_target": _target_meta(act_target, act_drawn),
+            "defender_target": _target_used(est.target, est_drawn, est_sigma),
+            "actual_target": _target_used(cfg.actual.target, act_drawn, act_sigma),
             "label_standardized": False,
             "feature_standardization": "train_mean_std_population" if cfg.standardize else "none",
             "ridge_objective": "sse_plus_alpha_l2sq",

@@ -233,7 +233,7 @@ def test_cv_rejects_unknown_method():
 
 
 def test_fit_config_as_dict_round_trip():
-    cfg = FitConfig(alpha=0.5, cv_alpha_grid=[0.1, 1.0])
+    cfg = FitConfig(cv_alpha_grid=[0.1, 1.0])
     d = cfg.as_dict()
     again = FitConfig(**d)
     assert again.as_dict() == d

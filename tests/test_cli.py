@@ -9,7 +9,16 @@ import pytest
 
 import advreg.verify as verify_mod
 from advreg.cli import main
-from advreg.data import apply_standardizer, fit_standardizer, load_csv
+from advreg.data import (
+    ConstantTarget,
+    TargetSpec,
+    apply_standardizer,
+    fit_standardizer,
+    load_csv,
+    split_train_test,
+)
+from advreg.evaluate import GameSetting, ScenarioConfig, run_scenario
+from advreg.serialize import write_csv
 from advreg.synthetic import dataset_to_csv, make_synthetic
 from advreg.verify import CheckReport
 
@@ -124,6 +133,38 @@ def test_train_mlsg_replay_pins_the_drawn_target(synth_csv, tmp_path):
     # the artifact's embedded config replays the exact same fit
     assert run_cli("train", "--config", first, "--quiet", "--out", again) == 0
     assert read_json(again)["theta"] == model["theta"]
+
+
+@pytest.mark.parametrize("target", [
+    {"kind": "offset", "delta_scale": 1.5, "clip_max": 6.0},
+    {"kind": "constant", "value_range": [0.0, 4.0]},
+], ids=["offset", "constant-range"])
+@pytest.mark.parametrize("algorithm", ["lasso", "mlsg", "ols", "ridge"])
+def test_train_fits_the_model_the_scenario_deploys(algorithm, target, tmp_path):
+    # same training rows, seed and defender setting -> the same coefficients;
+    # at seed 14 the raw seed and the CV streams pick different penalties
+    ds = make_synthetic(m=80, d=3, mu=2.0, sigma=1.0, r2=0.6, seed=11)
+    train, test = split_train_test(ds, 0.5, seed=2)
+    spec = (TargetSpec(delta_scale=1.5, clip_max=6.0) if target["kind"] == "offset"
+            else ConstantTarget(value_range=(0.0, 4.0)))
+    scen = ScenarioConfig(
+        n=3, defender_estimates=GameSetting(lam=0.7, beta=0.6, target=spec),
+        actual=GameSetting(lam=1.0, beta=0.5), algorithms=(algorithm,), seed=14,
+    )
+    deployed = run_scenario(train, test, scen).results[algorithm]["theta"]
+
+    csv_path = str(tmp_path / "train.csv")
+    write_csv(csv_path, train.feature_names + [train.label_name],
+              np.column_stack([train.X, train.y]).tolist())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": csv_path, "label": train.label_name, "algorithm": algorithm,
+        "n": 3, "lambda": 0.7, "beta": 0.6, "target": target,
+    }), encoding="utf-8")
+    out = str(tmp_path / "model.json")
+    assert run_cli("train", "--config", str(cfg_path), "--seed", "14",
+                   "--quiet", "--out", out) == 0
+    assert read_json(out)["theta"] == deployed
 
 
 def test_train_error_exit_codes(tmp_path):

@@ -5,7 +5,7 @@ deterministic parallel reduction."""
 import numpy as np
 import pytest
 
-from advreg.data import TargetSpec, concat_datasets, split_train_test
+from advreg.data import TargetSpec, concat_datasets, label_stats, split_train_test
 from advreg.baselines import FitConfig
 from advreg.evaluate import (
     CSV_HEADER,
@@ -137,8 +137,10 @@ def test_scenario_metadata_resolves_sigma_and_targets():
     report = run_scenario(train, test, small_config())
     resolved = report.metadata["resolved"]
     assert resolved["rows_train"] == train.m and resolved["rows_test"] == test.m
-    assert resolved["sigma"] > 0
     assert "defender_target" in resolved and "actual_target" in resolved
+    # each side's target scales by the spread of the labels it is built on
+    assert resolved["defender_target"]["sigma"] == label_stats(train.y)[1]
+    assert resolved["actual_target"]["sigma"] == label_stats(test.y)[1]
     assert report.metadata["config"]["fit"]["cv_folds"] == 3
 
 
