@@ -8,8 +8,29 @@ comparable with the game costs:
     ridge  argmin ||X theta - y||^2 + alpha * ||theta||^2
     lasso  argmin ||X theta - y||^2 + alpha * ||theta||_1
 
-The lasso coordinate update is the soft threshold at alpha / 2 because of
-the missing 1/2 on the quadratic term.
+Ridge and lasso are read off exact regularization paths, so
+cross-validation factors each fold once instead of refitting per alpha:
+
+* ridge: one eigendecomposition X^T X = V diag(lam) V^T gives
+  theta(alpha) = V diag(1 / (lam + alpha)) V^T X^T y for every alpha
+  (Hastie, Tibshirani & Friedman, ESL 3.4).
+* lasso: the LARS-lasso homotopy (Osborne, Presnell & Turlach 2000;
+  Efron, Hastie, Johnstone & Tibshirani 2004). With t = alpha / 2 (the
+  quadratic term has no 1/2) the optimality conditions read
+  X^T (y - X theta) = t sign(theta) on the support and |.| <= t off it.
+  Between knots the support A and its signs s are fixed and
+  theta_A(t) = G_AA^-1 (X_A^T y - t s) is linear in t, G = X^T X. The
+  path starts at theta = 0, t = max |X^T y|; each knot adds the column
+  whose correlation reaches t or drops the one whose coefficient reaches
+  zero, and every requested alpha is read off its segment.
+
+The homotopy is exact while each active-set Gram passes solve_spd's
+pivot test. When one fails (collinear columns, or a wide design followed
+to alpha near 0), or more than d knots in a row fall at the same t (tied
+columns trading places), the path is degenerate: the alphas it has not
+reached are fit by cyclic coordinate descent (`fit_lasso_cd`, soft
+threshold at alpha / 2) started from the last exact path point.
+`fit_lasso_cd` is also the tests' oracle.
 """
 
 import warnings
@@ -23,7 +44,7 @@ from .exceptions import (
     NotPositiveDefinite,
     SingularDesign,
 )
-from .linalg import solve_spd
+from .linalg import PIVOT_RTOL, solve_spd, sym_eig
 
 
 def _default_alpha_grid():
@@ -32,6 +53,12 @@ def _default_alpha_grid():
 
 @dataclass(eq=False)
 class FitConfig:
+    """Baseline fit settings.
+
+    cd_tol and cd_max_sweeps govern only coordinate descent, which runs as
+    the lasso's fallback on a degenerate path and as `fit_lasso_cd`.
+    """
+
     cd_tol: float = 1e-9
     cd_max_sweeps: int = 10000
     cv_folds: int = 5
@@ -50,8 +77,9 @@ class FitConfig:
 
 
 def _check_xy(X, y):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    # row-major copies: column reductions round by memory layout
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
+    y = np.ascontiguousarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise DimensionMismatch(f"y has shape {y.shape}, X has {X.shape[0]} rows")
     return X, y
@@ -65,62 +93,45 @@ def fit_ols(X, y):
         raise SingularDesign("X^T X is not numerically positive definite") from exc
 
 
+def _ridge_path(G, b, alphas):
+    """Ridge coefficients (one row per alpha) from one eigendecomposition of G.
+
+    Raises SingularDesign when some alpha leaves lam_min + alpha at or
+    below PIVOT_RTOL * (lam_max + alpha).
+    """
+    lam, V = sym_eig(G)  # descending
+    singular = ~(lam[-1] + alphas > PIVOT_RTOL * (lam[0] + alphas))
+    if np.any(singular):
+        raise SingularDesign(
+            f"ridge system is not positive definite at alpha={alphas[singular][0]:g}"
+        )
+    return (V.T @ b / (lam + alphas[:, None])) @ V.T
+
+
 def fit_ridge(X, y, alpha):
     X, y = _check_xy(X, y)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    A = X.T @ X + alpha * np.eye(X.shape[1])
-    try:
-        return solve_spd(A, X.T @ y)
-    except NotPositiveDefinite as exc:
-        raise SingularDesign("ridge system is not positive definite") from exc
+    return _ridge_path(X.T @ X, X.T @ y, np.array([float(alpha)]))[0]
 
 
-def fit_lasso(X, y, alpha, cfg=None, theta0=None):
-    """Cyclic coordinate descent for the unnormalized lasso.
+def _coordinate_descent(G, b, alpha, theta, cfg):
+    """Cyclic coordinate descent on the Gram matrix, updating theta in place.
 
-    theta_j <- soft(rho_j, alpha/2) / x_j^T x_j with
-    rho_j = x_j^T (y - X theta + x_j theta_j); sweeps stop once the largest
-    coordinate change is at most cfg.cd_tol. Zero-norm columns keep a zero
-    coefficient. Hitting the sweep cap emits MaxSweepsExceeded and returns
-    the iterate.
-
-    Sweeps run against the precomputed Gram matrix, so a sweep costs
-    O(d^2) independent of the sample count. `theta0` warm-starts the
-    iteration (used along CV paths); without it the iteration starts from
-    the matching ridge solution (falling back to zeros on singular
-    designs). Every few sweeps the exact minimizer restricted to the
-    current support and sign pattern is computed and adopted when it is
-    sign-consistent — a restricted minimum, so the objective never
-    increases — which collapses the slow zig-zag tail on correlated or
-    badly scaled columns. Termination is still decided only by the sweep
-    rule above.
+    theta_j <- soft(rho_j, alpha/2) / G_jj with rho_j = b_j - (G theta)_j +
+    G_jj theta_j; sweeps stop once the largest coordinate change is at most
+    cfg.cd_tol. Zero-norm columns keep a zero coefficient. Hitting the sweep
+    cap emits MaxSweepsExceeded and returns the iterate.
     """
-    X, y = _check_xy(X, y)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    cfg = cfg or FitConfig()
-    d = X.shape[1]
-    G = X.T @ X
-    c = X.T @ y
-    col_sq = np.diag(G).copy()
-    live = col_sq > 0.0
-    if theta0 is None:
-        try:
-            theta = solve_spd(G + alpha * np.eye(d), c)
-        except NotPositiveDefinite:
-            theta = np.zeros(d)
-    else:
-        theta = np.asarray(theta0, dtype=float).copy()
-    theta[~live] = 0.0
+    col_sq = np.diag(G)
+    live = np.flatnonzero(col_sq > 0.0)
+    theta[col_sq == 0.0] = 0.0
     Gtheta = G @ theta
     half = 0.5 * alpha
-    for sweep in range(cfg.cd_max_sweeps):
+    for _ in range(cfg.cd_max_sweeps):
         max_delta = 0.0
-        for j in range(d):
-            if not live[j]:
-                continue
-            rho = c[j] - Gtheta[j] + col_sq[j] * theta[j]
+        for j in live:
+            rho = b[j] - Gtheta[j] + col_sq[j] * theta[j]
             new = np.sign(rho) * max(abs(rho) - half, 0.0) / col_sq[j]
             delta = new - theta[j]
             if delta != 0.0:
@@ -128,36 +139,128 @@ def fit_lasso(X, y, alpha, cfg=None, theta0=None):
                 theta[j] = new
                 max_delta = max(max_delta, abs(delta))
         if max_delta <= cfg.cd_tol:
-            break
-        if (sweep + 1) % 4 == 0:
-            support = np.flatnonzero(theta)
-            if support.size == 0:
-                continue
-            signs = np.sign(theta[support])
-            try:
-                polished = solve_spd(
-                    G[np.ix_(support, support)], c[support] - half * signs
-                )
-            except NotPositiveDefinite:
-                continue
-            if np.all(np.sign(polished) == signs):
-                theta = np.zeros(d)
-                theta[support] = polished
-                Gtheta = G @ theta
-    else:
-        warnings.warn(
-            f"coordinate descent stopped at cap {cfg.cd_max_sweeps}", MaxSweepsExceeded
-        )
+            return theta
+    warnings.warn(
+        f"coordinate descent stopped at cap {cfg.cd_max_sweeps}", MaxSweepsExceeded
+    )
     return theta
+
+
+def _lasso_path(G, b, alphas, cfg):
+    """Lasso coefficients (one row per alpha) along one homotopy.
+
+    Returns (thetas, solver, knots): solver is "path", or "cd" when the
+    path degenerated before the smallest alpha (see the module docstring);
+    knots counts the knots passed.
+    """
+    d = b.size
+    halves = 0.5 * alphas
+    thetas = np.zeros((alphas.size, d))
+    live = np.diag(G) > 0.0
+    t = float(np.max(np.abs(b[live]), initial=0.0))
+    # alphas at or above 2 max|X^T y| keep theta = 0
+    pending = [int(k) for k in np.argsort(-halves, kind="stable") if halves[k] < t]
+    theta = np.zeros(d)  # the exact solution at t
+    j = int(np.argmax(np.where(live, np.abs(b), -1.0)))
+    active, signs = [j], [float(np.sign(b[j]))]
+    # the column that just left may not rejoin on the same side at its own knot
+    left, left_sign = -1, 0.0
+    knots = stalls = 0
+    while pending and active:
+        A = np.array(active)
+        try:
+            U = solve_spd(G[np.ix_(A, A)], np.column_stack([b[A], signs]))
+        except NotPositiveDefinite:
+            break
+        u, w = U[:, 0], U[:, 1]  # theta_A(s) = u - s w on this segment
+        GU = G[:, A] @ U
+        p, a = b - GU[:, 0], GU[:, 1]  # correlations X^T (y - X theta(s)) = p + s a
+        free = live.copy()
+        free[A] = False
+        # largest s < t where a free correlation reaches +s or -s, or an
+        # active coefficient reaches zero; clipped at t against rounding
+        up = np.divide(p, 1.0 - a, out=np.full(d, -np.inf), where=free & (a < 1.0))
+        down = np.divide(-p, 1.0 + a, out=np.full(d, -np.inf), where=free & (a > -1.0))
+        if left >= 0:
+            (up if left_sign > 0 else down)[left] = -np.inf
+        join = np.minimum(np.maximum(up, down), t)
+        leave = np.minimum(
+            np.divide(u, w, out=np.full(A.size, -np.inf), where=np.array(signs) * w < 0.0),
+            t,
+        )
+        j, i = int(np.argmax(join)), int(np.argmax(leave))
+        t_next = max(join[j], leave[i], 0.0)
+        while pending and halves[pending[0]] >= t_next:
+            k = pending.pop(0)
+            thetas[k, A] = u - halves[k] * w
+        if not pending:
+            break
+        theta = np.zeros(d)
+        theta[A] = u - t_next * w
+        stalls = stalls + 1 if t_next >= t else 0
+        t = t_next
+        knots += 1
+        if stalls > d:
+            break
+        if leave[i] >= join[j]:
+            left, left_sign = active.pop(i), signs.pop(i)
+            theta[left] = 0.0
+        else:
+            active.append(j)
+            signs.append(1.0 if up[j] >= down[j] else -1.0)
+            left = -1
+    for k in pending:
+        thetas[k] = _coordinate_descent(G, b, alphas[k], theta.copy(), cfg)
+    return thetas, "cd" if pending else "path", knots
+
+
+def fit_lasso(X, y, alpha, cfg=None, *, return_info=False):
+    """Lasso at one alpha, read off the homotopy path.
+
+    With return_info, returns (theta, {"solver": "path" | "cd",
+    "path_knots": int}) instead of theta.
+    """
+    X, y = _check_xy(X, y)
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    thetas, solver, knots = _lasso_path(
+        X.T @ X, X.T @ y, np.array([float(alpha)]), cfg or FitConfig()
+    )
+    if return_info:
+        return thetas[0], {"solver": solver, "path_knots": knots}
+    return thetas[0]
+
+
+def fit_lasso_cd(X, y, alpha, cfg=None, theta0=None):
+    """Lasso at one alpha by cyclic coordinate descent (the path's oracle).
+
+    Starts from theta0, or else from the matching ridge solution (zeros on
+    singular designs); cfg.cd_tol and cfg.cd_max_sweeps as in
+    `_coordinate_descent`.
+    """
+    X, y = _check_xy(X, y)
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    G = X.T @ X
+    b = X.T @ y
+    if theta0 is None:
+        try:
+            theta = solve_spd(G + alpha * np.eye(X.shape[1]), b)
+        except NotPositiveDefinite:
+            theta = np.zeros(X.shape[1])
+    else:
+        theta = np.array(theta0, dtype=float)
+    return _coordinate_descent(G, b, alpha, theta, cfg or FitConfig())
 
 
 def cross_validate(X, y, method, cfg=None, seed=0):
     """Pick alpha for ridge/lasso by k-fold CV on held-out squared error.
 
     Rows are shuffled once with the given seed and cut into contiguous
-    folds (the first m mod k folds get the extra row). The score of an
-    alpha is the mean over folds of ||X_val theta - y_val||^2 / |fold|;
-    ties go to the larger alpha.
+    folds (the first m mod k folds get the extra row). Each fold fits every
+    alpha from one regularization path. The score of an alpha is the mean
+    over folds of ||X_val theta - y_val||^2 / |fold|; ties go to the larger
+    alpha.
 
     Returns (alpha_best, cv_errors) with cv_errors aligned to
     cfg.cv_alpha_grid.
@@ -186,19 +289,14 @@ def cross_validate(X, y, method, cfg=None, seed=0):
     for f in range(k):
         val = folds[f]
         trn = np.concatenate([folds[g] for g in range(k) if g != f])
-        X_trn, y_trn = X[trn], y[trn]
-        X_val, y_val = X[val], y[val]
-        # descending-alpha path so lasso warm starts stay sparse
-        path = np.argsort(-grid, kind="stable")
-        warm = None
-        for idx in path:
-            if method == "ridge":
-                theta = fit_ridge(X_trn, y_trn, grid[idx])
-            else:
-                theta = fit_lasso(X_trn, y_trn, grid[idx], cfg, theta0=warm)
-                warm = theta
-            r = X_val @ theta - y_val
-            errors[idx] += float(r @ r) / val.size
+        X_trn = X[trn]
+        G, b = X_trn.T @ X_trn, X_trn.T @ y[trn]
+        if method == "ridge":
+            thetas = _ridge_path(G, b, grid)
+        else:
+            thetas = _lasso_path(G, b, grid, cfg)[0]
+        R = X[val] @ thetas.T - y[val][:, None]
+        errors += np.sum(R * R, axis=0) / val.size
     errors /= k
 
     best_idx = 0

@@ -35,8 +35,9 @@ class Dataset:
     label_name: str = "label"
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.y = np.asarray(self.y, dtype=float)
+        # row-major copies: column reductions round by memory layout
+        self.X = np.ascontiguousarray(np.atleast_2d(np.asarray(self.X, dtype=float)))
+        self.y = np.ascontiguousarray(self.y, dtype=float)
         if self.y.ndim != 1 or self.y.shape[0] != self.X.shape[0]:
             raise DimensionMismatch(
                 f"y has shape {self.y.shape}, X has {self.X.shape[0]} rows"
@@ -196,11 +197,9 @@ def load_csv(path, label):
                 raise ParseError(line, c + 1, f"non-finite value {cell!r}")
             values[r, c] = v
     keep = [j for j in range(len(header)) if j != label_idx]
-    # row-major copies: column reductions round by memory layout, so a file
-    # must load into the layout an in-memory dataset of the same rows has
     return Dataset(
-        X=np.ascontiguousarray(values[:, keep]),
-        y=values[:, label_idx].copy(),
+        X=values[:, keep],
+        y=values[:, label_idx],
         feature_names=[header[j] for j in keep],
         label_name=header[label_idx],
     )
@@ -237,7 +236,7 @@ def fit_standardizer(train_X):
     Columns with (numerically) zero variance get mean 0 / std 1 so they
     pass through the transform unchanged.
     """
-    X = np.atleast_2d(np.asarray(train_X, dtype=float))
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(train_X, dtype=float)))
     means = X.mean(axis=0)
     stds = np.sqrt(np.mean((X - means) ** 2, axis=0))
     degenerate = stds < 1e-12

@@ -101,7 +101,10 @@ def _fit_penalized(method, X, y, *, fit, seed, alpha, **_):
         alpha, errs = cross_validate(X, y, method, fit, seed=derive_seed(seed, stream))
         diagnostics["cv_errors"] = [float(e) for e in errs]
     diagnostics["alpha"] = float(alpha)
-    theta = fit_ridge(X, y, alpha) if ridge else fit_lasso(X, y, alpha, fit)
+    if ridge:
+        return fit_ridge(X, y, alpha), diagnostics
+    theta, info = fit_lasso(X, y, alpha, fit, return_info=True)
+    diagnostics.update(info)
     return theta, diagnostics
 
 
@@ -119,10 +122,13 @@ def fit_model(algorithm, X, y, *, setting, n, theta_radius, fit, seed, alpha=Non
 
     `mlsg` plays the equilibrium against `setting`, the defender's view of
     the game. Ridge and lasso cross-validate on the seed's CV stream unless
-    `alpha` is given.
+    `alpha` is given. X and y are fit as row-major copies, so the result
+    does not depend on their memory layout.
     """
     if algorithm not in _FITTERS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; known: {KNOWN_ALGORITHMS}")
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     return _FITTERS[algorithm](
         X, y, setting=setting, n=n, theta_radius=theta_radius, fit=fit, seed=seed,
         alpha=alpha,

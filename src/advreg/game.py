@@ -88,9 +88,6 @@ class ThetaProfile:
     def d(self):
         return self.thetas.shape[1]
 
-    def max_norm(self):
-        return float(np.max(np.sqrt(np.sum(self.thetas**2, axis=1))))
-
 
 @dataclass(eq=False)
 class AttackOperator:

@@ -55,11 +55,12 @@ def solve_spd(A, b):
     Parameters
     ----------
     A : (d, d) array, symmetric positive definite.
-    b : (d,) array.
+    b : (d,) array, or (d, k) array of k right-hand sides.
 
     Returns
     -------
-    x : (d,) array with residual ``norm(A x - b) <= 1e-8 * (1 + norm(b))``.
+    x : array shaped like b with residual ``norm(A x - b) <= 1e-8 * (1 + norm(b))``
+        per right-hand side.
 
     Raises
     ------
@@ -70,8 +71,8 @@ def solve_spd(A, b):
     """
     A = _require_square_symmetric(A)
     b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != A.shape[0]:
-        raise DimensionMismatch(f"b has shape {b.shape}, expected ({A.shape[0]},)")
+    if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
+        raise DimensionMismatch(f"b has shape {b.shape}, expected {A.shape[0]} rows")
     _cholesky(A)
     return np.linalg.solve(A, b)
 

@@ -1,8 +1,8 @@
 """OLS / ridge / lasso fits and cross-validated alpha selection.
 
 Lasso correctness is certified through its KKT conditions (subgradient
-stationarity of ||X theta - y||^2 + alpha ||theta||_1) rather than by
-comparing against another iterative solver.
+stationarity of ||X theta - y||^2 + alpha ||theta||_1), and the homotopy
+path is compared with the coordinate-descent oracle `fit_lasso_cd`.
 """
 
 import warnings
@@ -10,7 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from advreg.baselines import FitConfig, cross_validate, fit_lasso, fit_ols, fit_ridge
+from advreg.baselines import (
+    FitConfig,
+    cross_validate,
+    fit_lasso,
+    fit_lasso_cd,
+    fit_ols,
+    fit_ridge,
+)
 from advreg.exceptions import MaxSweepsExceeded, SingularDesign
 
 
@@ -128,8 +135,8 @@ def test_lasso_warm_start_agrees_with_cold_start():
     X = rng.normal(size=(15, 4))
     y = rng.normal(size=15)
     cfg = FitConfig(cd_tol=1e-12)
-    cold = fit_lasso(X, y, 0.7, cfg)
-    warm = fit_lasso(X, y, 0.7, cfg, theta0=fit_lasso(X, y, 2.0, cfg))
+    cold = fit_lasso_cd(X, y, 0.7, cfg)
+    warm = fit_lasso_cd(X, y, 0.7, cfg, theta0=fit_lasso_cd(X, y, 2.0, cfg))
     assert np.allclose(cold, warm, atol=1e-7)
 
 
@@ -147,7 +154,7 @@ def test_lasso_sweep_cap_warns_and_returns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MaxSweepsExceeded):
-            fit_lasso(X, y, 0.5, cfg)
+            fit_lasso_cd(X, y, 0.5, cfg)
 
 
 def test_lasso_objective_not_above_ols_objective_plus_penalty():
@@ -160,6 +167,77 @@ def test_lasso_objective_not_above_ols_objective_plus_penalty():
     ols = fit_ols(X, y)
     competing = float(np.sum((X @ ols - y) ** 2)) + alpha * float(np.abs(ols).sum())
     assert obj <= competing + 1e-9
+
+
+def lasso_objective(X, y, alpha, theta):
+    r = X @ theta - y
+    return float(r @ r) + alpha * float(np.abs(theta).sum())
+
+
+def path_instances(seed, count):
+    """Seeded designs: scaled, correlated and zero columns, and d > m."""
+    rng = np.random.default_rng(seed)
+    kinds = ("scaled", "correlated", "zero_column", "wide")
+    for n in range(count):
+        kind = kinds[n % len(kinds)]
+        d = int(rng.integers(2, 8))
+        m = int(rng.integers(1, d)) if kind == "wide" else int(rng.integers(d + 2, d + 20))
+        X = rng.normal(size=(m, d))
+        if kind == "scaled":
+            X *= 10.0 ** rng.uniform(-1, 2, d)
+        elif kind == "correlated":
+            X += rng.normal(size=(m, 1))  # pairwise correlation 1/2
+        elif kind == "zero_column":
+            X[:, rng.integers(d)] = 0.0
+        y = rng.normal(size=m) * float(10.0 ** rng.uniform(0, 1))
+        yield kind, X, y
+
+
+GRID_WITH_ZERO = np.concatenate([[0.0], FitConfig().cv_alpha_grid])
+
+
+def test_lasso_path_meets_kkt_and_matches_cd_oracle():
+    oracle = FitConfig(cd_tol=1e-12)
+    seen = set()
+    for kind, X, y in path_instances(13, 40):
+        seen.add(kind)
+        tol = 1e-9 * (1 + np.linalg.norm(X.T @ y))
+        for alpha in GRID_WITH_ZERO:
+            th = fit_lasso(X, y, alpha)
+            assert lasso_kkt_gap(X, y, alpha, th) <= tol, (kind, alpha)
+            # on d > m designs at small alpha the objective is nearly flat
+            # along the null space and cold coordinate descent crawls past
+            # its sweep cap, so there the oracle starts from the path's
+            # answer and must find nothing better
+            start = th if kind == "wide" else None
+            ref = lasso_objective(X, y, alpha, fit_lasso_cd(X, y, alpha, oracle, start))
+            assert abs(lasso_objective(X, y, alpha, th) - ref) <= 1e-9 * float(y @ y)
+    assert seen == {"scaled", "correlated", "zero_column", "wide"}
+
+
+def test_lasso_path_stays_on_path_at_default_grid():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(60, 8)) * 10.0 ** rng.uniform(-1, 1, 8)
+    y = X @ rng.normal(size=8) + rng.normal(size=60)
+    for alpha in FitConfig().cv_alpha_grid:
+        th, info = fit_lasso(X, y, alpha, return_info=True)
+        assert info["solver"] == "path"
+        assert info["path_knots"] >= 0
+        assert lasso_kkt_gap(X, y, alpha, th) <= 1e-9 * (1 + np.linalg.norm(X.T @ y))
+
+
+def test_lasso_degenerate_path_falls_back_to_cd():
+    # four rows, seven columns: past four active columns the active-set Gram
+    # is singular, which the path meets on its way to alpha = 0
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(4, 7))
+    y = rng.normal(size=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MaxSweepsExceeded)
+        th, info = fit_lasso(X, y, 0.0, return_info=True)
+    assert info["solver"] == "cd"
+    assert info["path_knots"] > 0
+    assert lasso_kkt_gap(X, y, 0.0, th) <= 1e-6 * (1 + np.linalg.norm(X.T @ y))
 
 
 # ---------------------------------------------------------- cross_validate
@@ -230,6 +308,51 @@ def test_cv_rejects_bad_folds():
 def test_cv_rejects_unknown_method():
     with pytest.raises(ValueError):
         cross_validate(np.eye(2), np.ones(2), "elastic", FitConfig(cv_folds=2))
+
+
+def _fold_errors_by_hand(X, y, method, cfg, seed):
+    """CV errors refit per fold and alpha with the single-alpha fits."""
+    k = cfg.cv_folds
+    perm = np.random.default_rng(seed).permutation(X.shape[0])
+    folds = np.array_split(perm, k)
+    errors = np.zeros(cfg.cv_alpha_grid.size)
+    for f in range(k):
+        trn = np.concatenate([folds[g] for g in range(k) if g != f])
+        val = folds[f]
+        for i, alpha in enumerate(cfg.cv_alpha_grid):
+            if method == "ridge":
+                th = fit_ridge(X[trn], y[trn], alpha)
+            else:
+                th = fit_lasso(X[trn], y[trn], alpha, cfg)
+            r = X[val] @ th - y[val]
+            errors[i] += float(r @ r) / val.size
+    return errors / k
+
+
+@pytest.mark.parametrize("method,rtol", [("lasso", 1e-12), ("ridge", 1e-10)])
+def test_cv_fold_fits_equal_single_alpha_fits(method, rtol):
+    for kind, X, y in path_instances(15, 12):
+        if kind == "wide":
+            continue
+        X = np.vstack([X, X])  # enough rows for 3 folds to stay tall
+        y = np.concatenate([y, y[::-1]])
+        grid = GRID_WITH_ZERO[1:] if method == "ridge" else GRID_WITH_ZERO
+        cfg = FitConfig(cv_folds=3, cv_alpha_grid=grid)
+        _, errors = cross_validate(X, y, method, cfg, seed=3)
+        expected = _fold_errors_by_hand(X, y, method, cfg, seed=3)
+        assert np.allclose(errors, expected, rtol=rtol, atol=0.0), kind
+
+
+def test_cv_ridge_zero_alpha_on_rank_deficient_fold_raises():
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(30, 3))
+    X = np.column_stack([X, X[:, 0] + X[:, 1]])  # rank 3 in every fold
+    y = rng.normal(size=30)
+    cfg = FitConfig(cv_folds=3, cv_alpha_grid=[0.0, 1.0])
+    with pytest.raises(SingularDesign):
+        cross_validate(X, y, "ridge", cfg, seed=0)
+    alpha, _ = cross_validate(X, y, "ridge", FitConfig(cv_folds=3, cv_alpha_grid=[1.0]))
+    assert alpha == 1.0
 
 
 def test_fit_config_as_dict_round_trip():

@@ -167,6 +167,25 @@ def test_train_fits_the_model_the_scenario_deploys(algorithm, target, tmp_path):
     assert read_json(out)["theta"] == deployed
 
 
+def test_train_and_scenario_record_the_lasso_solver(synth_csv, tmp_path):
+    out = str(tmp_path / "lasso.json")
+    assert run_cli("train", "--dataset", synth_csv, "--label", "label",
+                   "--algorithm", "lasso", "--alpha", "0.0001", "--quiet", "--out", out) == 0
+    diag = read_json(out)["diagnostics"]
+    assert diag["solver"] == "path"
+    assert diag["path_knots"] == 2  # all three columns join before alpha/2 = 5e-5
+
+    ds = load_csv(synth_csv, "label")
+    train, test = split_train_test(ds, 0.5, seed=2)
+    scen = ScenarioConfig(
+        n=2, defender_estimates=GameSetting(lam=1.0, beta=0.5),
+        actual=GameSetting(lam=1.0, beta=0.5), algorithms=("lasso",), seed=5,
+    )
+    lasso = run_scenario(train, test, scen).metadata["diagnostics"]["lasso"]
+    assert lasso["solver"] == "path"
+    assert isinstance(lasso["path_knots"], int) and lasso["path_knots"] >= 0
+
+
 def test_train_error_exit_codes(tmp_path):
     csv = write_tiny_csv(tmp_path / "tiny.csv")
     out = str(tmp_path / "model.json")

@@ -5,14 +5,23 @@ deterministic parallel reduction."""
 import numpy as np
 import pytest
 
-from advreg.data import TargetSpec, concat_datasets, label_stats, split_train_test
+from advreg.data import (
+    TargetSpec,
+    apply_standardizer,
+    concat_datasets,
+    fit_standardizer,
+    label_stats,
+    split_train_test,
+)
 from advreg.baselines import FitConfig
 from advreg.evaluate import (
     CSV_HEADER,
     ScenarioConfig,
     GameSetting,
+    KNOWN_ALGORITHMS,
     derive_seed,
     expected_rmse,
+    fit_model,
     run_scenario,
     run_sweep,
     simulate_attack,
@@ -38,6 +47,33 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def test_fits_do_not_depend_on_memory_layout():
+    # numpy's column reductions round by memory layout; every fit reads a
+    # row-major copy, so the same rows give the same bits in any layout
+    ds = load_bundled("wine_like")
+    X, y = ds.X[:200], ds.y[:200]
+    doubled = np.repeat(np.hstack([X, X]), 2, axis=0)
+    layouts = {
+        "fortran": (np.asfortranarray(X), y.copy()),
+        "strided": (doubled[::2, : X.shape[1]], np.repeat(y, 2)[::2]),
+    }
+    setting = GameSetting(lam=1.0, beta=0.5, target=TargetSpec(delta_scale=2.0))
+
+    def fits(X, y):
+        std = fit_standardizer(X)
+        Xs = apply_standardizer(std, X)
+        out = [std.means, std.stds]
+        for algo in KNOWN_ALGORITHMS:
+            theta, _ = fit_model(algo, Xs, y, setting=setting, n=3, theta_radius=None,
+                                 fit=SMALL_FIT, seed=7)
+            out.append(theta)
+        return [a.tobytes() for a in out]
+
+    reference = fits(np.ascontiguousarray(X), y)
+    for name, (Xl, yl) in layouts.items():
+        assert fits(Xl, yl) == reference, name
 
 
 # --------------------------------------------------------- simulate_attack

@@ -44,6 +44,16 @@ def test_solve_random_spd_residuals():
         assert np.linalg.norm(A @ x - b) <= 1e-8 * (1 + np.linalg.norm(b))
 
 
+def test_solve_several_right_hand_sides_at_once():
+    rng = np.random.default_rng(12)
+    A = random_spd(rng, 5)
+    B = rng.normal(size=(5, 3))
+    X = solve_spd(A, B)
+    assert X.shape == (5, 3)
+    for k in range(3):
+        assert np.allclose(X[:, k], solve_spd(A, B[:, k]), rtol=1e-12, atol=1e-14)
+
+
 def test_solve_rejects_indefinite():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     # positive definite, but its pivot 1e-13 is below PIVOT_RTOL * max diag,
