@@ -24,13 +24,18 @@ cross-validation factors each fold once instead of refitting per alpha:
   whose correlation reaches t or drops the one whose coefficient reaches
   zero, and every requested alpha is read off its segment.
 
-The homotopy is exact while each active-set Gram passes solve_spd's
-pivot test. When one fails (collinear columns, or a wide design followed
-to alpha near 0), or more than d knots in a row fall at the same t (tied
-columns trading places), the path is degenerate: the alphas it has not
-reached are fit by cyclic coordinate descent (`fit_lasso_cd`, soft
-threshold at alpha / 2) started from the last exact path point.
-`fit_lasso_cd` is also the tests' oracle.
+A column in the span of the active columns never joins. When an
+active-set Gram fails solve_spd's pivot test, the column that just joined
+is such a column (a principal submatrix of a Gram that passed the test
+passes it too), so it is marked and the segment is solved again from the
+same t without it. This is exact: x_j = X_A c has correlation t c^T s on
+the whole segment, at most t where it tried to join, so theta_j = 0 meets
+the optimality conditions until a leave shrinks the span and clears the
+marks. At tied knots a column that left at t may not rejoin on its side
+while the set it left is active at t (its correlation moves inward or
+along the bound), and more than 2 d knots in a row at one t raise
+NoConvergence. `fit_lasso_cd` (cyclic coordinate descent) is the tests'
+oracle.
 """
 
 import warnings
@@ -41,6 +46,7 @@ import numpy as np
 from .exceptions import (
     DimensionMismatch,
     MaxSweepsExceeded,
+    NoConvergence,
     NotPositiveDefinite,
     SingularDesign,
 )
@@ -53,24 +59,21 @@ def _default_alpha_grid():
 
 @dataclass(eq=False)
 class FitConfig:
-    """Baseline fit settings.
+    """Cross-validation settings for ridge and lasso.
 
-    cd_tol and cd_max_sweeps govern only coordinate descent, which runs as
-    the lasso's fallback on a degenerate path and as `fit_lasso_cd`.
+    The alpha grid must be non-empty, finite and non-negative.
     """
 
-    cd_tol: float = 1e-9
-    cd_max_sweeps: int = 10000
     cv_folds: int = 5
     cv_alpha_grid: np.ndarray = field(default_factory=_default_alpha_grid)
 
     def __post_init__(self):
-        self.cv_alpha_grid = np.asarray(self.cv_alpha_grid, dtype=float)
+        self.cv_alpha_grid = grid = np.asarray(self.cv_alpha_grid, dtype=float)
+        if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
+            raise ValueError("cv_alpha_grid must be non-empty, finite and non-negative")
 
     def as_dict(self):
         return {
-            "cd_tol": float(self.cd_tol),
-            "cd_max_sweeps": int(self.cd_max_sweeps),
             "cv_folds": int(self.cv_folds),
             "cv_alpha_grid": [float(a) for a in self.cv_alpha_grid],
         }
@@ -83,6 +86,13 @@ def _check_xy(X, y):
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise DimensionMismatch(f"y has shape {y.shape}, X has {X.shape[0]} rows")
     return X, y
+
+
+def _check_alpha(alpha):
+    alpha = float(alpha)
+    if not (np.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    return alpha
 
 
 def fit_ols(X, y):
@@ -110,137 +120,107 @@ def _ridge_path(G, b, alphas):
 
 def fit_ridge(X, y, alpha):
     X, y = _check_xy(X, y)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return _ridge_path(X.T @ X, X.T @ y, np.array([float(alpha)]))[0]
+    alpha = _check_alpha(alpha)
+    return _ridge_path(X.T @ X, X.T @ y, np.array([alpha]))[0]
 
 
-def _coordinate_descent(G, b, alpha, theta, cfg):
-    """Cyclic coordinate descent on the Gram matrix, updating theta in place.
-
-    theta_j <- soft(rho_j, alpha/2) / G_jj with rho_j = b_j - (G theta)_j +
-    G_jj theta_j; sweeps stop once the largest coordinate change is at most
-    cfg.cd_tol. Zero-norm columns keep a zero coefficient. Hitting the sweep
-    cap emits MaxSweepsExceeded and returns the iterate.
-    """
-    col_sq = np.diag(G)
-    live = np.flatnonzero(col_sq > 0.0)
-    theta[col_sq == 0.0] = 0.0
-    Gtheta = G @ theta
-    half = 0.5 * alpha
-    for _ in range(cfg.cd_max_sweeps):
-        max_delta = 0.0
-        for j in live:
-            rho = b[j] - Gtheta[j] + col_sq[j] * theta[j]
-            new = np.sign(rho) * max(abs(rho) - half, 0.0) / col_sq[j]
-            delta = new - theta[j]
-            if delta != 0.0:
-                Gtheta += G[:, j] * delta
-                theta[j] = new
-                max_delta = max(max_delta, abs(delta))
-        if max_delta <= cfg.cd_tol:
-            return theta
-    warnings.warn(
-        f"coordinate descent stopped at cap {cfg.cd_max_sweeps}", MaxSweepsExceeded
-    )
-    return theta
-
-
-def _lasso_path(G, b, alphas, cfg):
+def _lasso_path(G, b, alphas):
     """Lasso coefficients (one row per alpha) along one homotopy.
 
-    Returns (thetas, solver, knots): solver is "path", or "cd" when the
-    path degenerated before the smallest alpha (see the module docstring);
-    knots counts the knots passed.
+    Returns (thetas, knots), knots counting the knots passed. Raises
+    NoConvergence when more than 2 d knots in a row fall at the same t.
     """
     d = b.size
     halves = 0.5 * alphas
     thetas = np.zeros((alphas.size, d))
     live = np.diag(G) > 0.0
+    spanned = np.zeros(d, dtype=bool)  # in the span of the active columns
     t = float(np.max(np.abs(b[live]), initial=0.0))
     # alphas at or above 2 max|X^T y| keep theta = 0
     pending = [int(k) for k in np.argsort(-halves, kind="stable") if halves[k] < t]
-    theta = np.zeros(d)  # the exact solution at t
     j = int(np.argmax(np.where(live, np.abs(b), -1.0)))
     active, signs = [j], [float(np.sign(b[j]))]
-    # the column that just left may not rejoin on the same side at its own knot
-    left, left_sign = -1, 0.0
+    # each column that left at the current t, with the set it left and its
+    # side: it may not rejoin on that side while that set is active
+    barred = []
     knots = stalls = 0
     while pending and active:
         A = np.array(active)
         try:
             U = solve_spd(G[np.ix_(A, A)], np.column_stack([b[A], signs]))
         except NotPositiveDefinite:
-            break
+            # the column that just joined is spanned: solve this segment again
+            spanned[active.pop()] = True
+            signs.pop()
+            knots -= 1
+            continue
         u, w = U[:, 0], U[:, 1]  # theta_A(s) = u - s w on this segment
+        sgn = np.array(signs)
         GU = G[:, A] @ U
         p, a = b - GU[:, 0], GU[:, 1]  # correlations X^T (y - X theta(s)) = p + s a
-        free = live.copy()
+        free = live & ~spanned
         free[A] = False
         # largest s < t where a free correlation reaches +s or -s, or an
         # active coefficient reaches zero; clipped at t against rounding
         up = np.divide(p, 1.0 - a, out=np.full(d, -np.inf), where=free & (a < 1.0))
         down = np.divide(-p, 1.0 + a, out=np.full(d, -np.inf), where=free & (a > -1.0))
-        if left >= 0:
-            (up if left_sign > 0 else down)[left] = -np.inf
+        for S, col, side in barred:
+            if S == set(active):
+                (up if side > 0 else down)[col] = -np.inf
         join = np.minimum(np.maximum(up, down), t)
-        leave = np.minimum(
-            np.divide(u, w, out=np.full(A.size, -np.inf), where=np.array(signs) * w < 0.0),
-            t,
-        )
+        leave = np.divide(u, w, out=np.full(A.size, -np.inf), where=sgn * w < 0.0)
+        leave = np.minimum(leave, t)
         j, i = int(np.argmax(join)), int(np.argmax(leave))
         t_next = max(join[j], leave[i], 0.0)
         while pending and halves[pending[0]] >= t_next:
-            k = pending.pop(0)
-            thetas[k, A] = u - halves[k] * w
+            theta = u - halves[pending[0]] * w
+            # a coefficient at its own knot may round past zero
+            thetas[pending.pop(0), A] = np.where(sgn * theta < 0.0, 0.0, theta)
         if not pending:
             break
-        theta = np.zeros(d)
-        theta[A] = u - t_next * w
         stalls = stalls + 1 if t_next >= t else 0
+        if not stalls:
+            barred = []
         t = t_next
         knots += 1
-        if stalls > d:
-            break
+        if stalls > 2 * d:
+            raise NoConvergence(f"lasso path stalled at alpha={2.0 * t:g}: tied columns")
         if leave[i] >= join[j]:
-            left, left_sign = active.pop(i), signs.pop(i)
-            theta[left] = 0.0
+            col, side = active.pop(i), signs.pop(i)
+            barred.append((set(active), col, side))
+            spanned[:] = False
         else:
             active.append(j)
             signs.append(1.0 if up[j] >= down[j] else -1.0)
-            left = -1
-    for k in pending:
-        thetas[k] = _coordinate_descent(G, b, alphas[k], theta.copy(), cfg)
-    return thetas, "cd" if pending else "path", knots
+    return thetas, knots
 
 
-def fit_lasso(X, y, alpha, cfg=None, *, return_info=False):
+def fit_lasso(X, y, alpha, *, return_info=False):
     """Lasso at one alpha, read off the homotopy path.
 
-    With return_info, returns (theta, {"solver": "path" | "cd",
-    "path_knots": int}) instead of theta.
+    With return_info, returns (theta, {"solver": "path", "path_knots": int})
+    instead of theta.
     """
     X, y = _check_xy(X, y)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    thetas, solver, knots = _lasso_path(
-        X.T @ X, X.T @ y, np.array([float(alpha)]), cfg or FitConfig()
-    )
+    alpha = _check_alpha(alpha)
+    thetas, knots = _lasso_path(X.T @ X, X.T @ y, np.array([alpha]))
     if return_info:
-        return thetas[0], {"solver": solver, "path_knots": knots}
+        return thetas[0], {"solver": "path", "path_knots": knots}
     return thetas[0]
 
 
-def fit_lasso_cd(X, y, alpha, cfg=None, theta0=None):
+def fit_lasso_cd(X, y, alpha, theta0=None, *, tol=1e-9, max_sweeps=10000):
     """Lasso at one alpha by cyclic coordinate descent (the path's oracle).
 
     Starts from theta0, or else from the matching ridge solution (zeros on
-    singular designs); cfg.cd_tol and cfg.cd_max_sweeps as in
-    `_coordinate_descent`.
+    singular designs). Each sweep sets theta_j <- soft(rho_j, alpha/2) / G_jj
+    with rho_j = b_j - (G theta)_j + G_jj theta_j, G = X^T X, b = X^T y;
+    sweeps stop once the largest coordinate change is at most tol.
+    Zero-norm columns keep a zero coefficient. Hitting max_sweeps emits
+    MaxSweepsExceeded and returns the iterate.
     """
     X, y = _check_xy(X, y)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = _check_alpha(alpha)
     G = X.T @ X
     b = X.T @ y
     if theta0 is None:
@@ -250,7 +230,25 @@ def fit_lasso_cd(X, y, alpha, cfg=None, theta0=None):
             theta = np.zeros(X.shape[1])
     else:
         theta = np.array(theta0, dtype=float)
-    return _coordinate_descent(G, b, alpha, theta, cfg or FitConfig())
+    col_sq = np.diag(G)
+    live = np.flatnonzero(col_sq > 0.0)
+    theta[col_sq == 0.0] = 0.0
+    Gtheta = G @ theta
+    half = 0.5 * alpha
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for j in live:
+            rho = b[j] - Gtheta[j] + col_sq[j] * theta[j]
+            new = np.sign(rho) * max(abs(rho) - half, 0.0) / col_sq[j]
+            delta = new - theta[j]
+            if delta != 0.0:
+                Gtheta += G[:, j] * delta
+                theta[j] = new
+                max_delta = max(max_delta, abs(delta))
+        if max_delta <= tol:
+            return theta
+    warnings.warn(f"coordinate descent stopped at cap {max_sweeps}", MaxSweepsExceeded)
+    return theta
 
 
 def cross_validate(X, y, method, cfg=None, seed=0):
@@ -273,9 +271,7 @@ def cross_validate(X, y, method, cfg=None, seed=0):
     m = X.shape[0]
     if k < 2 or k > m:
         raise ValueError(f"cv_folds must be in 2..{m}, got {k}")
-    grid = np.asarray(cfg.cv_alpha_grid, dtype=float)
-    if grid.size == 0 or np.any(grid < 0):
-        raise ValueError("cv_alpha_grid must be non-empty and non-negative")
+    grid = cfg.cv_alpha_grid
     perm = np.random.default_rng(seed).permutation(m)
     base, extra = divmod(m, k)
     folds = []
@@ -294,7 +290,7 @@ def cross_validate(X, y, method, cfg=None, seed=0):
         if method == "ridge":
             thetas = _ridge_path(G, b, grid)
         else:
-            thetas = _lasso_path(G, b, grid, cfg)[0]
+            thetas = _lasso_path(G, b, grid)[0]
         R = X[val] @ thetas.T - y[val][:, None]
         errors += np.sum(R * R, axis=0) / val.size
     errors /= k

@@ -168,7 +168,7 @@ def _fit_from_dict(d):
         raise ConfigError(f"fit config must be a JSON object, got {d!r}")
     try:
         kwargs = {}
-        for key in ("cd_tol", "cd_max_sweeps", "cv_folds", "cv_alpha_grid"):
+        for key in ("cv_folds", "cv_alpha_grid"):
             if d.get(key) is not None:
                 kwargs[key] = d[key]
         return FitConfig(**kwargs)

@@ -103,7 +103,7 @@ def _fit_penalized(method, X, y, *, fit, seed, alpha, **_):
     diagnostics["alpha"] = float(alpha)
     if ridge:
         return fit_ridge(X, y, alpha), diagnostics
-    theta, info = fit_lasso(X, y, alpha, fit, return_info=True)
+    theta, info = fit_lasso(X, y, alpha, return_info=True)
     diagnostics.update(info)
     return theta, diagnostics
 

@@ -91,9 +91,17 @@ def test_ridge_norm_shrinks_monotonically():
     assert all(norms[i] >= norms[i + 1] - 1e-12 for i in range(len(norms) - 1))
 
 
-def test_ridge_negative_alpha_rejected():
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("fit", [fit_ridge, fit_lasso, fit_lasso_cd])
+def test_penalty_must_be_finite_and_non_negative(fit, alpha):
     with pytest.raises(ValueError):
-        fit_ridge(np.eye(2), np.array([1.0, 1.0]), alpha=-0.5)
+        fit(np.eye(2), np.array([1.0, 1.0]), alpha)
+
+
+@pytest.mark.parametrize("grid", [[0.1, np.nan], [0.1, np.inf], [0.1, -1.0], []])
+def test_fit_config_rejects_bad_alpha_grid(grid):
+    with pytest.raises(ValueError):
+        FitConfig(cv_alpha_grid=grid)
 
 
 # ------------------------------------------------------------------- lasso
@@ -107,8 +115,7 @@ def test_lasso_alpha_zero_matches_ols():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(9, 3))
     y = rng.normal(size=9)
-    cfg = FitConfig(cd_tol=1e-12)
-    assert np.allclose(fit_lasso(X, y, 0.0, cfg), fit_ols(X, y), atol=1e-8)
+    assert np.allclose(fit_lasso(X, y, 0.0), fit_ols(X, y), atol=1e-8)
 
 
 def test_lasso_large_alpha_zeroes_everything():
@@ -126,7 +133,7 @@ def test_lasso_kkt_on_random_scaled_instances():
         X = rng.normal(size=(m, d)) * scales
         y = rng.normal(size=m) * float(10.0 ** rng.uniform(0, 1))
         alpha = float(rng.uniform(0.05, 5.0))
-        th = fit_lasso(X, y, alpha, FitConfig(cd_tol=1e-12))
+        th = fit_lasso(X, y, alpha)
         assert lasso_kkt_gap(X, y, alpha, th) <= 1e-6 * (1 + np.linalg.norm(X.T @ y))
 
 
@@ -134,9 +141,8 @@ def test_lasso_warm_start_agrees_with_cold_start():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(15, 4))
     y = rng.normal(size=15)
-    cfg = FitConfig(cd_tol=1e-12)
-    cold = fit_lasso_cd(X, y, 0.7, cfg)
-    warm = fit_lasso_cd(X, y, 0.7, cfg, theta0=fit_lasso_cd(X, y, 2.0, cfg))
+    cold = fit_lasso_cd(X, y, 0.7, tol=1e-12)
+    warm = fit_lasso_cd(X, y, 0.7, fit_lasso_cd(X, y, 2.0, tol=1e-12), tol=1e-12)
     assert np.allclose(cold, warm, atol=1e-7)
 
 
@@ -150,11 +156,10 @@ def test_lasso_sweep_cap_warns_and_returns():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(20, 5))
     y = rng.normal(size=20)
-    cfg = FitConfig(cd_tol=0.0, cd_max_sweeps=3)  # unreachable tolerance
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MaxSweepsExceeded):
-            fit_lasso_cd(X, y, 0.5, cfg)
+            fit_lasso_cd(X, y, 0.5, tol=0.0, max_sweeps=3)  # unreachable tolerance
 
 
 def test_lasso_objective_not_above_ols_objective_plus_penalty():
@@ -162,7 +167,7 @@ def test_lasso_objective_not_above_ols_objective_plus_penalty():
     X = rng.normal(size=(10, 3))
     y = rng.normal(size=10)
     alpha = 1.3
-    th = fit_lasso(X, y, alpha, FitConfig(cd_tol=1e-12))
+    th = fit_lasso(X, y, alpha)
     obj = float(np.sum((X @ th - y) ** 2)) + alpha * float(np.abs(th).sum())
     ols = fit_ols(X, y)
     competing = float(np.sum((X @ ols - y) ** 2)) + alpha * float(np.abs(ols).sum())
@@ -174,10 +179,16 @@ def lasso_objective(X, y, alpha, theta):
     return float(r @ r) + alpha * float(np.abs(theta).sum())
 
 
-def path_instances(seed, count):
-    """Seeded designs: scaled, correlated and zero columns, and d > m."""
+PATH_KINDS = ("scaled", "correlated", "zero_column", "wide", "duplicate", "collinear")
+# kinds whose active-set Grams go singular on the way to alpha = 0
+DEGENERATE_KINDS = ("wide", "duplicate", "collinear")
+
+
+def path_instances(seed, count, kinds=PATH_KINDS):
+    """Seeded designs cycling through `kinds`: scaled, correlated and zero
+    columns, d > m, a duplicated or collinear last column, and +-1 entries
+    with integer labels (tied correlations)."""
     rng = np.random.default_rng(seed)
-    kinds = ("scaled", "correlated", "zero_column", "wide")
     for n in range(count):
         kind = kinds[n % len(kinds)]
         d = int(rng.integers(2, 8))
@@ -189,7 +200,15 @@ def path_instances(seed, count):
             X += rng.normal(size=(m, 1))  # pairwise correlation 1/2
         elif kind == "zero_column":
             X[:, rng.integers(d)] = 0.0
+        elif kind == "duplicate":
+            X[:, -1] = X[:, 0]
+        elif kind == "collinear":
+            X[:, -1] = X[:, 0] - 2.0 * X[:, 1] if d > 2 else -2.0 * X[:, 0]
+        elif kind == "pm1":
+            X = np.sign(X)
         y = rng.normal(size=m) * float(10.0 ** rng.uniform(0, 1))
+        if kind == "pm1":
+            y = np.round(y)
         yield kind, X, y
 
 
@@ -197,7 +216,6 @@ GRID_WITH_ZERO = np.concatenate([[0.0], FitConfig().cv_alpha_grid])
 
 
 def test_lasso_path_meets_kkt_and_matches_cd_oracle():
-    oracle = FitConfig(cd_tol=1e-12)
     seen = set()
     for kind, X, y in path_instances(13, 40):
         seen.add(kind)
@@ -205,14 +223,14 @@ def test_lasso_path_meets_kkt_and_matches_cd_oracle():
         for alpha in GRID_WITH_ZERO:
             th = fit_lasso(X, y, alpha)
             assert lasso_kkt_gap(X, y, alpha, th) <= tol, (kind, alpha)
-            # on d > m designs at small alpha the objective is nearly flat
-            # along the null space and cold coordinate descent crawls past
-            # its sweep cap, so there the oracle starts from the path's
-            # answer and must find nothing better
-            start = th if kind == "wide" else None
-            ref = lasso_objective(X, y, alpha, fit_lasso_cd(X, y, alpha, oracle, start))
+            # on rank-deficient designs at small alpha the objective is
+            # nearly flat along the null space and cold coordinate descent
+            # crawls past its sweep cap, so there the oracle starts from the
+            # path's answer and must find nothing better
+            start = th if kind in DEGENERATE_KINDS else None
+            ref = lasso_objective(X, y, alpha, fit_lasso_cd(X, y, alpha, start, tol=1e-12))
             assert abs(lasso_objective(X, y, alpha, th) - ref) <= 1e-9 * float(y @ y)
-    assert seen == {"scaled", "correlated", "zero_column", "wide"}
+    assert seen == set(PATH_KINDS)
 
 
 def test_lasso_path_stays_on_path_at_default_grid():
@@ -226,18 +244,66 @@ def test_lasso_path_stays_on_path_at_default_grid():
         assert lasso_kkt_gap(X, y, alpha, th) <= 1e-9 * (1 + np.linalg.norm(X.T @ y))
 
 
-def test_lasso_degenerate_path_falls_back_to_cd():
-    # four rows, seven columns: past four active columns the active-set Gram
-    # is singular, which the path meets on its way to alpha = 0
+def test_lasso_wide_design_ends_on_the_path():
+    # four rows, seven columns: past four active columns every other column
+    # lies in their span, so none of them joins on the way to alpha = 0
     rng = np.random.default_rng(20)
     X = rng.normal(size=(4, 7))
     y = rng.normal(size=4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MaxSweepsExceeded)
-        th, info = fit_lasso(X, y, 0.0, return_info=True)
-    assert info["solver"] == "cd"
+    th, info = fit_lasso(X, y, 0.0, return_info=True)
+    assert info["solver"] == "path"
     assert info["path_knots"] > 0
-    assert lasso_kkt_gap(X, y, 0.0, th) <= 1e-6 * (1 + np.linalg.norm(X.T @ y))
+    assert lasso_kkt_gap(X, y, 0.0, th) <= 1e-9 * (1 + np.linalg.norm(X.T @ y))
+
+
+def test_lasso_degenerate_designs_stay_on_the_path():
+    kinds = DEGENERATE_KINDS + ("pm1",)
+    seen = set()
+    for kind, X, y in path_instances(22, 200, kinds):
+        seen.add(kind)
+        tol = 1e-9 * (1 + np.linalg.norm(X.T @ y))
+        for alpha in GRID_WITH_ZERO:
+            th, info = fit_lasso(X, y, alpha, return_info=True)
+            assert info["solver"] == "path"
+            assert lasso_kkt_gap(X, y, alpha, th) <= tol, (kind, alpha)
+    assert seen == set(kinds)
+
+
+@pytest.mark.parametrize("X,y", [
+    # column 2 lies in the span of active columns 5, 3 and 0; it must join
+    # once column 3 leaves
+    ([[0, 1, 0, 1, 0, 1], [-1, 1, 0, 0, -1, 1], [-1, 0, 1, -1, -1, 1]], [2, 0, 1]),
+    # columns 1 and 3 are equal, and column 1's coefficient reaches zero at
+    # the knot where column 5 joins, so the pair can trade places at one t
+    ([[1, 1, -1, 1, -1, -1, -1], [-1, 1, -1, 1, -1, -1, -1], [-1, 1, 1, 1, -1, 1, -1],
+      [1, -1, 1, -1, -1, -1, 1], [-1, 1, 1, 1, 1, -1, -1], [1, -1, 1, -1, -1, 1, -1],
+      [1, 1, -1, 1, 1, 1, -1], [-1, 1, 1, 1, -1, -1, 1], [1, -1, -1, -1, 1, -1, 1]],
+     [-2, 2, 0, -2, -1, -2, 1, 1, -2]),
+    # six of seven correlations tie at the start: eight knots at one t
+    ([[-1, 1, 0, 0, -1, 1, 1], [1, -1, 0, 0, 1, 1, 1], [-1, -1, 0, 0, 0, -1, 0],
+      [1, 0, 0, -1, 1, 0, -1], [1, 0, 0, 0, 0, 1, 0], [1, 1, 0, -1, 1, -1, 1],
+      [0, -1, -1, -1, 1, 1, -1]],
+     [0, 0, -1, 2, 1, -2, -2]),
+], ids=["span-shrinks", "duplicate-at-a-knot", "six-way-tie"])
+def test_lasso_path_passes_degenerate_knots(X, y):
+    X, y = np.array(X, dtype=float), np.array(y, dtype=float)
+    for alpha in GRID_WITH_ZERO:
+        th, info = fit_lasso(X, y, alpha, return_info=True)
+        assert info["solver"] == "path"
+        assert lasso_kkt_gap(X, y, alpha, th) <= 1e-9 * (1 + np.linalg.norm(X.T @ y))
+
+
+def test_lasso_coefficient_at_its_own_knot_keeps_its_sign():
+    # alpha = 1 falls on the knot where theta_4 leaves; read off the segment
+    # it rounds to +5.6e-17, against its active sign -1
+    X = np.array([
+        [-1, 1, 1, 1, -1], [1, -1, -1, -1, -1], [1, 1, -1, -1, -1], [-1, 1, -1, -1, 1],
+        [1, 1, -1, 1, -1], [-1, -1, -1, -1, 1], [-1, 1, -1, -1, 1],
+    ], dtype=float)
+    y = np.array([-1, 1, 1, 1, 1, 1, -1], dtype=float)
+    th = fit_lasso(X, y, 1.0)
+    assert th[4] == 0.0
+    assert lasso_kkt_gap(X, y, 1.0, th) <= 1e-9 * (1 + np.linalg.norm(X.T @ y))
 
 
 # ---------------------------------------------------------- cross_validate
@@ -323,7 +389,7 @@ def _fold_errors_by_hand(X, y, method, cfg, seed):
             if method == "ridge":
                 th = fit_ridge(X[trn], y[trn], alpha)
             else:
-                th = fit_lasso(X[trn], y[trn], alpha, cfg)
+                th = fit_lasso(X[trn], y[trn], alpha)
             r = X[val] @ th - y[val]
             errors[i] += float(r @ r) / val.size
     return errors / k
@@ -332,10 +398,8 @@ def _fold_errors_by_hand(X, y, method, cfg, seed):
 @pytest.mark.parametrize("method,rtol", [("lasso", 1e-12), ("ridge", 1e-10)])
 def test_cv_fold_fits_equal_single_alpha_fits(method, rtol):
     for kind, X, y in path_instances(15, 12):
-        if kind == "wide":
-            continue
-        X = np.vstack([X, X])  # enough rows for 3 folds to stay tall
-        y = np.concatenate([y, y[::-1]])
+        X = np.vstack([X, X, X])  # enough rows for 3 folds
+        y = np.concatenate([y, y[::-1], -y])
         grid = GRID_WITH_ZERO[1:] if method == "ridge" else GRID_WITH_ZERO
         cfg = FitConfig(cv_folds=3, cv_alpha_grid=grid)
         _, errors = cross_validate(X, y, method, cfg, seed=3)

@@ -186,6 +186,36 @@ def test_train_and_scenario_record_the_lasso_solver(synth_csv, tmp_path):
     assert isinstance(lasso["path_knots"], int) and lasso["path_knots"] >= 0
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("algorithm", ["lasso", "ridge"])
+def test_train_rejects_a_bad_penalty_as_a_config_error(algorithm, alpha, synth_csv, tmp_path):
+    out = str(tmp_path / "model.json")
+    assert run_cli("train", "--dataset", synth_csv, "--label", "label",
+                   "--algorithm", algorithm, f"--alpha={alpha}", "--quiet", "--out", out) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dataset": synth_csv, "label": "label", "algorithm": algorithm,
+        "fit": {"cv_alpha_grid": [0.1, float(alpha)]},
+    }), encoding="utf-8")
+    assert run_cli("train", "--config", str(cfg), "--quiet", "--out", out) == 2
+
+
+def test_train_replays_artifacts_with_the_removed_cd_settings(synth_csv, tmp_path):
+    # artifacts written before the lasso lost its coordinate-descent
+    # fallback carry fit.cd_tol and fit.cd_max_sweeps; a replay ignores them
+    base = {"dataset": synth_csv, "label": "label", "algorithm": "lasso", "seed": 3}
+    models = []
+    for name, fit in (("old", {"cd_tol": 1e-9, "cd_max_sweeps": 10000, "cv_folds": 4}),
+                      ("new", {"cv_folds": 4})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(dict(base, fit=fit)), encoding="utf-8")
+        out = str(tmp_path / f"{name}_model.json")
+        assert run_cli("train", "--config", str(cfg), "--quiet", "--out", out) == 0
+        models.append(read_json(out))
+    assert models[0]["theta"] == models[1]["theta"]
+    assert sorted(models[0]["config"]["fit"]) == ["cv_alpha_grid", "cv_folds"]
+
+
 def test_train_error_exit_codes(tmp_path):
     csv = write_tiny_csv(tmp_path / "tiny.csv")
     out = str(tmp_path / "model.json")
