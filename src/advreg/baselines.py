@@ -24,18 +24,21 @@ cross-validation factors each fold once instead of refitting per alpha:
   whose correlation reaches t or drops the one whose coefficient reaches
   zero, and every requested alpha is read off its segment.
 
-A column in the span of the active columns never joins. When an
-active-set Gram fails solve_spd's pivot test, the column that just joined
-is such a column (a principal submatrix of a Gram that passed the test
-passes it too), so it is marked and the segment is solved again from the
-same t without it. This is exact: x_j = X_A c has correlation t c^T s on
-the whole segment, at most t where it tried to join, so theta_j = 0 meets
-the optimality conditions until a leave shrinks the span and clears the
-marks. At tied knots a column that left at t may not rejoin on its side
-while the set it left is active at t (its correlation moves inward or
-along the bound), and more than 2 d knots in a row at one t raise
-NoConvergence. `fit_lasso_cd` (cyclic coordinate descent) is the tests'
-oracle.
+A column in the span of the active columns never joins. The pivot test
+(pd_check) runs on the active Gram scaled to unit diagonal, so it reads
+each column's distance from the columns before it against the column's own
+norm. When it fails, the column that just joined is spanned (a principal
+submatrix of a Gram that passed passes too): it is marked and the segment
+solved again without it. This is exact: x_j = X_A c has correlation
+t c^T s, at most t where it tried to join, so theta_j = 0 stays optimal
+until a leave shrinks the span and clears the marks. A column within
+sqrt(PIVOT_RTOL) = 1e-6 of the span, relative to its norm, counts as
+spanned; its condition then holds to about 1e-6 ||x_j|| ||y - X theta||.
+At tied knots a column that left at t may not rejoin on its side while the
+set it left is active at t (its correlation moves inward or along the
+bound). Bars only accumulate at one t, so the knots there end unless the
+state after a leave recurs, and then NoConvergence is raised instead of a
+cycle. `fit_lasso_cd` (cyclic coordinate descent) is the tests' oracle.
 """
 
 import warnings
@@ -50,7 +53,7 @@ from .exceptions import (
     NotPositiveDefinite,
     SingularDesign,
 )
-from .linalg import PIVOT_RTOL, solve_spd, sym_eig
+from .linalg import PIVOT_RTOL, pd_check, solve_spd, sym_eig
 
 
 def _default_alpha_grid():
@@ -128,12 +131,14 @@ def _lasso_path(G, b, alphas):
     """Lasso coefficients (one row per alpha) along one homotopy.
 
     Returns (thetas, knots), knots counting the knots passed. Raises
-    NoConvergence when more than 2 d knots in a row fall at the same t.
+    NoConvergence when the knots at one t return to a state they left.
     """
     d = b.size
     halves = 0.5 * alphas
     thetas = np.zeros((alphas.size, d))
     live = np.diag(G) > 0.0
+    r = 1.0 / np.sqrt(np.where(live, np.diag(G), 1.0))
+    unit = G * r[:, None] * r  # unit diagonal on live columns
     spanned = np.zeros(d, dtype=bool)  # in the span of the active columns
     t = float(np.max(np.abs(b[live]), initial=0.0))
     # alphas at or above 2 max|X^T y| keep theta = 0
@@ -142,18 +147,20 @@ def _lasso_path(G, b, alphas):
     active, signs = [j], [float(np.sign(b[j]))]
     # each column that left at the current t, with the set it left and its
     # side: it may not rejoin on that side while that set is active
-    barred = []
-    knots = stalls = 0
+    barred = set()
+    seen = set()  # (active, signs, bars) after each leave at the current t
+    knots = 0
     while pending and active:
         A = np.array(active)
-        try:
-            U = solve_spd(G[np.ix_(A, A)], np.column_stack([b[A], signs]))
-        except NotPositiveDefinite:
+        AA = np.ix_(A, A)
+        # pivot test on the unit-diagonal Gram: each column against its own norm
+        if not pd_check(unit[AA]):
             # the column that just joined is spanned: solve this segment again
             spanned[active.pop()] = True
             signs.pop()
             knots -= 1
             continue
+        U = np.linalg.solve(G[AA], np.column_stack([b[A], signs]))
         u, w = U[:, 0], U[:, 1]  # theta_A(s) = u - s w on this segment
         sgn = np.array(signs)
         GU = G[:, A] @ U
@@ -164,8 +171,9 @@ def _lasso_path(G, b, alphas):
         # active coefficient reaches zero; clipped at t against rounding
         up = np.divide(p, 1.0 - a, out=np.full(d, -np.inf), where=free & (a < 1.0))
         down = np.divide(-p, 1.0 + a, out=np.full(d, -np.inf), where=free & (a > -1.0))
+        key = frozenset(active)
         for S, col, side in barred:
-            if S == set(active):
+            if S == key:
                 (up if side > 0 else down)[col] = -np.inf
         join = np.minimum(np.maximum(up, down), t)
         leave = np.divide(u, w, out=np.full(A.size, -np.inf), where=sgn * w < 0.0)
@@ -178,17 +186,19 @@ def _lasso_path(G, b, alphas):
             thetas[pending.pop(0), A] = np.where(sgn * theta < 0.0, 0.0, theta)
         if not pending:
             break
-        stalls = stalls + 1 if t_next >= t else 0
-        if not stalls:
-            barred = []
+        if t_next < t:
+            barred, seen = set(), set()
         t = t_next
         knots += 1
-        if stalls > 2 * d:
-            raise NoConvergence(f"lasso path stalled at alpha={2.0 * t:g}: tied columns")
         if leave[i] >= join[j]:
             col, side = active.pop(i), signs.pop(i)
-            barred.append((set(active), col, side))
+            barred.add((frozenset(active), col, side))
             spanned[:] = False
+            # the path goes on as a function of this state; bars only grow
+            state = (tuple(active), tuple(signs), len(barred))
+            if state in seen:
+                raise NoConvergence(f"lasso path cycles at alpha={2.0 * t:g}: tied columns")
+            seen.add(state)
         else:
             active.append(j)
             signs.append(1.0 if up[j] >= down[j] else -1.0)
@@ -273,13 +283,7 @@ def cross_validate(X, y, method, cfg=None, seed=0):
         raise ValueError(f"cv_folds must be in 2..{m}, got {k}")
     grid = cfg.cv_alpha_grid
     perm = np.random.default_rng(seed).permutation(m)
-    base, extra = divmod(m, k)
-    folds = []
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        folds.append(perm[start : start + size])
-        start += size
+    folds = np.array_split(perm, k)  # the first m mod k folds get a row more
 
     errors = np.zeros(grid.size)
     for f in range(k):

@@ -19,18 +19,18 @@ from advreg.baselines import (
     fit_ridge,
 )
 from advreg.exceptions import MaxSweepsExceeded, SingularDesign
+from advreg.linalg import PIVOT_RTOL
+
+
+def lasso_kkt_gaps(X, y, alpha, theta):
+    """Violation of the lasso optimality conditions per column (0 iff optimal)."""
+    g = 2.0 * X.T @ (X @ theta - y)
+    return np.where(theta != 0.0, np.abs(g + alpha * np.sign(theta)), np.abs(g) - alpha)
 
 
 def lasso_kkt_gap(X, y, alpha, theta):
     """Worst violation of the lasso optimality conditions (0 iff optimal)."""
-    g = 2.0 * X.T @ (X @ theta - y)
-    worst = 0.0
-    for j in range(theta.size):
-        if theta[j] != 0.0:
-            worst = max(worst, abs(g[j] + alpha * np.sign(theta[j])))
-        else:
-            worst = max(worst, abs(g[j]) - alpha)
-    return worst
+    return float(np.max(lasso_kkt_gaps(X, y, alpha, theta), initial=0.0))
 
 
 # --------------------------------------------------------------------- ols
@@ -284,13 +284,55 @@ def test_lasso_degenerate_designs_stay_on_the_path():
       [1, 0, 0, -1, 1, 0, -1], [1, 0, 0, 0, 0, 1, 0], [1, 1, 0, -1, 1, -1, 1],
       [0, -1, -1, -1, 1, 1, -1]],
      [0, 0, -1, 2, 1, -2, -2]),
-], ids=["span-shrinks", "duplicate-at-a-knot", "six-way-tie"])
+    # all five correlations tie at the start: ten knots after the first at
+    # one t (2 d), joins and leaves interleaved
+    ([[1, -1, -1, 1, -1], [1, -1, -1, 1, -1], [-1, -1, 1, -1, 1], [-1, 1, 1, -1, -1],
+      [-1, 1, 1, -1, -1], [-1, 1, -1, -1, 1], [1, -1, 1, 1, 1], [-1, -1, 1, -1, 1],
+      [-1, 1, 1, 1, -1]],
+     [-1, 0, -2, 1, -2, -1, -1, 2, 1]),
+], ids=["span-shrinks", "duplicate-at-a-knot", "six-way-tie", "five-way-tie"])
 def test_lasso_path_passes_degenerate_knots(X, y):
     X, y = np.array(X, dtype=float), np.array(y, dtype=float)
     for alpha in GRID_WITH_ZERO:
         th, info = fit_lasso(X, y, alpha, return_info=True)
         assert info["solver"] == "path"
         assert lasso_kkt_gap(X, y, alpha, th) <= 1e-9 * (1 + np.linalg.norm(X.T @ y))
+
+
+def test_lasso_span_test_ignores_column_scale():
+    # column 1 is orthogonal to column 0 but 1e7 times shorter; it must join
+    X = np.array([[1e7, 0.0], [0.0, 1.0]])
+    y = np.array([1e7, 1.0])
+    b, col_sq = X.T @ y, np.diag(X.T @ X)
+    for alpha in GRID_WITH_ZERO:
+        soft = np.sign(b) * np.maximum(np.abs(b) - 0.5 * alpha, 0.0) / col_sq
+        np.testing.assert_allclose(fit_lasso(X, y, alpha), soft, rtol=1e-12, atol=0.0)
+
+
+def test_lasso_meets_kkt_per_column_when_column_norms_differ_by_1e8():
+    rng = np.random.default_rng(25)
+    kinds = ("correlated",) + DEGENERATE_KINDS
+    for kind, X, y in path_instances(24, 80, kinds):
+        X = X * 10.0 ** rng.uniform(-4, 4, X.shape[1])
+        tol = 1e-9 * (1 + np.linalg.norm(X, axis=0) * np.linalg.norm(y))
+        for alpha in GRID_WITH_ZERO:
+            th = fit_lasso(X, y, alpha)
+            assert np.all(lasso_kkt_gaps(X, y, alpha, th) <= tol), (kind, alpha)
+
+
+def test_lasso_near_collinear_column_meets_kkt_to_the_span_tolerance():
+    # the last column sits about 1e-7 of its norm off the span of the others,
+    # inside sqrt(PIVOT_RTOL) = 1e-6, so it counts as spanned and its
+    # optimality condition holds to 2 sqrt(PIVOT_RTOL) ||x_j|| ||y - X theta||
+    rng = np.random.default_rng(26)
+    for _, X, y in path_instances(23, 60, ("collinear",)):
+        X[:, -1] += 1e-7 * np.linalg.norm(X[:, -1]) / np.sqrt(X.shape[0]) * rng.normal(size=X.shape[0])
+        norms = np.linalg.norm(X, axis=0)
+        for alpha in GRID_WITH_ZERO:
+            th = fit_lasso(X, y, alpha)
+            r = np.linalg.norm(y - X @ th)
+            tol = 2.0 * np.sqrt(PIVOT_RTOL) * norms * r + 1e-9 * (1 + np.linalg.norm(X.T @ y))
+            assert np.all(lasso_kkt_gaps(X, y, alpha, th) <= tol), alpha
 
 
 def test_lasso_coefficient_at_its_own_knot_keeps_its_sign():
