@@ -1,16 +1,16 @@
 """Command-line front end: train, attack, evaluate, sweep, verify.
 
 Every command is seeded and every artifact is written with deterministic
-serialization (17-significant-digit floats, sorted JSON keys), so a rerun
-with the same inputs reproduces the same bytes. Each JSON artifact embeds
-the resolved settings under a "config" key; feeding that file back through
---config replays the run.
+serialization (sorted JSON keys; each float as its shortest repr, which
+reads back to the same double), so a rerun with the same inputs reproduces
+the same bytes. Each JSON artifact embeds the resolved settings under a
+"config" key; feeding that file back through --config replays the run.
 
 Seed precedence: --seed flag, then the config file, then the ADVREG_SEED
 environment variable, then 0.
 
-Exit codes: 0 success, 2 bad flags or configuration, 3 data errors,
-4 solver failures, 5 verification check failures.
+Exit codes: 0 success, 1 OS errors, 2 bad flags or configuration, 3 data
+errors, 4 solver failures, 5 verification check failures.
 """
 
 import argparse
@@ -67,19 +67,25 @@ def _say(args, msg):
         print(msg)
 
 
+def _read_json(path, what):
+    """The JSON object in a file; ConfigError if unreadable, invalid or not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def _load_config(path):
     """Read a JSON config; an emitted artifact's embedded config replays it."""
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+    cfg = _read_json(path, "config")
     if isinstance(cfg.get("config"), dict):
         cfg = cfg["config"]
     return cfg
@@ -266,13 +272,7 @@ def cmd_train(args):
 
 
 def _load_model(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            model = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model {path} is not valid JSON: {exc}") from exc
+    model = _read_json(path, "model")
     for key in ("algorithm", "theta", "preprocessing"):
         if key not in model:
             raise ConfigError(f"model {path} is missing {key!r}")

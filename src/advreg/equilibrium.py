@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MaxItersExceeded, NonFinite, NotPositiveDefinite, SingularDesign
+from .exceptions import MaxItersExceeded, NonFinite, SingularDesign
 from .game import sq_norm
 from .linalg import pd_check, solve_spd, sym_eig
 
@@ -74,24 +74,14 @@ def project_to_ball(theta, radius):
 
 
 def default_radius(X, y):
-    """Default feasible-ball radius: 10x the norm of the least-squares fit."""
+    """Default feasible-ball radius: 10x the norm of the least-squares fit.
+
+    Raises NotPositiveDefinite when X^T X is not numerically positive
+    definite; both solvers test that first and raise SingularDesign.
+    """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    theta = _ols(X.T @ X, X.T @ y)
+    theta = solve_spd(X.T @ X, X.T @ np.asarray(y, dtype=float))
     return 10.0 * float(np.sqrt(theta @ theta))
-
-
-def _ols(XtX, Xty):
-    try:
-        return solve_spd(XtX, Xty)
-    except NotPositiveDefinite as exc:
-        raise SingularDesign("X^T X is not numerically positive definite") from exc
-
-
-def _resolve_radius(X, y, params):
-    if params.theta_radius is not None:
-        return params.theta_radius
-    return default_radius(X, y)
 
 
 def _solution(theta, X, y, params, iters, solver, on_boundary, converged=True):
@@ -130,7 +120,7 @@ def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
     Xty = X.T @ y
     if not pd_check(XtX):
         raise SingularDesign("X^T X is not numerically positive definite")
-    radius = _resolve_radius(X, y, params)
+    radius = default_radius(X, y) if params.theta_radius is None else params.theta_radius
     kappa = _kappa(params, y)
     if not np.isfinite(kappa):
         raise NonFinite("quartic coefficient overflowed")
@@ -140,7 +130,7 @@ def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
     t_ref = 1.0 / L_hat
     gscale = 1.0 + float(np.sqrt((2.0 * Xty) @ (2.0 * Xty)))
 
-    theta = project_to_ball(_ols(XtX, Xty), radius)
+    theta = project_to_ball(solve_spd(XtX, Xty), radius)
     f_cur = equilibrium_objective(theta, X, y, params)
     t = t_ref
     c1 = 1e-4
@@ -208,7 +198,7 @@ def solve_equilibrium(X, y, params):
     XtX = X.T @ X
     if not pd_check(XtX):
         raise SingularDesign("X^T X is not numerically positive definite")
-    radius = _resolve_radius(X, y, params)
+    radius = default_radius(X, y) if params.theta_radius is None else params.theta_radius
     kappa = _kappa(params, y)
     if not np.isfinite(kappa):
         raise NonFinite("quartic coefficient overflowed")

@@ -1,68 +1,43 @@
-"""Deterministic JSON/CSV emitters.
+"""Deterministic JSON/CSV writers.
 
-Every run artifact must be byte-identical across reruns, so floats are
-always printed with 17 significant digits (enough to round-trip a double)
-and JSON object keys are emitted in sorted order. The stdlib json module
-cannot pin float formatting, hence the small hand-rolled emitter.
+Every run artifact must be byte-identical across reruns. JSON goes through
+`json.dumps` with sorted keys and a two-space indent. Every float, in a
+JSON number or a CSV cell, is written as `repr(float(x))`: the shortest
+text that reads back to the same double, the same on every platform. So
+`1.0` stays a float and `-0.0` keeps its sign on reload. A non-finite
+float raises ValueError; a value of any other unknown type, or a dict key
+that is not a str, raises TypeError.
 """
 
 import json
+import math
 
 import numpy as np
 
 
 def format_float(x):
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite value {x!r}")
-    return format(x, ".17g")
+    return repr(x)
 
 
-def _emit(obj, indent, out):
-    pad = "  " * indent
+def _plain(obj):
+    """obj with numpy arrays and scalars turned into Python values."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = sorted(obj.items())
-        for k, (key, val) in enumerate(items):
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key)}")
-            out.append(f'{pad}  {json.dumps(key)}: ')
-            _emit(val, indent + 1, out)
-            out.append(",\n" if k + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(val, indent + 1, out)
-            out.append(",\n" if k + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), indent, out)
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
 
 
 def to_json(obj):
-    out = []
-    _emit(obj, 0, out)
-    return "".join(out) + "\n"
+    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, obj):

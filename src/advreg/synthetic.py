@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .linalg import solve_spd
+from .baselines import fit_ols
+from .serialize import write_csv
 
 # label moments match the public redwine / boston tables; r2 sets the
 # fraction of label variance a linear model can explain (mirrors the
@@ -64,7 +65,7 @@ def make_synthetic(m, d, mu, sigma, r2, seed, label="label", name=None,
     X = np.insert(signal_cols, d // 2, anchor, axis=1)
 
     # how much of g an intercept-free linear fit on X can recover
-    theta = solve_spd(X.T @ X, X.T @ g)
+    theta = fit_ols(X, g)
     rho2 = 1.0 - np.mean((g - X @ theta) ** 2) / np.mean((g - g.mean()) ** 2)
     r2_latent = min(r2 / rho2, 0.98)
 
@@ -93,12 +94,9 @@ def load_bundled(name):
 
 
 def dataset_to_csv(dataset, path, digits=9):
-    cols = dataset.feature_names + [dataset.label_name]
-    lines = [",".join(cols)]
     table = np.column_stack([dataset.X, dataset.y])
-    for row in table:
-        lines.append(",".join(format(v, f".{digits}g") for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [[format(v, f".{digits}g") for v in row] for row in table]
+    write_csv(path, dataset.feature_names + [dataset.label_name], rows)
 
 
 def main(argv=None):

@@ -236,6 +236,17 @@ def test_train_error_exit_codes(tmp_path):
     # writing onto a directory -> OS error
     assert run_cli("train", "--dataset", csv, "--label", "y", "--algorithm", "ols",
                    "--quiet", "--out", str(tmp_path)) == 1
+    # last feature column repeats the first -> singular design, a solver error;
+    # the lasso path keeps the repeated column out and still ends exactly
+    rows = "".join(f"{a},{b},{a},{a + 2 * b + (a * b) % 3}\n"
+                   for a in range(1, 5) for b in range(1, 5))
+    dup = tmp_path / "dup.csv"
+    dup.write_text("a,b,c,y\n" + rows, encoding="utf-8")
+    for extra, code in ((["--algorithm", "ols"], 4), (["--algorithm", "mlsg"], 4),
+                        (["--algorithm", "ridge", "--alpha", "0"], 4),
+                        (["--algorithm", "lasso"], 0)):
+        assert run_cli("train", "--dataset", str(dup), "--label", "y", *extra,
+                       "--quiet", "--out", out) == code
 
 
 # ----------------------------------------------------------------- attack
@@ -302,6 +313,16 @@ def test_attack_rejects_mismatched_preprocessing(tmp_path):
     m1 = write_model(tmp_path / "m1.json", [0.0, 0.0], ["a", "b"])
     m2 = write_model(tmp_path / "m2.json", [0.0, 0.0], ["a", "b"], standardize=True)
     rc = run_cli("attack", "--model", m1, "--model", m2, "--test", str(test_csv),
+                 "--quiet", "--out", str(tmp_path / "attacked.csv"))
+    assert rc == 2
+
+
+def test_attack_model_file_not_an_object_exits_two(tmp_path):
+    test_csv = tmp_path / "test.csv"
+    test_csv.write_text("x,y\n1,0\n2,1\n", encoding="utf-8")
+    model = tmp_path / "m.json"
+    model.write_text("5\n", encoding="utf-8")
+    rc = run_cli("attack", "--model", str(model), "--test", str(test_csv),
                  "--quiet", "--out", str(tmp_path / "attacked.csv"))
     assert rc == 2
 

@@ -147,7 +147,7 @@ def test_solver_beta_zero_reduces_to_ols(solve):
     assert np.allclose(sol.theta_star, fit_ols(X, y), atol=1e-8)
 
 
-def test_bisection_z_equals_y_reduces_to_ols():
+def test_spectral_z_equals_y_reduces_to_ols():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(7, 2))
     y = rng.normal(size=7)
@@ -156,8 +156,9 @@ def test_bisection_z_equals_y_reduces_to_ols():
     assert np.allclose(sol.theta_star, fit_ols(X, y), atol=1e-8)
 
 
-def test_bisection_cubic_root():
+def test_spectral_cubic_root():
     sol = solve_equilibrium(CUBIC_X, CUBIC_Y, cubic_params())
+    assert sol.solver == "spectral"
     assert sol.theta_star[0] == pytest.approx(1.0, abs=1e-9)
     assert sol.s_star == pytest.approx(1.0, abs=1e-8)
     assert not sol.on_boundary
@@ -220,12 +221,6 @@ def test_interior_solution_matches_ridge_with_induced_penalty():
         kappa = 2.0 * p.beta * (p.n + 1) * float(np.sum((p.z - y) ** 2)) / p.lam**2
         alpha = (kappa / 2.0) * sol.s_star
         assert np.allclose(sol.theta_star, fit_ridge(X, y, alpha), atol=1e-7)
-
-
-def test_front_door_solver_prefers_bisection_label():
-    sol = solve_equilibrium(CUBIC_X, CUBIC_Y, cubic_params())
-    assert sol.solver == "spectral"
-    assert sol.theta_star[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_default_radius_contains_unregularized_solution():

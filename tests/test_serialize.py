@@ -1,5 +1,6 @@
-"""Byte-determinism of the JSON/CSV emitters: 17-significant-digit floats
-(double round-trip), sorted object keys, LF endings."""
+"""Byte-determinism of the JSON/CSV writers: every float written as its
+shortest repr (reads back to the same double, as a float), sorted object
+keys, LF endings."""
 
 import json
 
@@ -16,10 +17,22 @@ def test_format_float_round_trips_doubles():
         assert float(format_float(v)) == float(v)
 
 
+def test_floats_round_trip_bit_exact_as_floats():
+    values = [-0.0, 1.0, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308, 1e308,
+              -1e-300, np.float64(2.5)]
+    from_json = json.loads(to_json({"v": values}))["v"]
+    from_csv = [float(cell) for cell in csv_text(["v"], [[v] for v in values]).split()[1:]]
+    for back in (from_json, from_csv):
+        assert [type(v) for v in back] == [float] * len(values)
+        assert [v.hex() for v in back] == [float(v).hex() for v in values]
+
+
 def test_format_float_rejects_non_finite():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError):
             format_float(bad)
+        with pytest.raises(ValueError):
+            to_json({"v": [bad]})
 
 
 def test_to_json_sorts_keys_recursively():
@@ -54,6 +67,10 @@ def test_to_json_int_vs_float_distinct():
 def test_to_json_rejects_non_string_keys():
     with pytest.raises(TypeError):
         to_json({1: "x"})
+    with pytest.raises(TypeError):
+        to_json({"a": [{2.5: "x"}]})
+    with pytest.raises(TypeError):
+        to_json({"a": {1, 2}})
 
 
 def test_write_json_lf_only(tmp_path):
