@@ -16,6 +16,7 @@ errors, 4 solver failures, 5 verification check failures.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -271,37 +272,49 @@ def cmd_train(args):
 # --------------------------------------------------------------- attack
 
 
+def _finite(values, d):
+    """Whether values is a list of d finite JSON numbers."""
+    try:
+        return (isinstance(values, list) and len(values) == d
+                and all(type(v) in (int, float) and math.isfinite(v) for v in values))
+    except OverflowError:  # an int too large for a double
+        return False
+
+
 def _load_model(path):
+    """A model file; ConfigError unless attack can use its shape."""
     model = _read_json(path, "model")
     for key in ("algorithm", "theta", "preprocessing"):
         if key not in model:
             raise ConfigError(f"model {path} is missing {key!r}")
+    prep = model["preprocessing"]
+    names = prep.get("feature_names") if isinstance(prep, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"model {path}: preprocessing must be an object "
+                          "with a list of strings as feature_names")
+    d = len(names)
+    for key in ("means", "stds") if prep.get("standardize") else ():
+        if not _finite(prep.get(key), d):
+            raise ConfigError(f"model {path}: preprocessing {key} must be {d} finite numbers")
+    if not _finite(model["theta"], d):
+        raise ConfigError(f"model {path}: theta must be {d} finite numbers")
     return model
 
 
 def _same_preprocessing(a, b):
-    if bool(a.get("standardize")) != bool(b.get("standardize")):
-        return False
-    if list(a.get("feature_names", [])) != list(b.get("feature_names", [])):
-        return False
-    if a.get("label_name") != b.get("label_name"):
-        return False
-    if a.get("standardize"):
-        return a.get("means") == b.get("means") and a.get("stds") == b.get("stds")
-    return True
+    keys = ["feature_names", "label_name"] + (["means", "stds"] if a.get("standardize") else [])
+    return (bool(a.get("standardize")) == bool(b.get("standardize"))
+            and all(a.get(k) == b.get(k) for k in keys))
 
 
 def _attacked_rows(path, ds, X_out):
-    """Rebuild the test file's column order with manipulated feature values."""
+    """The test file's header, and its rows as one float table with the
+    manipulated feature values."""
     with open(path, newline="", encoding="utf-8") as f:
         header = [c.strip() for c in next(csv.reader(f))]
     col = {name: X_out[:, j] for j, name in enumerate(ds.feature_names)}
-    rows = []
-    for i in range(ds.m):
-        rows.append(
-            [ds.y[i] if name == ds.label_name else col[name][i] for name in header]
-        )
-    return header, rows
+    col[ds.label_name] = ds.y
+    return header, np.column_stack([col[name] for name in header])
 
 
 def cmd_attack(args):
@@ -324,11 +337,9 @@ def cmd_attack(args):
     target = _target_from_dict(_target_dict_from_flags(args, cfg))
 
     ds = load_csv(test_path, label)
-    if list(ds.feature_names) != list(prep.get("feature_names", [])):
+    if list(ds.feature_names) != prep["feature_names"]:
         raise ConfigError("test feature columns do not match the model's training columns")
     thetas = np.array([m["theta"] for m in models], dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != ds.d:
-        raise ConfigError("model coefficient lengths do not match the test features")
 
     if prep.get("standardize"):
         std = Standardizer(

@@ -10,6 +10,8 @@ Conventions baked in here and recorded in run metadata:
 """
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,46 +165,59 @@ def load_csv(path, label):
     """Read a numeric CSV with one header row into a Dataset.
 
     `label` picks the label column by header name (str) or 0-based index
-    (int). Every cell must parse as a finite real; violations raise
-    ParseError carrying the 1-based file line and column.
+    (int). Each row is parsed whole: `float` of every `str.strip()`-ped
+    cell (`float` alone keeps U+001C..U+001F), and all must be finite. The
+    first violation in row-major order (a row's cell count, then its cells
+    left to right) raises ParseError with the 1-based file line and column.
     """
     with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    if not rows or not any(cell.strip() for cell in rows[0]):
-        raise EmptyFile(f"{path}: no header row")
-    header = [c.strip() for c in rows[0]]
-    data_rows = rows[1:]
-    if not data_rows:
-        raise EmptyFile(f"{path}: no data rows")
-    if isinstance(label, int):
-        if not 0 <= label < len(header):
-            raise MissingLabelColumn(f"label index {label} outside 0..{len(header)-1}")
-        label_idx = label
-    else:
-        if label not in header:
-            raise MissingLabelColumn(f"label column {label!r} not in header {header}")
-        label_idx = header.index(label)
-    values = np.empty((len(data_rows), len(header)))
-    for r, row in enumerate(data_rows):
-        line = r + 2  # header is file line 1
-        if len(row) != len(header):
-            raise ParseError(line, min(len(row), len(header)) + 1,
-                             f"expected {len(header)} cells, got {len(row)}")
-        for c, cell in enumerate(row):
+        reader = csv.reader(f)
+        header = [c.strip() for c in next(reader, [])]
+        if not any(header):
+            raise EmptyFile(f"{path}: no header row")
+        first = next(reader, None)
+        if first is None:
+            raise EmptyFile(f"{path}: no data rows")
+        if isinstance(label, int):
+            if not 0 <= label < len(header):
+                raise MissingLabelColumn(f"label index {label} outside 0..{len(header)-1}")
+            label_idx = label
+        else:
+            if label not in header:
+                raise MissingLabelColumn(f"label column {label!r} not in header {header}")
+            label_idx = header.index(label)
+        width = len(header)
+        parsed = []
+        for line, row in enumerate(itertools.chain([first], reader), start=2):
             try:
-                v = float(cell.strip())
+                vals = list(map(float, map(str.strip, row)))
             except ValueError:
-                raise ParseError(line, c + 1, f"cannot parse {cell!r}") from None
-            if not np.isfinite(v):
-                raise ParseError(line, c + 1, f"non-finite value {cell!r}")
-            values[r, c] = v
-    keep = [j for j in range(len(header)) if j != label_idx]
+                vals = None
+            if vals is None or len(vals) != width or not all(map(math.isfinite, vals)):
+                raise _row_error(line, row, width)  # header is file line 1
+            parsed.append(vals)
+    values = np.array(parsed)
+    keep = [j for j in range(width) if j != label_idx]
     return Dataset(
         X=values[:, keep],
         y=values[:, label_idx],
         feature_names=[header[j] for j in keep],
         label_name=header[label_idx],
     )
+
+
+def _row_error(line, row, width):
+    """The ParseError for the first bad cell of a row that failed whole."""
+    if len(row) != width:
+        return ParseError(line, min(len(row), width) + 1,
+                          f"expected {width} cells, got {len(row)}")
+    for c, cell in enumerate(row):
+        try:
+            v = float(cell.strip())
+        except ValueError:
+            return ParseError(line, c + 1, f"cannot parse {cell!r}")
+        if not math.isfinite(v):
+            return ParseError(line, c + 1, f"non-finite value {cell!r}")
 
 
 def split_train_test(dataset, fraction, seed):

@@ -58,9 +58,20 @@ def format_cell(value):
 
 
 def csv_text(header, rows):
+    """A header line, then one LF-terminated line per row.
+
+    `rows` is a float64 array, checked for non-finite values once and
+    written a row at a time with `repr`, or rows of cells for format_cell.
+    Both give the same text for the same floats.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        bad = ~np.isfinite(rows)
+        if bad.any():
+            format_float(rows[bad][0])  # raises on the first, in row-major order
+        lines.extend(",".join(map(repr, row.tolist())) for row in rows)
+    else:
+        lines.extend(",".join(map(format_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

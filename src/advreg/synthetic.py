@@ -16,7 +16,13 @@ intercept-free linear models:
   with the signal fraction calibrated so a linear fit on the raw columns
   reaches the intended R².
 
-`python -m advreg.synthetic <outdir>` regenerates the CSV files verbatim.
+This command regenerates the CSV files verbatim into <outdir>:
+
+    python -c "import sys; from advreg.synthetic import main; main(sys.argv[1:])" <outdir>
+
+(`python -m advreg.synthetic <outdir>` writes the same files, but warns:
+the `advreg` package imports this module before `-m` runs it again as
+`__main__`.)
 """
 
 import sys

@@ -11,15 +11,24 @@ import advreg.verify as verify_mod
 from advreg.cli import main
 from advreg.data import (
     ConstantTarget,
+    Standardizer,
     TargetSpec,
     apply_standardizer,
     fit_standardizer,
+    invert_standardizer,
     load_csv,
     split_train_test,
 )
-from advreg.evaluate import GameSetting, ScenarioConfig, run_scenario
+from advreg.evaluate import (
+    STREAM_ACTUAL_TARGET,
+    GameSetting,
+    ScenarioConfig,
+    draw_target,
+    run_scenario,
+    simulate_attack,
+)
 from advreg.serialize import write_csv
-from advreg.synthetic import dataset_to_csv, make_synthetic
+from advreg.synthetic import bundled_path, dataset_to_csv, make_synthetic
 from advreg.verify import CheckReport
 
 
@@ -325,6 +334,77 @@ def test_attack_model_file_not_an_object_exits_two(tmp_path):
     rc = run_cli("attack", "--model", str(model), "--test", str(test_csv),
                  "--quiet", "--out", str(tmp_path / "attacked.csv"))
     assert rc == 2
+
+
+MALFORMED_PREPROCESSING = {
+    "not an object": 5,
+    "null means": {"standardize": True, "means": None, "stds": [1.0, 1.0],
+                   "feature_names": ["a", "b"], "label_name": "y"},
+    "names not a list": {"standardize": False, "feature_names": 5, "label_name": "y"},
+    "a name not a string": {"standardize": False, "feature_names": ["a", 2],
+                            "label_name": "y"},
+    "short stds": {"standardize": True, "means": [0.0, 0.0], "stds": [1.0],
+                   "feature_names": ["a", "b"], "label_name": "y"},
+    "non-finite mean": {"standardize": True, "means": [0.0, float("nan")],
+                        "stds": [1.0, 1.0], "feature_names": ["a", "b"], "label_name": "y"},
+    "text std": {"standardize": True, "means": [0.0, 0.0], "stds": [1.0, "1"],
+                 "feature_names": ["a", "b"], "label_name": "y"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PREPROCESSING))
+def test_attack_malformed_model_preprocessing_exits_two(case, tmp_path, capsys):
+    test_csv = tmp_path / "test.csv"
+    test_csv.write_text("a,b,y\n1,2,10\n3,4,20\n", encoding="utf-8")
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"algorithm": "ols", "theta": [0.0, 0.0],
+                                 "preprocessing": MALFORMED_PREPROCESSING[case]}),
+                     encoding="utf-8")
+    rc = run_cli("attack", "--model", str(model), "--test", str(test_csv),
+                 "--quiet", "--out", str(tmp_path / "attacked.csv"))
+    assert rc == 2
+    assert "preprocessing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", [{"a": 1.0}, [0.0], [0.0, None], [0.0, True], [0.0, 10**400]])
+def test_attack_theta_must_be_d_finite_numbers(theta, tmp_path, capsys):
+    test_csv = tmp_path / "test.csv"
+    test_csv.write_text("a,b,y\n1,2,10\n3,4,20\n", encoding="utf-8")
+    model = tmp_path / "m.json"
+    write_model(model, [0.0, 0.0], ["a", "b"])
+    doc = read_json(model)
+    doc["theta"] = theta
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    rc = run_cli("attack", "--model", str(model), "--test", str(test_csv),
+                 "--quiet", "--out", str(tmp_path / "attacked.csv"))
+    assert rc == 2
+    assert "theta must be 2 finite numbers" in capsys.readouterr().err
+
+
+def test_attack_writes_the_bytes_of_a_per_cell_reference_writer(tmp_path):
+    csv_path = str(bundled_path("housing_like"))
+    model_out = tmp_path / "model.json"
+    assert run_cli("train", "--dataset", csv_path, "--label", "value", "--algorithm",
+                   "ridge", "--alpha", "1", "--quiet", "--out", str(model_out)) == 0
+    out = tmp_path / "attacked.csv"
+    assert run_cli("attack", "--model", str(model_out), "--test", csv_path,
+                   "--delta-scale", "2", "--quiet", "--out", str(out)) == 0
+
+    model = read_json(model_out)
+    prep = model["preprocessing"]
+    std = Standardizer(means=np.array(prep["means"]), stds=np.array(prep["stds"]))
+    ds = load_csv(csv_path, "value")
+    X = apply_standardizer(std, ds.X)
+    z, _, _ = draw_target(ds.y, TargetSpec(delta_scale=2.0), 0, STREAM_ACTUAL_TARGET)
+    X_out = invert_standardizer(std, simulate_attack(np.array([model["theta"]]), X, z, 1.0))
+    columns = {name: X_out[:, j] for j, name in enumerate(ds.feature_names)}
+    columns[ds.label_name] = ds.y
+    with open(csv_path, encoding="utf-8") as f:
+        header = f.readline().rstrip("\n").split(",")
+    lines = [",".join(header)]
+    for i in range(ds.m):
+        lines.append(",".join(repr(float(columns[name][i])) for name in header))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_attack_rejects_wrong_test_columns(tmp_path):

@@ -2,6 +2,8 @@
 targets.  File-level cases run against temp CSVs; the bundled datasets
 pin the label statistics the benchmark scenarios rely on."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from advreg.exceptions import (
     ParseError,
     TooFewRows,
 )
-from advreg.synthetic import load_bundled
+from advreg.synthetic import BUNDLED, bundled_path, load_bundled
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -82,6 +84,64 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(write(tmp_path, ""), label="y")
     with pytest.raises(EmptyFile):
         load_csv(write(tmp_path, "a,b,y\n"), label="y")
+    with pytest.raises(EmptyFile):  # before the label is looked up
+        load_csv(write(tmp_path, "a,b\n"), label="y")
+
+
+def parse_error(tmp_path, text):
+    with pytest.raises(ParseError) as info:
+        load_csv(write(tmp_path, text), label="y")
+    return info.value
+
+
+def test_load_csv_reports_the_first_bad_cell_of_a_row(tmp_path):
+    # a non-finite cell wins over an unparsable one to its right
+    err = parse_error(tmp_path, "a,b,y\n1,2,3\n4,inf,abc\n")
+    assert (err.row, err.col) == (3, 2)
+    assert str(err) == "row 3, column 2: non-finite value 'inf'"
+    err = parse_error(tmp_path, "a,b,y\n1,2,3\n4,abc,inf\n")
+    assert (err.row, err.col) == (3, 2)
+    assert str(err) == "row 3, column 2: cannot parse 'abc'"
+
+
+def test_load_csv_reports_the_first_bad_row(tmp_path):
+    bad_cell_first = "a,b,y\n1,2,3\nx,2,3\n1,2,3\n1,2\n"
+    err = parse_error(tmp_path, bad_cell_first)
+    assert (err.row, err.col) == (3, 1)
+    assert str(err) == "row 3, column 1: cannot parse 'x'"
+    ragged_first = "a,b,y\n1,2,3\n1,2\n1,2,3\nx,2,3\n"
+    err = parse_error(tmp_path, ragged_first)
+    assert (err.row, err.col) == (3, 3)
+    assert str(err) == "row 3, column 3: expected 3 cells, got 2"
+    err = parse_error(tmp_path, "a,b,y\n1,2,3\n1,2,3,4\n")
+    assert (err.row, err.col) == (3, 4)
+    assert str(err) == "row 3, column 4: expected 3 cells, got 4"
+
+
+@pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", " NaN "])
+def test_load_csv_rejects_non_finite_spellings(cell, tmp_path):
+    err = parse_error(tmp_path, f"a,y\n1,2\n3,{cell}\n")
+    assert (err.row, err.col) == (3, 2)
+    assert str(err) == f"row 3, column 2: non-finite value {cell!r}"
+
+
+@pytest.mark.parametrize("cell", [" 1.5", "2.5\t", "\t -3e2  ", "1_000", " 7 ",
+                                  "\x1f8\x1c"])
+def test_load_csv_cells_parse_as_float_of_the_stripped_text(cell, tmp_path):
+    ds = load_csv(write(tmp_path, f"a,y\n{cell},1\n0,2\n"), label="y")
+    assert ds.X[0, 0] == float(cell.strip())
+
+
+def test_load_csv_bundled_files_match_a_per_cell_reference():
+    for name, spec in BUNDLED.items():
+        with open(bundled_path(name), newline="", encoding="utf-8") as f:
+            header, *rows = list(csv.reader(f))
+        table = np.array([[float(cell) for cell in row] for row in rows])
+        label = header.index(spec["label"])
+        ds = load_bundled(name)
+        assert ds.X.tobytes() == np.delete(table, label, axis=1).tobytes()
+        assert ds.y.tobytes() == table[:, label].tobytes()
+        assert ds.feature_names == header[:label] + header[label + 1:]
 
 
 def test_dataset_requires_two_rows():

@@ -90,6 +90,25 @@ def test_csv_text_layout():
     assert float(lines[2].split(",")[1]) == 0.1
 
 
+def test_csv_text_float_table_matches_per_cell_rows():
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-20, 20, size=(4, 3))
+    table[0] = [-0.0, 1.0, 1e-300]
+    table[1, 0] = 1e16
+    per_cell = [[float(v) for v in row] for row in table]
+    assert csv_text(["a", "b", "c"], table) == csv_text(["a", "b", "c"], per_cell)
+    assert csv_text(["a", "b", "c"], table).splitlines()[1] == "-0.0,1.0,1e-300"
+
+
+def test_csv_text_float_table_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        table = np.ones((3, 2))
+        table[1, 1] = bad
+        with pytest.raises(ValueError) as info:
+            csv_text(["a", "b"], table)
+        assert str(info.value) == f"refusing to serialize non-finite value {bad!r}"
+
+
 def test_format_cell_rejects_bool():
     with pytest.raises(TypeError):
         format_cell(True)

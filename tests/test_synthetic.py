@@ -3,12 +3,19 @@ anchor column that plays the role of the large-offset raw feature found
 in real tabular data (without it, a no-intercept fit of centered features
 cannot track the label mean and the benchmark scenarios lose meaning)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import advreg
 from advreg.baselines import fit_ols
 from advreg.data import label_stats
 from advreg.synthetic import (
+    BUNDLED,
     HOUSING_LIKE,
     WINE_LIKE,
     bundled_path,
@@ -68,6 +75,20 @@ def test_bundled_csvs_match_generator_output(tmp_path):
         regen = tmp_path / f"{name}.csv"
         dataset_to_csv(make_bundled(name), regen)
         assert regen.read_bytes() == bundled_path(name).read_bytes()
+
+
+def test_generator_command_is_warning_free(tmp_path):
+    # the documented regeneration command, run with every warning an error
+    src = str(Path(advreg.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys; from advreg.synthetic import main; main(sys.argv[1:])"
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    for name in BUNDLED:
+        assert (tmp_path / f"{name}.csv").read_bytes() == bundled_path(name).read_bytes()
 
 
 def test_load_bundled_unknown_name():
