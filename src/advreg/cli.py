@@ -511,7 +511,11 @@ def cmd_verify(args):
     unknown = [s for s in selected if s not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; available: {sorted(ALL_CHECKS)}")
+    if not selected:
+        raise ConfigError("no checks selected")
     trials = int(_pick(args.trials, cfg, "trials", 1000))
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     seed = _resolve_seed(args.seed, cfg)
 
     reports = run_checks(selected, trials=trials, seed=seed)
@@ -556,7 +560,7 @@ def build_parser():
     t.add_argument("--n", type=int, help="number of symmetric learners (mlsg)")
     t.add_argument("--lambda", dest="lam", type=float, help="attacker effort price")
     t.add_argument("--beta", type=float, help="attack probability the defender plans for")
-    t.add_argument("--radius", type=float, help="coefficient norm bound (mlsg)")
+    t.add_argument("--radius", type=float, help="coefficient norm bound (mlsg); omit for no bound")
     t.add_argument("--alpha", type=float, help="ridge/lasso penalty; omit to cross-validate")
     t.add_argument("--delta-scale", type=float,
                    help="attack target offset, in label standard deviations")

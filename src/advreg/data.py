@@ -224,8 +224,12 @@ def split_train_test(dataset, fraction, seed):
     """Seeded shuffle, then the first floor(fraction * m) rows go to train."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    return split_rows(dataset, int(np.floor(fraction * dataset.m)), seed)
+
+
+def split_rows(dataset, n_train, seed):
+    """Seeded shuffle, then the first n_train rows go to train."""
     m = dataset.m
-    n_train = int(np.floor(fraction * m))
     if n_train < 2 or m - n_train < 2:
         raise TooFewRows(f"split {n_train}/{m - n_train} leaves a side too small")
     perm = np.random.default_rng(seed).permutation(m)

@@ -1,23 +1,25 @@
 """Symmetric equilibrium of the decoupled learner game.
 
 With every learner using the surrogate cost, the unique symmetric
-equilibrium is the minimizer over the feasible ball ||theta|| <= R of
+equilibrium minimizes the strictly convex objective
 
     f(theta) = ||X theta - y||^2 + (kappa / 4) * (theta^T theta)^2,
     kappa = 2 * beta * (n + 1) * ||z - y||^2 / lam^2,
 
-a strictly convex objective. Its KKT conditions read
+over the ball ||theta|| <= R if a radius R is set, else over all theta.
+With mu >= 0 the ball's multiplier, its KKT conditions read
 
     (X^T X + (kappa s / 2 + mu) I) theta = X^T y,   s = theta^T theta,
 
-with mu >= 0 the ball's multiplier. Two independent solvers are provided
-and cross-checked in the tests:
+that is, ridge regression at a shift >= 0. So no equilibrium is longer
+than the least-squares fit (bound below) and the `default_radius` ball
+never binds. Two independent solvers, cross-checked in the tests:
 
 * `solve_equilibrium` — exact and spectral. One eigendecomposition
-  X^T X = V diag(lam_i) V^T with b = V^T X^T y gives
-  ||theta||^2 = sum_i b_i^2 / (lam_i + shift)^2 for any diagonal shift.
+  X^T X = V diag(lam_i) V^T with b = V^T X^T y gives, for any shift >= 0,
+  ||theta||^2 = sum_i b_i^2 / (lam_i + shift)^2 <= sum_i b_i^2 / lam_i^2.
   Inside the ball the shift is kappa s / 2 and s solves the secular
-  equation sum_i b_i^2 / (lam_i + kappa s / 2)^2 = s. The ball binds
+  equation sum_i b_i^2 / (lam_i + kappa s / 2)^2 = s. A set ball binds
   exactly when that residual is still positive at s = R^2; then (the
   trust-region case of More & Sorensen, 1983) the shift is
   kappa R^2 / 2 + mu and mu solves sum_i b_i^2 / (lam_i + shift)^2 = R^2.
@@ -74,10 +76,9 @@ def project_to_ball(theta, radius):
 
 
 def default_radius(X, y):
-    """Default feasible-ball radius: 10x the norm of the least-squares fit.
-
-    Raises NotPositiveDefinite when X^T X is not numerically positive
-    definite; both solvers test that first and raise SingularDesign.
+    """Working ball of the PGD oracle and the fixed-point certificate: 10x
+    the least-squares norm, which no equilibrium reaches. Raises
+    NotPositiveDefinite when X^T X is not numerically positive definite.
     """
     X = np.asarray(X, dtype=float)
     theta = solve_spd(X.T @ X, X.T @ np.asarray(y, dtype=float))
@@ -98,7 +99,7 @@ def _solution(theta, X, y, params, iters, solver, on_boundary, converged=True):
 
 
 def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
-    """Projected gradient descent on f over the feasible ball.
+    """Projected gradient descent on f over the ball (default_radius if unset).
 
     Backtracking (shrink 0.5) starting from step 1 / L_hat, where
     L_hat = 2 * (Gershgorin bound on X^T X) + 6 * kappa * R^2 upper-bounds
@@ -188,17 +189,16 @@ def _newton_from_zero(g):
 
 
 def solve_equilibrium(X, y, params):
-    """Exact equilibrium from one eigendecomposition of X^T X.
-
-    Raises SingularDesign when X^T X is not numerically positive definite
-    and NonFinite when the quartic coefficient overflows.
+    """Exact equilibrium from one eigendecomposition of X^T X, with no
+    ball when ``params.theta_radius`` is None. Raises SingularDesign when
+    X^T X is not numerically positive definite and NonFinite when the
+    quartic coefficient overflows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     XtX = X.T @ X
     if not pd_check(XtX):
         raise SingularDesign("X^T X is not numerically positive definite")
-    radius = default_radius(X, y) if params.theta_radius is None else params.theta_radius
     kappa = _kappa(params, y)
     if not np.isfinite(kappa):
         raise NonFinite("quartic coefficient overflowed")
@@ -215,8 +215,8 @@ def solve_equilibrium(X, y, params):
         v, dv = sq_norm_at(0.5 * kappa * s)
         return v - s, 0.5 * kappa * dv - 1.0
 
-    r2 = radius * radius
-    on_boundary = interior(r2)[0] > 0.0
+    r2 = None if params.theta_radius is None else params.theta_radius * params.theta_radius
+    on_boundary = r2 is not None and interior(r2)[0] > 0.0
     if on_boundary:
         base = 0.5 * kappa * r2
 

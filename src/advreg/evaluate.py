@@ -30,7 +30,7 @@ from .data import (
     fit_standardizer,
     apply_standardizer,
     label_stats,
-    split_train_test,
+    split_rows,
 )
 from .equilibrium import solve_equilibrium
 from .exceptions import ConfigError, DimensionMismatch
@@ -324,8 +324,8 @@ def run_scenario(train, test, cfg):
     return EvalReport(results=results, metadata=metadata)
 
 
-def _sweep_task(full, frac, cfg, lam, beta, seed):
-    tr, te = split_train_test(full, frac, seed)
+def _sweep_task(full, n_train, cfg, lam, beta, seed):
+    tr, te = split_rows(full, n_train, seed)
     cell_cfg = replace(
         cfg,
         seed=seed,
@@ -336,6 +336,8 @@ def _sweep_task(full, frac, cfg, lam, beta, seed):
 
 def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed, jobs=None):
     """Grid of scenarios with per-repeat fresh splits; cell means per algorithm.
+
+    Each repeat reshuffles the pooled rows and trains on train.m of them.
 
     The defender's estimates stay fixed across the grid unless
     cfg.defender_knows_actual is set, in which case they track each cell.
@@ -348,7 +350,6 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed, jobs=None
     if not lambda_grid or not beta_grid:
         raise ConfigError("lambda_grid and beta_grid must be non-empty")
     full = concat_datasets(train, test)
-    frac = train.m / full.m
 
     tasks = [
         (i, j, r, derive_seed(seed, i, j, r))
@@ -359,12 +360,12 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed, jobs=None
     reports = {}
     if jobs is None or int(jobs) <= 1:
         for i, j, r, s in tasks:
-            reports[(i, j, r)] = _sweep_task(full, frac, cfg, lambda_grid[i], beta_grid[j], s)
+            reports[(i, j, r)] = _sweep_task(full, train.m, cfg, lambda_grid[i], beta_grid[j], s)
     else:
         with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
             futures = {
                 (i, j, r): pool.submit(
-                    _sweep_task, full, frac, cfg, lambda_grid[i], beta_grid[j], s
+                    _sweep_task, full, train.m, cfg, lambda_grid[i], beta_grid[j], s
                 )
                 for i, j, r, s in tasks
             }
@@ -393,7 +394,7 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed, jobs=None
     metadata = {
         "base_seed": int(seed),
         "repeats": repeats,
-        "train_fraction": frac,
+        "train_fraction": train.m / full.m,
         "rows_total": full.m,
         "scenario": reports[(0, 0, 0)].metadata["config"],
         "seed_derivation": "hash_combine(base_seed, lambda_index, beta_index, repeat)",

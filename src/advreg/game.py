@@ -33,8 +33,7 @@ class GameParams:
     beta : probability the attack happens, in [0, 1]
     lam : attacker's effort price, > 0
     z : attack target vector, one entry per evaluation row
-    theta_radius : feasible-ball radius for learners; None means
-        "resolve a default from the data when a solver needs one"
+    theta_radius : feasible-ball radius for learners; None means no ball
     """
 
     n: int

@@ -469,6 +469,8 @@ CORE_CHECKS = (
 
 def run_checks(names=None, trials=1000, seed=0):
     """Run the named checks (all by default) and return their reports."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if names is None:
         names = list(ALL_CHECKS)
     reports = []

@@ -536,6 +536,16 @@ def test_verify_unknown_check_is_a_config_error():
     assert run_cli("verify", "--checks", "nope", "--trials", "2", "--quiet") == 2
 
 
+@pytest.mark.parametrize("argv", [("--trials", "0"), ("--trials", "-3"), ("--checks", "")],
+                         ids=["zero-trials", "negative-trials", "no-checks"])
+def test_verify_refuses_to_verify_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "verify.json"
+    argv = ("--checks", "core", "--trials", "2") + argv  # later flags win
+    assert run_cli("verify", *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_verify_failure_exits_five(monkeypatch):
     def failing_stub(trials=1000, seed=0):
         return CheckReport(check_name="rosen_pd", trials=trials, failures=1,

@@ -178,15 +178,18 @@ def test_solver_small_ball_stops_on_boundary(solve):
     assert sol.on_boundary
 
 
-@pytest.mark.parametrize("rho", [None, 0.25, 0.5, 0.75],
-                         ids=["radius-10", "rho-0.25", "rho-0.5", "rho-0.75"])
+@pytest.mark.parametrize("rho", [None, "default", 0.25, 0.5, 0.75],
+                         ids=["radius-10", "default-ball", "rho-0.25", "rho-0.5", "rho-0.75"])
 def test_solvers_agree_on_random_instances(rho):
-    # rho set: the radius is rho times the unconstrained equilibrium norm,
-    # so the ball binds
+    # rho a number: the radius is rho times the unconstrained equilibrium
+    # norm, so the ball binds. "default": no radius, so the exact solver
+    # has no ball and the oracle works inside default_radius's
     rng = np.random.default_rng(6)
     for _ in range(100):
         X, y, p = random_instance(rng)
-        if rho is not None:
+        if rho == "default":
+            p = replace(p, theta_radius=None)
+        elif rho is not None:
             free = solve_equilibrium(X, y, replace(p, theta_radius=None))
             p = replace(p, theta_radius=rho * np.sqrt(free.s_star))
         a = solve_equilibrium(X, y, p)
@@ -194,8 +197,36 @@ def test_solvers_agree_on_random_instances(rho):
         assert b.converged
         scale = 1 + np.linalg.norm(a.theta_star)
         assert np.linalg.norm(a.theta_star - b.theta_star) <= 1e-5 * scale
-        if rho is not None:
+        if rho == "default":
+            assert not a.on_boundary and not b.on_boundary
+        elif rho is not None:
             assert a.on_boundary and b.on_boundary
+
+
+def test_no_radius_solves_no_least_squares(monkeypatch):
+    # with no radius there is no ball, so nothing sizes one
+    import advreg.equilibrium as eq
+
+    def refuse(*_):
+        raise AssertionError("no least-squares solve expected")
+
+    monkeypatch.setattr(eq, "default_radius", refuse)
+    monkeypatch.setattr(eq, "solve_spd", refuse)
+    X, y, p = random_instance(np.random.default_rng(10))
+    sol = solve_equilibrium(X, y, replace(p, theta_radius=None))
+    assert not sol.on_boundary
+
+
+def test_equilibrium_never_longer_than_least_squares():
+    # ||theta(shift)||^2 = sum b_i^2 / (lam_i + shift)^2 falls with the shift
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        X, y, p = random_instance(rng)
+        if k % 2:
+            # y nearly orthogonal to the columns, so X^T y is near zero
+            y = y - X @ fit_ols(X, y) + 1e-9 * rng.normal(size=y.size)
+        sol = solve_equilibrium(X, y, replace(p, theta_radius=None))
+        assert np.sqrt(sol.s_star) <= np.linalg.norm(fit_ols(X, y)) * (1 + 1e-9)
 
 
 def test_solution_feasible_and_stationary():

@@ -11,6 +11,7 @@ from advreg.data import (
     concat_datasets,
     fit_standardizer,
     label_stats,
+    split_rows,
     split_train_test,
 )
 from advreg.baselines import FitConfig
@@ -234,7 +235,7 @@ def test_sweep_single_cell_matches_direct_scenario():
     # reproduce the harness's internal split and setting for cell (0,0,0)
     full = concat_datasets(train, test)
     s = derive_seed(13, 0, 0, 0)
-    tr, te = split_train_test(full, train.m / full.m, s)
+    tr, te = split_rows(full, train.m, s)
     from dataclasses import replace
 
     cell_cfg = replace(cfg, seed=s, actual=replace(cfg.actual, lam=0.9, beta=0.4))
@@ -242,6 +243,25 @@ def test_sweep_single_cell_matches_direct_scenario():
     for algo, vals in grid.cells[0][0].items():
         for key in ("rmse_expected", "rmse_clean", "rmse_attacked"):
             assert vals[key] == direct.results[algo][key]
+
+
+@pytest.mark.parametrize("m,n_train", [(22, 15), (39, 31)])
+def test_sweep_scenarios_train_on_the_given_rows(monkeypatch, m, n_train):
+    # n_train / m * m rounds below n_train here, so a fraction would lose a row
+    import advreg.evaluate as ev
+
+    seen = []
+
+    def spy(tr, te, cfg):
+        report = run_scenario(tr, te, cfg)
+        seen.append((report.metadata["resolved"]["rows_train"], te.m))
+        return report
+
+    monkeypatch.setattr(ev, "run_scenario", spy)
+    ds = make_synthetic(m=m, d=2, mu=2.0, sigma=1.0, r2=0.5, seed=m)
+    train, test = split_rows(ds, n_train, seed=1)
+    run_sweep(train, test, small_config(), [1.0], [0.5, 0.9], repeats=2, seed=0)
+    assert seen == [(n_train, m - n_train)] * 4
 
 
 def test_sweep_rejects_empty_grid_and_bad_repeats():

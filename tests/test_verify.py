@@ -180,6 +180,12 @@ def test_run_checks_rejects_unknown_name():
         run_checks(["sherman_morrison", "does_not_exist"], trials=1)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_checks_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError):
+        run_checks(["sherman_morrison"], trials=trials)
+
+
 def test_check_report_shape():
     r = check_sherman_morrison(trials=5, seed=3)
     d = r.as_dict()
