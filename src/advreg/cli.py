@@ -15,6 +15,7 @@ errors, 4 solver failures, 5 verification check failures.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -568,7 +569,6 @@ def build_parser():
     t.add_argument("--clip-max", type=float)
     t.add_argument("--constant-value", type=float, help="constant attack target value")
     t.add_argument("--no-standardize", action="store_true")
-    t.set_defaults(func=cmd_train)
 
     a = sub.add_parser("attack", help="optimally manipulate a test CSV against saved models")
     common(a, True, "attacked CSV output path")
@@ -583,14 +583,12 @@ def build_parser():
     a.add_argument("--constant-value", type=float)
     a.add_argument("--summary-out", metavar="PATH",
                    help="summary JSON path (default: <out>.summary.json)")
-    a.set_defaults(func=cmd_attack)
 
     e = sub.add_parser("evaluate", help="run one train/attack/score scenario")
     common(e, False, "report JSON path (default: stdout)")
     e.add_argument("--dataset", metavar="CSV")
     e.add_argument("--label")
     e.add_argument("--train-fraction", type=float)
-    e.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("sweep", help="scenario grid over lambda and beta, averaged over repeats")
     common(s, True, "grid CSV output path (metadata goes to <out>.meta.json)")
@@ -599,14 +597,17 @@ def build_parser():
     s.add_argument("--train-fraction", type=float)
     s.add_argument("--repeats", type=int)
     s.add_argument("--jobs", type=int, help="worker threads (output bytes do not depend on this)")
-    s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("verify", help="run randomized numerical certificates")
     common(v, False, "report JSON path (optional)")
     v.add_argument("--checks", help='comma-separated names, "core", or "all" (default)')
     v.add_argument("--trials", type=int, help="random instances per check (default 1000)")
-    v.set_defaults(func=cmd_verify)
     return parser
+
+
+@functools.cache
+def _parser():
+    return build_parser()
 
 
 _DATA_ERRORS = (
@@ -622,9 +623,10 @@ _SOLVER_ERRORS = (SingularDesign, NotPositiveDefinite, NoConvergence, NonFinite)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return int(args.func(args) or 0)
+        # looked up per call, so a rebound cmd_* (a tracer, a test stub) takes effect
+        return int(globals()[f"cmd_{args.command}"](args) or 0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,13 +76,20 @@ class TargetSpec:
     """Attack target built from labels: z = y + delta_scale * sigma, clipped.
 
     `mask` limits the shift to the given row indices (all rows when None);
-    clip bounds, when present, apply to the finished vector.
+    clip bounds, when present, apply to the finished vector. Every number
+    given must be finite.
     """
 
     delta_scale: float = 0.0
     mask: list[int] | None = None
     clip_min: float | None = None
     clip_max: float | None = None
+
+    def __post_init__(self):
+        for name in ("delta_scale", "clip_min", "clip_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def as_dict(self):
         return {
@@ -98,8 +105,9 @@ class TargetSpec:
 class ConstantTarget:
     """Attack target independent of labels: z = value on masked rows, 0 off.
 
-    Exactly one of `value` / `value_range` must be set; a range means the
-    scenario harness draws the value uniformly per run (seeded).
+    Exactly one of `value` / `value_range` must be set, with finite
+    numbers; a range means the scenario harness draws the value uniformly
+    per run (seeded).
     """
 
     value: float | None = None
@@ -109,6 +117,10 @@ class ConstantTarget:
     def __post_init__(self):
         if (self.value is None) == (self.value_range is None):
             raise ValueError("set exactly one of value / value_range")
+        if self.value is not None and not math.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value}")
+        if self.value_range is not None and not all(map(math.isfinite, self.value_range)):
+            raise ValueError(f"value_range must be finite, got {self.value_range}")
 
     def as_dict(self):
         return {

@@ -17,6 +17,7 @@ contributions; lexicographic order for the rank-one updates) so relabeling
 learners changes nothing, not even floating-point rounding.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,9 @@ class GameParams:
 
     n : number of learners (>= 1)
     beta : probability the attack happens, in [0, 1]
-    lam : attacker's effort price, > 0
+    lam : attacker's effort price, finite and > 0
     z : attack target vector, one entry per evaluation row
-    theta_radius : feasible-ball radius for learners; None means no ball
+    theta_radius : feasible-ball radius for learners, finite and > 0; None means no ball
     """
 
     n: int
@@ -51,16 +52,16 @@ class GameParams:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if self.z.ndim != 1:
             raise DimensionMismatch(f"z must be a vector, got shape {self.z.shape}")
         if not np.all(np.isfinite(self.z)):
             raise NonFinite("z contains non-finite entries")
         if self.theta_radius is not None:
             self.theta_radius = float(self.theta_radius)
-            if not self.theta_radius > 0.0:
-                raise ValueError(f"theta_radius must be > 0, got {self.theta_radius}")
+            if not 0.0 < self.theta_radius < math.inf:
+                raise ValueError(f"theta_radius must be finite and > 0, got {self.theta_radius}")
 
 
 @dataclass(eq=False)

@@ -2,10 +2,12 @@
 
 Each check draws instances from a small envelope (m <= 6 rows, d <= 4
 features, n <= 4 learners, entries uniform in [-1, 1], lam in [0.5, 2],
-beta in [0, 1]), evaluates one inequality or identity with an independent
-construction, and reports a CheckReport: trial count, failure count, the
-worst signed violation (negative = passed with margin), and up to five
-serialized failing instances for reproduction.
+beta in [0, 1]) and evaluates one inequality or identity per instance with
+an independent construction. One driver applies the rules every check
+shares and builds its CheckReport: `trials` must be at least 1 (ValueError
+otherwise), a positive violation is a failure (negative = passed with that
+margin), worst_violation is the largest one seen, and at most five failing
+instances are kept, serialized for reproduction.
 
 The checks certify, respectively: the incremental rank-one inversion of
 the attacker's system matrix; the quadratic-form bound theta^T A^-1 theta
@@ -100,24 +102,29 @@ def _draw_instance(rng, n_min=1, full_rank=False):
     }
 
 
-def _serialize_instance(inst):
-    out = {}
-    for key, val in inst.items():
-        out[key] = val.tolist() if isinstance(val, np.ndarray) else val
-    return out
+def _run(name, trials, seed, trial, n_min=1, full_rank=False):
+    """Draw `trials` instances and tally trial(inst, rng, k) -> (violation, detail),
+    keeping the first five failing instances."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    failures, worst, samples = 0, -np.inf, []
+    for k in range(trials):
+        inst = _draw_instance(rng, n_min=n_min, full_rank=full_rank)
+        viol, detail = trial(inst, rng, k)
+        worst = max(worst, viol)
+        if viol > 0:
+            failures += 1
+            if len(samples) < 5:
+                instance = {key: val.tolist() if isinstance(val, np.ndarray) else val
+                            for key, val in inst.items()}
+                samples.append({"instance": instance, "violation": float(viol), "detail": detail})
+    return CheckReport(name, trials, failures, worst, samples)
 
 
-def _record(report_samples, inst, violation, detail):
-    if len(report_samples) < 5:
-        report_samples.append(
-            {"instance": _serialize_instance(inst), "violation": float(violation),
-             "detail": detail}
-        )
-
-
-def _params(inst, n=None):
+def _params(inst):
     return GameParams(
-        n=n if n is not None else inst["thetas"].shape[0],
+        n=inst["thetas"].shape[0],
         beta=inst["beta"],
         lam=inst["lam"],
         z=inst["z"],
@@ -131,45 +138,41 @@ def _inverse_by_updates(thetas, lam):
     return A_inv
 
 
+def _leave_one_out(T, lam):
+    """Yield (i, the other rows, their inverse (lam I + sum theta theta^T)^-1 by updates)."""
+    for i in range(T.shape[0]):
+        others = np.delete(T, i, axis=0)
+        yield i, others, _inverse_by_updates(others, lam)
+
+
 def check_sherman_morrison(trials=1000, seed=0):
     """Incremental inverse of lam*I + sum theta theta^T matches the direct matrix."""
-    rng = np.random.default_rng(seed)
-    failures, worst, samples = 0, -np.inf, []
     tol = 1e-8
-    for _ in range(trials):
-        inst = _draw_instance(rng)
+
+    def trial(inst, rng, k):
         T, lam = inst["thetas"], inst["lam"]
         A = lam * np.eye(T.shape[1]) + T.T @ T
         A_inv = _inverse_by_updates(T, lam)
         err = float(np.max(np.abs(A_inv @ A - np.eye(T.shape[1]))))
-        viol = err - tol
-        worst = max(worst, viol)
-        if viol > 0:
-            failures += 1
-            _record(samples, inst, viol, f"max |A_inv A - I| = {err:.3e}")
-    return CheckReport("sherman_morrison", trials, failures, worst, samples)
+        return err - tol, f"max |A_inv A - I| = {err:.3e}"
+
+    return _run("sherman_morrison", trials, seed, trial)
 
 
 def check_quadratic_bound(trials=1000, seed=0):
     """theta_i^T A_{-i}^-1 theta_i <= theta_i^T theta_i / lam for every learner."""
-    rng = np.random.default_rng(seed)
-    failures, worst, samples = 0, -np.inf, []
     tol = 1e-10
-    for _ in range(trials):
-        inst = _draw_instance(rng)
+
+    def trial(inst, rng, k):
         T, lam = inst["thetas"], inst["lam"]
         trial_worst = -np.inf
-        for i in range(T.shape[0]):
-            others = np.delete(T, i, axis=0)
-            A_inv = _inverse_by_updates(others, lam)
+        for i, _, A_inv in _leave_one_out(T, lam):
             lhs = float(T[i] @ (A_inv @ T[i]))
             rhs = sq_norm(T[i]) / lam
             trial_worst = max(trial_worst, lhs - rhs - tol)
-        worst = max(worst, trial_worst)
-        if trial_worst > 0:
-            failures += 1
-            _record(samples, inst, trial_worst, "quadratic bound violated")
-    return CheckReport("quadratic_bound", trials, failures, worst, samples)
+        return trial_worst, "quadratic bound violated"
+
+    return _run("quadratic_bound", trials, seed, trial)
 
 
 def check_first_bound(trials=1000, seed=0):
@@ -192,12 +195,11 @@ def check_first_bound(trials=1000, seed=0):
     too close to 1 to absorb it (about 15% of envelope instances violate
     the additive variant).  Its violations are tallied in the report
     notes as diagnostics; failures count only breaches of (a) or (b)."""
-    rng = np.random.default_rng(seed)
-    failures, worst, samples = 0, -np.inf, []
     tol = 1e-9
     additive_hits, additive_worst = 0, 0.0
-    for _ in range(trials):
-        inst = _draw_instance(rng)
+
+    def trial(inst, rng, k):
+        nonlocal additive_hits, additive_worst
         T, X, y, z, lam = inst["thetas"], inst["X"], inst["y"], inst["z"], inst["lam"]
         X_star = attacker_best_response(T, X, _params(inst))
         B_full = lam * X + np.outer(z, T.sum(axis=0))
@@ -205,9 +207,7 @@ def check_first_bound(trials=1000, seed=0):
         quart = shift**2 / lam**2
         trial_worst = -np.inf
         additive_bad = False
-        for i in range(T.shape[0]):
-            others = np.delete(T, i, axis=0)
-            A_inv_minus = _inverse_by_updates(others, lam)
+        for i, others, A_inv_minus in _leave_one_out(T, lam):
             B_minus = lam * X + np.outer(z, others.sum(axis=0))
             s = float(T[i] @ A_inv_minus @ T[i])
             reduced = (B_full @ (A_inv_minus @ T[i])) / (1.0 + s)
@@ -220,18 +220,17 @@ def check_first_bound(trials=1000, seed=0):
             if lhs - additive > tol:
                 additive_bad = True
                 additive_worst = max(additive_worst, lhs - additive)
-        worst = max(worst, trial_worst)
         if additive_bad:
             additive_hits += 1
-        if trial_worst > 0:
-            failures += 1
-            _record(samples, inst, trial_worst, "leave-one-out risk bound violated")
-    notes = (
+        return trial_worst, "leave-one-out risk bound violated"
+
+    report = _run("first_bound", trials, seed, trial)
+    report.notes = (
         "asserted: reduction identity and completed (cross-term aware) bound; "
         f"additive variant without the cross term exceeded on {additive_hits}/{trials} "
         f"trials (worst gap {additive_worst:.3e}) and is reported only as a diagnostic"
     )
-    return CheckReport("first_bound", trials, failures, worst, samples, notes)
+    return report
 
 
 def _weighted_jacobian(inst, weights):
@@ -261,10 +260,8 @@ def _weighted_jacobian(inst, weights):
 
 def check_rosen_pd(trials=1000, seed=0, config=None):
     """The symmetrized weighted Jacobian is positive definite on random profiles."""
-    rng = np.random.default_rng(seed)
-    failures, worst, samples = 0, -np.inf, []
-    for _ in range(trials):
-        inst = _draw_instance(rng, n_min=2, full_rank=True)
+
+    def trial(inst, rng, k):
         if config is not None:
             weights = config.weights
             n, d = weights.size, inst["thetas"].shape[1]
@@ -275,28 +272,22 @@ def check_rosen_pd(trials=1000, seed=0, config=None):
             weights = np.full(n, 1.0 / n)
         J = _weighted_jacobian(inst, weights)
         sym = 0.5 * (J + J.T)
-        ok = pd_check(sym)
-        if ok:
+        if pd_check(sym):
             pivots = np.diag(_cholesky(sym)) ** 2
-            viol = -float(np.min(pivots))
-        else:
-            vals, _ = sym_eig(sym)
-            viol = -float(vals[-1])
-        worst = max(worst, viol)
-        if not ok:
-            failures += 1
-            _record(samples, inst, viol, "weighted Jacobian not positive definite")
-    return CheckReport("rosen_pd", trials, failures, worst, samples)
+            return -float(np.min(pivots)), ""
+        vals, _ = sym_eig(sym)
+        # refused by pd_check, so a failure even where rounding leaves vals[-1] >= 0
+        return max(-float(vals[-1]), np.finfo(float).tiny), "weighted Jacobian not positive definite"
+
+    return _run("rosen_pd", trials, seed, trial, n_min=2, full_rank=True)
 
 
 def check_equilibrium_fixed_point(trials=1000, seed=0, directions=200):
     """Variational-inequality optimality of the computed symmetric equilibrium:
     (eta - theta*)^T F(theta*) >= -1e-8 for sampled feasible eta."""
-    rng = np.random.default_rng(seed)
-    failures, worst, samples = 0, -np.inf, []
     tol = 1e-8
-    for _ in range(trials):
-        inst = _draw_instance(rng, full_rank=True)
+
+    def trial(inst, rng, k):
         X, y = inst["X"], inst["y"]
         params = _params(inst)
         sol = solve_equilibrium(X, y, params)
@@ -308,12 +299,9 @@ def check_equilibrium_fixed_point(trials=1000, seed=0, directions=200):
         radii = R * rng.uniform(0.0, 1.0, directions) ** (1.0 / d)
         etas = dirs * radii[:, None]
         values = (etas - sol.theta_star) @ grad
-        viol = -float(np.min(values)) - tol
-        worst = max(worst, viol)
-        if viol > 0:
-            failures += 1
-            _record(samples, inst, viol, "variational inequality violated")
-    return CheckReport("equilibrium_fixed_point", trials, failures, worst, samples)
+        return -float(np.min(values)) - tol, "variational inequality violated"
+
+    return _run("equilibrium_fixed_point", trials, seed, trial, full_rank=True)
 
 
 def robust_disturbance(theta, X, y, c):
@@ -371,11 +359,9 @@ def check_robust_correspondence(trials=1000, seed=0, samples=1000):
     """Closed-form inner maximum: attained by the explicit disturbance,
     never exceeded by feasible samples, and an upper bound for the
     equilibrium objective's robust-regularization form."""
-    rng = np.random.default_rng(seed)
-    failures, worst, samples_rec = 0, -np.inf, []
     tol = 1e-8
-    for k in range(trials):
-        inst = _draw_instance(rng)
+
+    def trial(inst, rng, k):
         X, y, z, lam, beta = inst["X"], inst["y"], inst["z"], inst["lam"], inst["beta"]
         n = inst["thetas"].shape[0]
         theta = inst["thetas"][0]
@@ -388,17 +374,14 @@ def check_robust_correspondence(trials=1000, seed=0, samples=1000):
         feas_gap = float(np.max(np.abs(G) - c * np.abs(np.outer(theta, theta)))) if theta.size else 0.0
         attained = sq_norm(y - (X + delta_star) @ theta)
         fval = sq_norm(y - X @ theta) + c * sq_norm(theta) ** 2
-        viol = max(
+        return max(
             sampled - closed - tol,
             feas_gap - tol,
             abs(attained - closed) - tol,
             fval - closed - tol,
-        )
-        worst = max(worst, viol)
-        if viol > 0:
-            failures += 1
-            _record(samples_rec, inst, viol, "robust inner-max correspondence violated")
-    return CheckReport("robust_correspondence", trials, failures, worst, samples_rec)
+        ), "robust inner-max correspondence violated"
+
+    return _run("robust_correspondence", trials, seed, trial)
 
 
 def check_theorem2_bound(trials=1000, seed=0, samples=100):
@@ -406,19 +389,17 @@ def check_theorem2_bound(trials=1000, seed=0, samples=100):
 
     For each instance family (fixed X, y, z, lam, beta, n) the gap
     c_i - [clean risk + quartic interaction term] is evaluated on random
-    profiles; the check asserts every gap is finite and records the largest
-    one seen. The additive slack in the underlying bound is
-    non-constructive, so no numeric threshold is asserted.
+    profiles; a trial fails only on a non-finite gap, and the report's worst
+    violation is the largest gap seen. The additive slack in the underlying
+    bound is non-constructive, so no numeric threshold is asserted.
     """
-    rng = np.random.default_rng(seed)
-    failures, worst, samples_rec = 0, -np.inf, []
-    for _ in range(trials):
-        inst = _draw_instance(rng)
+    largest_gap = -np.inf
+
+    def trial(inst, rng, k):
+        nonlocal largest_gap
         X, y = inst["X"], inst["y"]
         n, d = inst["thetas"].shape
-        params = _params(inst, n=n)
-        fam_max = -np.inf
-        ok = True
+        params = _params(inst)
         for _s in range(samples):
             T = rng.uniform(-1.0, 1.0, (n, d))
             X_star = attacker_best_response(T, X, params)
@@ -427,22 +408,17 @@ def check_theorem2_bound(trials=1000, seed=0, samples=100):
                 surrogate = approx_cost(i, T, X, y, params)
                 gap = realized - surrogate
                 if not np.isfinite(gap):
-                    ok = False
-                    break
-                fam_max = max(fam_max, gap)
-            if not ok:
-                break
-        worst = max(worst, fam_max)
-        if not ok:
-            failures += 1
-            _record(samples_rec, inst, np.inf, "non-finite cost gap")
-    return CheckReport(
-        "theorem2_bound", trials, failures, worst, samples_rec,
-        notes=(
-            "records the largest realized-minus-surrogate gap; the bound's "
-            "additive constant is non-constructive, so only finiteness is asserted"
-        ),
+                    return np.inf, "non-finite cost gap"
+                largest_gap = max(largest_gap, gap)
+        return -np.inf, ""
+
+    report = _run("theorem2_bound", trials, seed, trial)
+    report.worst_violation = largest_gap
+    report.notes = (
+        "records the largest realized-minus-surrogate gap; the bound's "
+        "additive constant is non-constructive, so only finiteness is asserted"
     )
+    return report
 
 
 ALL_CHECKS = {
@@ -469,8 +445,6 @@ CORE_CHECKS = (
 
 def run_checks(names=None, trials=1000, seed=0):
     """Run the named checks (all by default) and return their reports."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if names is None:
         names = list(ALL_CHECKS)
     reports = []

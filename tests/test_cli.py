@@ -7,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import advreg.cli as cli_mod
 import advreg.verify as verify_mod
 from advreg.cli import main
 from advreg.data import (
@@ -554,6 +555,65 @@ def test_verify_failure_exits_five(monkeypatch):
 
     monkeypatch.setitem(verify_mod.ALL_CHECKS, "rosen_pd", failing_stub)
     assert run_cli("verify", "--checks", "rosen_pd", "--trials", "4", "--quiet") == 5
+
+
+# ------------------------------------------------- non-finite settings
+
+NON_FINITE_SETTINGS = {
+    "train-delta-scale-nan": (["train", "--algorithm", "mlsg", "--delta-scale", "nan"],
+                              "delta_scale"),
+    "train-clip-max-nan": (["train", "--algorithm", "mlsg", "--clip-max", "nan"], "clip_max"),
+    "train-constant-value-inf": (["train", "--algorithm", "mlsg", "--constant-value", "inf"],
+                                 "value"),
+    "train-lambda-inf": (["train", "--algorithm", "mlsg", "--lambda", "inf"], "lam"),
+    "train-radius-inf": (["train", "--algorithm", "mlsg", "--radius", "inf"], "theta_radius"),
+    "attack-delta-scale-inf": (["attack", "--delta-scale", "inf"], "delta_scale"),
+    "attack-lambda-inf": (["attack", "--lambda", "inf"], "lam"),
+    "evaluate-delta-scale-nan": (["evaluate"], "delta_scale"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SETTINGS))
+def test_non_finite_setting_is_a_config_error(case, synth_csv, tmp_path, capsys):
+    argv, field_name = NON_FINITE_SETTINGS[case]
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv = argv + ["--dataset", synth_csv, "--label", "label"]
+    elif argv[0] == "attack":
+        model = str(tmp_path / "model.json")
+        assert run_cli("train", "--dataset", synth_csv, "--label", "label", "--algorithm",
+                       "ols", "--quiet", "--out", model) == 0
+        argv = argv + ["--model", model, "--test", synth_csv]
+    else:
+        cfg = eval_config(synth_csv, actual={"lambda": 1.0, "beta": 0.5,
+                                             "target": {"delta_scale": float("nan")}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")  # json writes NaN
+        argv = argv + ["--config", str(cfg_path)]
+    capsys.readouterr()
+    assert run_cli(*argv, "--quiet", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert field_name in err and "must be finite" in err
+    assert not out.exists()
+
+
+# ------------------------------------------------------------------ main
+
+
+def test_main_parses_one_call_after_another(synth_csv, tmp_path, capsys, monkeypatch):
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--dataset", synth_csv, "--label", "label", "--algorithm", "ols",
+                   "--quiet", "--out", str(model)) == 0
+    assert run_cli("verify", "--checks", "sherman_morrison", "--trials", "2", "--quiet") == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--out", str(model), "--no-such-flag")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    # the command is looked up when main runs, so a rebound cmd_* is the one called
+    seen = []
+    monkeypatch.setattr(cli_mod, "cmd_verify", lambda args: seen.append(args.trials) or 7)
+    assert run_cli("verify", "--trials", "3") == 7
+    assert seen == [3]
 
 
 # ------------------------------------------------------------- seed rules

@@ -303,6 +303,16 @@ def test_constant_target_requires_exactly_one_of_value_range():
         ConstantTarget()
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"delta_scale": np.nan}, {"clip_min": -np.inf}, {"clip_max": np.nan},
+    {"value": np.inf}, {"value_range": (0.0, np.nan)},
+], ids=["delta_scale", "clip_min", "clip_max", "value", "value_range"])
+def test_targets_refuse_non_finite_numbers(kwargs):
+    kind = ConstantTarget if {"value", "value_range"} & set(kwargs) else TargetSpec
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be finite"):
+        kind(**kwargs)
+
+
 def test_unresolved_value_range_cannot_materialize():
     spec = ConstantTarget(value_range=(0.0, 4.0))
     with pytest.raises(ValueError):

@@ -175,6 +175,14 @@ def test_learner_cost_unmodified_design_any_beta():
         assert learner_cost(th, X, X, y, p) == pytest.approx(sq_norm(X @ th - y), rel=1e-12)
 
 
+@pytest.mark.parametrize("field", ["lam", "theta_radius"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_game_params_refuse_non_finite_price_and_radius(field, value):
+    kwargs = {"n": 1, "beta": 0.5, "lam": 1.0, "z": np.zeros(2), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GameParams(**kwargs)
+
+
 def test_learner_cost_beta_zero_ignores_attack():
     X = np.eye(2)
     p = GameParams(n=1, beta=0.0, lam=1.0, z=np.zeros(2))

@@ -8,10 +8,14 @@ coefficient vector, the cross term the additive form omits outweighs its
 quartic slack.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+import advreg.verify as verify_mod
 from advreg.game import GameParams, attacker_best_response, sq_norm
+from advreg.serialize import to_json
 from advreg.verify import (
     ALL_CHECKS,
     CORE_CHECKS,
@@ -99,6 +103,15 @@ def test_rosen_pd_accepts_custom_weights():
     assert r.failures == 0
 
 
+def test_rosen_pd_fails_a_jacobian_that_pd_check_refuses(monkeypatch):
+    # a zero Jacobian has smallest eigenvalue 0, not below it: the refusal
+    # alone must still count as a failure with a positive violation
+    monkeypatch.setattr(verify_mod, "_weighted_jacobian",
+                        lambda inst, weights: np.zeros((2, 2)))
+    r = check_rosen_pd(trials=3, seed=0)
+    assert r.failures == 3 and r.worst_violation > 0
+
+
 def test_rosen_config_validation():
     with pytest.raises(ValueError):
         RosenConfig(weights=[0.5, 0.6])  # does not sum to 1
@@ -184,6 +197,33 @@ def test_run_checks_rejects_unknown_name():
 def test_run_checks_rejects_fewer_than_one_trial(trials):
     with pytest.raises(ValueError):
         run_checks(["sherman_morrison"], trials=trials)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CHECKS))
+@pytest.mark.parametrize("trials", [0, -3])
+def test_every_check_rejects_fewer_than_one_trial(name, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        ALL_CHECKS[name](trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CHECKS))
+def test_every_check_report_serializes_at_one_trial(name):
+    doc = json.loads(to_json(ALL_CHECKS[name](trials=1, seed=0).as_dict()))
+    assert (doc["check_name"], doc["trials"], doc["failures"]) == (name, 1, 0)
+
+
+def test_failing_trials_are_counted_and_the_first_five_kept(monkeypatch):
+    # a broken update makes every trial fail; the driver counts each one,
+    # keeps the first five instances and reports a positive worst violation
+    exact = verify_mod.rank_one_inverse_update
+    monkeypatch.setattr(verify_mod, "rank_one_inverse_update",
+                        lambda A_inv, v: 2.0 * exact(A_inv, v))
+    r = check_sherman_morrison(trials=8, seed=0)
+    assert (r.failures, len(r.sample_of_failures)) == (8, 5)
+    assert not r.passed and r.worst_violation > 0
+    assert max(s["violation"] for s in r.sample_of_failures) <= r.worst_violation
+    assert set(r.sample_of_failures[0]["instance"]) == {"X", "y", "z", "lam", "beta", "thetas"}
+    json.loads(to_json(r.as_dict()))
 
 
 def test_check_report_shape():
