@@ -24,21 +24,24 @@ cross-validation factors each fold once instead of refitting per alpha:
   whose correlation reaches t or drops the one whose coefficient reaches
   zero, and every requested alpha is read off its segment.
 
-A column in the span of the active columns never joins. The pivot test
-(pd_check) runs on the active Gram scaled to unit diagonal, so it reads
-each column's distance from the columns before it against the column's own
-norm. When it fails, the column that just joined is spanned (a principal
-submatrix of a Gram that passed passes too): it is marked and the segment
-solved again without it. This is exact: x_j = X_A c has correlation
-t c^T s, at most t where it tried to join, so theta_j = 0 stays optimal
-until a leave shrinks the span and clears the marks. A column within
+The path keeps H, the inverse of the active Gram scaled to unit diagonal,
+so G_AA^-1 = D H D with D = diag(G_AA)^-1/2 and no knot solves a system: a
+bordered update when a column joins, a rank-one downdate when one leaves
+(Efron et al. 2004, section 7). A column in the span of the active columns
+never joins. The Schur complement 1 - g^T H g of a joining column (g its
+unit-scaled Gram column) is its new squared Cholesky pivot, its squared
+distance from the active span against its own squared norm. When that is
+not above PIVOT_RTOL the column is spanned: it is marked and stays out, and
+the segment stands. This is exact: x_j = X_A c has correlation t c^T s, at
+most t where it tried to join, so theta_j = 0 stays optimal until a leave
+shrinks the span and clears the marks. A column within
 sqrt(PIVOT_RTOL) = 1e-6 of the span, relative to its norm, counts as
-spanned; its condition then holds to about 1e-6 ||x_j|| ||y - X theta||.
-At tied knots a column that left at t may not rejoin on its side while the
-set it left is active at t (its correlation moves inward or along the
-bound). Bars only accumulate at one t, so the knots there end unless the
-state after a leave recurs, and then NoConvergence is raised instead of a
-cycle. `fit_lasso_cd` (cyclic coordinate descent) is the tests' oracle.
+spanned; its condition then holds to about 1e-6 ||x_j|| ||y - X theta||. At
+tied knots a column that left at t may not rejoin on its side while the set
+it left is active at t (its correlation moves inward or along the bound).
+Bars only accumulate at one t, so the knots there end unless the state
+after a leave recurs, and then NoConvergence is raised instead of a cycle.
+`fit_lasso_cd` (cyclic coordinate descent) is the tests' oracle.
 """
 
 import warnings
@@ -53,7 +56,7 @@ from .exceptions import (
     NotPositiveDefinite,
     SingularDesign,
 )
-from .linalg import PIVOT_RTOL, pd_check, solve_spd, sym_eig
+from .linalg import PIVOT_RTOL, solve_spd, sym_eig
 
 
 def _default_alpha_grid():
@@ -145,26 +148,21 @@ def _lasso_path(G, b, alphas):
     pending = [int(k) for k in np.argsort(-halves, kind="stable") if halves[k] < t]
     j = int(np.argmax(np.where(live, np.abs(b), -1.0)))
     active, signs = [j], [float(np.sign(b[j]))]
+    H = np.ones((1, 1))  # inverse of unit[A, A], updated at each knot
     # each column that left at the current t, with the set it left and its
     # side: it may not rejoin on that side while that set is active
     barred = set()
     seen = set()  # (active, signs, bars) after each leave at the current t
     knots = 0
+    A = None  # the current segment's active columns; None once the set changes
     while pending and active:
-        A = np.array(active)
-        AA = np.ix_(A, A)
-        # pivot test on the unit-diagonal Gram: each column against its own norm
-        if not pd_check(unit[AA]):
-            # the column that just joined is spanned: solve this segment again
-            spanned[active.pop()] = True
-            signs.pop()
-            knots -= 1
-            continue
-        U = np.linalg.solve(G[AA], np.column_stack([b[A], signs]))
-        u, w = U[:, 0], U[:, 1]  # theta_A(s) = u - s w on this segment
-        sgn = np.array(signs)
-        GU = G[:, A] @ U
-        p, a = b - GU[:, 0], GU[:, 1]  # correlations X^T (y - X theta(s)) = p + s a
+        if A is None:
+            A = np.array(active)
+            U = r[A, None] * (H @ (r[A, None] * np.column_stack([b[A], signs])))
+            u, w = U[:, 0], U[:, 1]  # theta_A(s) = u - s w on this segment
+            sgn = np.array(signs)
+            GU = G[:, A] @ U
+            p, a = b - GU[:, 0], GU[:, 1]  # correlations X^T (y - X theta(s)) = p + s a
         free = live & ~spanned
         free[A] = False
         # largest s < t where a free correlation reaches +s or -s, or an
@@ -189,9 +187,10 @@ def _lasso_path(G, b, alphas):
         if t_next < t:
             barred, seen = set(), set()
         t = t_next
-        knots += 1
         if leave[i] >= join[j]:
             col, side = active.pop(i), signs.pop(i)
+            q = np.delete(H[:, i], i)
+            H = np.delete(np.delete(H, i, 0), i, 1) - np.outer(q, q) / H[i, i]
             barred.add((frozenset(active), col, side))
             spanned[:] = False
             # the path goes on as a function of this state; bars only grow
@@ -200,8 +199,20 @@ def _lasso_path(G, b, alphas):
                 raise NoConvergence(f"lasso path cycles at alpha={2.0 * t:g}: tied columns")
             seen.add(state)
         else:
+            g = unit[A, j]
+            h = H @ g
+            schur = 1.0 - g @ h  # x_j's squared pivot, against its own norm
+            if not schur > PIVOT_RTOL:
+                spanned[j] = True  # stays out; the segment is unchanged
+                continue
+            v = np.concatenate((h, [-1.0]))  # H' = [[H, 0], [0, 0]] + v v^T / schur
+            bordered = np.outer(v, v) / schur
+            bordered[:-1, :-1] += H
+            H = bordered
             active.append(j)
             signs.append(1.0 if up[j] >= down[j] else -1.0)
+        knots += 1
+        A = None
     return thetas, knots
 
 

@@ -223,6 +223,7 @@ def cmd_train(args):
     alpha = None if alpha is None else float(alpha)
     fit = _fit_from_dict(cfg.get("fit"))
     target = _target_from_dict(_target_dict_from_flags(args, cfg))
+    setting = GameSetting(lam=lam, beta=beta, target=target)
 
     ds = load_csv(dataset, label)
     if standardize:
@@ -233,8 +234,8 @@ def cmd_train(args):
 
     # the scenario harness's fit path: same rows, seed and setting, same model
     theta, diagnostics = fit_model(
-        algorithm, X, ds.y, setting=GameSetting(lam=lam, beta=beta, target=target),
-        n=n, theta_radius=radius, fit=fit, seed=seed, alpha=alpha,
+        algorithm, X, ds.y, setting=setting, n=n, theta_radius=radius, fit=fit, seed=seed,
+        alpha=alpha,
     )
 
     resolved = {

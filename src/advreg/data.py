@@ -1,10 +1,8 @@
-"""CSV loading, splitting, standardization, PCA, and attack-target vectors.
+"""CSV loading, splitting, standardization, and attack-target vectors.
 
 Conventions baked in here and recorded in run metadata:
 
 * label statistics use the population convention (divisor m);
-* the PCA covariance uses divisor m - 1, and each component's
-  largest-magnitude entry is made positive so signs are reproducible;
 * features are standardized with training-set statistics, labels never are;
 * zero-variance columns pass through standardization unchanged.
 """
@@ -24,7 +22,6 @@ from .exceptions import (
     ParseError,
     TooFewRows,
 )
-from .linalg import sym_eig
 
 
 @dataclass(eq=False)
@@ -292,43 +289,3 @@ def invert_standardizer(std, X):
             f"X has {X.shape[1]} columns, standardizer has {std.means.shape[0]}"
         )
     return X * std.stds + std.means
-
-
-@dataclass(eq=False)
-class PrincipalComponents:
-    mean: np.ndarray
-    components: np.ndarray   # d x k, orthonormal columns
-    eigenvalues: np.ndarray  # k, descending
-
-    def transform(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.mean.shape[0]:
-            raise DimensionMismatch(
-                f"X has {X.shape[1]} columns, PCA was fit on {self.mean.shape[0]}"
-            )
-        return (X - self.mean) @ self.components
-
-
-def pca_top_k(train_X, k):
-    """Top-k principal directions of the training features.
-
-    Covariance uses divisor m - 1; components are sorted by descending
-    eigenvalue and sign-fixed so each component's largest-magnitude entry
-    is positive.
-    """
-    X = np.atleast_2d(np.asarray(train_X, dtype=float))
-    m, d = X.shape
-    if not 1 <= k <= d:
-        raise DimensionMismatch(f"k must be in 1..{d}, got {k}")
-    if m < 2:
-        raise TooFewRows("PCA needs at least 2 rows")
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / (m - 1)
-    vals, vecs = sym_eig(cov)
-    comps = vecs[:, :k].copy()
-    for j in range(k):
-        lead = np.argmax(np.abs(comps[:, j]))
-        if comps[lead, j] < 0:
-            comps[:, j] = -comps[:, j]
-    return PrincipalComponents(mean=mean, components=comps, eigenvalues=vals[:k].copy())

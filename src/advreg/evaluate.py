@@ -34,7 +34,7 @@ from .data import (
 )
 from .equilibrium import solve_equilibrium
 from .exceptions import ConfigError, DimensionMismatch
-from .game import GameParams, ThetaProfile, attacker_best_response, sq_norm
+from .game import GameParams, ThetaProfile, _check_beta_lam, attacker_best_response, sq_norm
 
 
 def derive_seed(base, *parts):
@@ -137,11 +137,17 @@ def fit_model(algorithm, X, y, *, setting, n, theta_radius, fit, seed, alpha=Non
 
 @dataclass(eq=False)
 class GameSetting:
-    """One side's view of the game: effort price, attack probability, target."""
+    """One side's view of the game: effort price, attack probability, target.
+
+    lam must be finite and > 0 and beta in [0, 1], as in GameParams.
+    """
 
     lam: float
     beta: float
     target: TargetSpec | ConstantTarget = field(default_factory=TargetSpec)
+
+    def __post_init__(self):
+        _check_beta_lam(self.beta, self.lam)
 
     def as_dict(self):
         return {

@@ -26,6 +26,14 @@ from .exceptions import DimensionMismatch, NonFinite
 from .linalg import rank_one_inverse_update
 
 
+def _check_beta_lam(beta, lam):
+    """Raise ValueError unless beta is in [0, 1] and lam is finite and > 0."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
+
+
 @dataclass(eq=False)
 class GameParams:
     """Fixed data of one game instance.
@@ -50,10 +58,7 @@ class GameParams:
         self.z = np.asarray(self.z, dtype=float)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        _check_beta_lam(self.beta, self.lam)
         if self.z.ndim != 1:
             raise DimensionMismatch(f"z must be a vector, got shape {self.z.shape}")
         if not np.all(np.isfinite(self.z)):

@@ -348,6 +348,36 @@ def test_lasso_coefficient_at_its_own_knot_keeps_its_sign():
     assert lasso_kkt_gap(X, y, 1.0, th) <= 1e-9 * (1 + np.linalg.norm(X.T @ y))
 
 
+def long_path_design(d, scale):
+    """A d-column design whose lasso path has far more than d knots (Mairal &
+    Yu 2012): each new column is scale^k times the labels so far, bordered by
+    a new row, so the path runs the smaller path down, back up and down
+    again; for small scale it passes (3^d - 3) / 2 knots to alpha = 0."""
+    X, y = np.ones((1, 1)), np.ones(1)
+    for k in range(1, d):
+        a = scale ** k
+        X = np.block([[X, 2.0 * a * y[:, None]], [np.zeros((1, k)), np.full((1, 1), a)]])
+        y = np.append(y, 1.0)
+    return X, y
+
+
+def test_lasso_long_path_does_not_drift():
+    # the active-set inverse is updated at every knot; here 167 knots pass,
+    # 81 of them leaves, and the duplicate of column 0 is turned away as
+    # spanned 29 times, so error that accumulated over the updates would show
+    X, y = long_path_design(6, 0.2)
+    X = np.column_stack([X, X[:, 0]])
+    _, info = fit_lasso(X, y, 0.0, return_info=True)
+    assert info["path_knots"] >= 3 * X.shape[1]
+    tol = 1e-9 * (1 + np.linalg.norm(X.T @ y))
+    for alpha in np.concatenate([GRID_WITH_ZERO, 2.0 * np.logspace(-12, 0, 13)]):
+        th = fit_lasso(X, y, alpha)
+        assert lasso_kkt_gap(X, y, alpha, th) <= tol, alpha
+        # rank-deficient, so the oracle starts from the path's answer
+        ref = lasso_objective(X, y, alpha, fit_lasso_cd(X, y, alpha, th, tol=1e-12))
+        assert abs(lasso_objective(X, y, alpha, th) - ref) <= 1e-9 * float(y @ y), alpha
+
+
 # ---------------------------------------------------------- cross_validate
 
 def test_cv_singleton_grid():

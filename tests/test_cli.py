@@ -557,6 +557,19 @@ def test_verify_failure_exits_five(monkeypatch):
     assert run_cli("verify", "--checks", "rosen_pd", "--trials", "4", "--quiet") == 5
 
 
+def test_verify_reports_a_non_finite_cost_gap_and_exits_five(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify_mod, "approx_cost", lambda *args: float("nan"))
+    out = tmp_path / "verify.json"
+    assert run_cli("verify", "--checks", "theorem2_bound", "--trials", "3", "--quiet",
+                   "--out", str(out)) == 5
+    (report,) = json.loads(out.read_text(encoding="utf-8"))["reports"]
+    assert report["failures"] == 3
+    assert report["worst_violation"] == verify_mod.NON_FINITE_GAP
+    for sample in report["sample_of_failures"]:
+        assert sample["violation"] == verify_mod.NON_FINITE_GAP
+        assert "realized" in sample["detail"] and "surrogate nan" in sample["detail"]
+
+
 # ------------------------------------------------- non-finite settings
 
 NON_FINITE_SETTINGS = {
@@ -594,6 +607,26 @@ def test_non_finite_setting_is_a_config_error(case, synth_csv, tmp_path, capsys)
     assert run_cli(*argv, "--quiet", "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert field_name in err and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm,flag,value,message", [
+    ("ridge", "--beta", "nan", "beta must be in [0, 1]"),
+    ("ols", "--lambda", "inf", "lam must be finite and > 0"),
+])
+def test_train_refuses_a_bad_game_setting_before_any_fit(
+    algorithm, flag, value, message, synth_csv, tmp_path, capsys, monkeypatch
+):
+    # ols and ridge never play the game, yet the model file echoes the setting
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_model ran")
+
+    monkeypatch.setattr(cli_mod, "fit_model", no_fit)
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    assert run_cli("train", "--dataset", synth_csv, "--label", "label", "--algorithm",
+                   algorithm, flag, value, "--quiet", "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""CSV ingestion, splits, standardization, PCA, label stats, and attack
+"""CSV ingestion, splits, standardization, label stats, and attack
 targets.  File-level cases run against temp CSVs; the bundled datasets
 pin the label statistics the benchmark scenarios rely on."""
 
@@ -19,7 +19,6 @@ from advreg.data import (
     invert_standardizer,
     label_stats,
     load_csv,
-    pca_top_k,
     split_train_test,
 )
 from advreg.exceptions import (
@@ -215,36 +214,6 @@ def test_standardizer_dimension_mismatch():
     std = Standardizer(means=np.zeros(2), stds=np.ones(2))
     with pytest.raises(DimensionMismatch):
         apply_standardizer(std, np.zeros((3, 5)))
-
-
-# --------------------------------------------------------------------- pca
-
-def test_pca_single_axis_variance():
-    rng = np.random.default_rng(3)
-    X = np.zeros((40, 3))
-    X[:, 1] = rng.normal(size=40)
-    pcs = pca_top_k(X, k=1)
-    assert np.allclose(np.abs(pcs.components[:, 0]), [0.0, 1.0, 0.0], atol=1e-9)
-
-
-def test_pca_full_rank_reconstruction():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(25, 4))
-    pcs = pca_top_k(X, k=4)
-    Z = pcs.transform(X)
-    back = Z @ pcs.components.T + pcs.mean
-    assert np.allclose(back, X, atol=1e-8)
-    assert np.allclose(pcs.components.T @ pcs.components, np.eye(4), atol=1e-9)
-    assert np.all(np.diff(pcs.eigenvalues) <= 1e-12)
-
-
-def test_pca_two_point_hand_oracle():
-    pcs = pca_top_k(np.array([[0.0, 0.0], [2.0, 2.0]]), k=1)
-    comp = pcs.components[:, 0]
-    target = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert np.allclose(comp, target, atol=1e-12)  # sign fixed by convention
-    Z = pcs.transform(np.array([[0.0, 0.0], [2.0, 2.0]])).ravel()
-    assert np.allclose(sorted(Z), [-np.sqrt(2), np.sqrt(2)], atol=1e-12)
 
 
 # ------------------------------------------------------------- label_stats
