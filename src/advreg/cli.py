@@ -93,18 +93,27 @@ def _load_config(path):
     return cfg
 
 
-def _pick(flag, cfg, key, default):
-    if flag is not None:
-        return flag
-    val = cfg.get(key)
-    return default if val is None else val
+def _pick(flag, cfg, key, default, kind=None):
+    """The flag, else cfg[key], else default; a given value is cast by kind.
+
+    A value kind cannot take is a ConfigError naming key.
+    """
+    val = flag if flag is not None else cfg.get(key)
+    if val is None:
+        return default
+    if kind is None:
+        return val
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {val!r}") from None
 
 
 def _resolve_seed(flag_seed, cfg):
-    if flag_seed is not None:
-        return int(flag_seed)
-    if cfg.get("seed") is not None:
-        return int(cfg["seed"])
+    seed = _pick(flag_seed, cfg, "seed", None, int)
+    if seed is not None:
+        return seed
     env = os.environ.get("ADVREG_SEED")
     if env is not None:
         try:
@@ -214,13 +223,11 @@ def cmd_train(args):
     algorithm = _pick(args.algorithm, cfg, "algorithm", None)
     seed = _resolve_seed(args.seed, cfg)
     standardize = False if args.no_standardize else bool(cfg.get("standardize", True))
-    n = int(_pick(args.n, cfg, "n", 5))
-    lam = float(_pick(args.lam, cfg, "lambda", 1.0))
-    beta = float(_pick(args.beta, cfg, "beta", 0.8))
-    radius = _pick(args.radius, cfg, "theta_radius", None)
-    radius = None if radius is None else float(radius)
-    alpha = _pick(args.alpha, cfg, "alpha", None)
-    alpha = None if alpha is None else float(alpha)
+    n = _pick(args.n, cfg, "n", 5, int)
+    lam = _pick(args.lam, cfg, "lambda", 1.0, float)
+    beta = _pick(args.beta, cfg, "beta", 0.8, float)
+    radius = _pick(args.radius, cfg, "theta_radius", None, float)
+    alpha = _pick(args.alpha, cfg, "alpha", None, float)
     fit = _fit_from_dict(cfg.get("fit"))
     target = _target_from_dict(_target_dict_from_flags(args, cfg))
     setting = GameSetting(lam=lam, beta=beta, target=target)
@@ -334,7 +341,7 @@ def cmd_attack(args):
     if test_path is None:
         raise ConfigError("attack needs a test CSV (--test or config)")
     label = _parse_label(_pick(args.label, cfg, "label", prep.get("label_name")))
-    lam = float(_pick(args.lam, cfg, "lambda", 1.0))
+    lam = _pick(args.lam, cfg, "lambda", 1.0, float)
     seed = _resolve_seed(args.seed, cfg)
     target = _target_from_dict(_target_dict_from_flags(args, cfg))
 
@@ -404,6 +411,8 @@ def _scenario_from_config(cfg, seed):
         )
 
     algorithms = cfg.get("algorithms")
+    if algorithms is not None and not isinstance(algorithms, list):
+        raise ConfigError(f"algorithms must be a list of names, got {algorithms!r}")
     algorithms = tuple(algorithms) if algorithms else KNOWN_ALGORITHMS
     try:
         scen = ScenarioConfig(
@@ -433,7 +442,7 @@ def _common_eval_inputs(args, cfg):
     label = _parse_label(_pick(args.label, cfg, "label", None))
     if label is None:
         raise ConfigError("need a label column (--label or config)")
-    frac = float(_pick(args.train_fraction, cfg, "train_fraction", 0.5))
+    frac = _pick(args.train_fraction, cfg, "train_fraction", 0.5, float)
     if not 0.0 < frac < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {frac}")
     return dataset, label, frac
@@ -470,23 +479,21 @@ def cmd_sweep(args):
     beta_grid = cfg.get("beta_grid")
     if not lambda_grid or not beta_grid:
         raise ConfigError("sweep needs lambda_grid and beta_grid in the config")
-    repeats = int(_pick(args.repeats, cfg, "repeats", 1))
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs")
+    repeats = _pick(args.repeats, cfg, "repeats", 1, int)
 
     ds = load_csv(dataset, label)
     train, test = split_train_test(ds, frac, seed)
-    grid = run_sweep(train, test, scen, lambda_grid, beta_grid, repeats, seed, jobs=jobs)
+    grid = run_sweep(train, test, scen, lambda_grid, beta_grid, repeats, seed)
 
     write_csv(args.out, CSV_HEADER, grid.csv_rows())
     _say(args, f"wrote {args.out}")
-    # jobs is deliberately not echoed: worker count must never change output bytes
     resolved = {
         "command": "sweep",
         "dataset": str(dataset),
         "label": label,
         "train_fraction": frac,
-        "lambda_grid": [float(v) for v in lambda_grid],
-        "beta_grid": [float(v) for v in beta_grid],
+        "lambda_grid": grid.lambda_values,
+        "beta_grid": grid.beta_values,
         "repeats": repeats,
         **echo,
     }
@@ -508,14 +515,16 @@ def cmd_verify(args):
         selected = list(CORE_CHECKS)
     elif isinstance(names, str):
         selected = [s.strip() for s in names.split(",") if s.strip()]
-    else:
+    elif isinstance(names, list):
         selected = [str(s) for s in names]
+    else:
+        raise ConfigError(f"checks must be a string or a list of names, got {names!r}")
     unknown = [s for s in selected if s not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; available: {sorted(ALL_CHECKS)}")
     if not selected:
         raise ConfigError("no checks selected")
-    trials = int(_pick(args.trials, cfg, "trials", 1000))
+    trials = _pick(args.trials, cfg, "trials", 1000, int)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     seed = _resolve_seed(args.seed, cfg)
@@ -597,7 +606,8 @@ def build_parser():
     s.add_argument("--label")
     s.add_argument("--train-fraction", type=float)
     s.add_argument("--repeats", type=int)
-    s.add_argument("--jobs", type=int, help="worker threads (output bytes do not depend on this)")
+    s.add_argument("--jobs", type=int,
+                   help="accepted and ignored: the sweep runs its cells one after another")
 
     v = sub.add_parser("verify", help="run randomized numerical certificates")
     common(v, False, "report JSON path (optional)")

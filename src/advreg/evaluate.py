@@ -11,11 +11,11 @@ command shares.
 
 Sweeps repeat scenarios over a lambda x beta grid with fresh seeded
 train/test splits per repeat. Each (cell, repeat) derives its own RNG seed
-from (base seed, cell indices, repeat), so cells can run concurrently and
-the aggregate is independent of execution order.
+from (base seed, cell indices, repeat), and cells run one after another.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+# unused here; perfbench's tracer reads and rebinds this name when installed
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -211,16 +211,7 @@ class SweepGrid:
         for i, lam in enumerate(self.lambda_values):
             for j, beta in enumerate(self.beta_values):
                 for algo, vals in self.cells[i][j].items():
-                    rows.append(
-                        (
-                            float(lam),
-                            float(beta),
-                            algo,
-                            vals["rmse_expected"],
-                            vals["rmse_clean"],
-                            vals["rmse_attacked"],
-                        )
-                    )
+                    rows.append((float(lam), float(beta), algo, *(vals[k] for k in _RMSE_KEYS)))
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
         return rows
 
@@ -240,7 +231,8 @@ class SweepGrid:
         }
 
 
-CSV_HEADER = ["lambda", "beta", "algorithm", "rmse_expected", "rmse_clean", "rmse_attacked"]
+_RMSE_KEYS = ("rmse_expected", "rmse_clean", "rmse_attacked")
+CSV_HEADER = ["lambda", "beta", "algorithm", *_RMSE_KEYS]
 
 
 def simulate_attack(thetas, X_test, z_test, lam):
@@ -330,71 +322,57 @@ def run_scenario(train, test, cfg):
     return EvalReport(results=results, metadata=metadata)
 
 
-def _sweep_task(full, n_train, cfg, lam, beta, seed):
-    tr, te = split_rows(full, n_train, seed)
-    cell_cfg = replace(
-        cfg,
-        seed=seed,
-        actual=replace(cfg.actual, lam=float(lam), beta=float(beta)),
-    )
-    return run_scenario(tr, te, cell_cfg)
+def _grid(name, values, check):
+    """The grid as floats; ConfigError naming it unless every value passes check."""
+    try:
+        if isinstance(values, str):
+            raise TypeError
+        grid = [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}") from None
+    if not grid:
+        raise ConfigError(f"{name} must be non-empty")
+    for v in grid:
+        try:
+            check(v)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    return grid
 
 
-def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed, jobs=None):
+def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed):
     """Grid of scenarios with per-repeat fresh splits; cell means per algorithm.
 
     Each repeat reshuffles the pooled rows and trains on train.m of them.
+    Every grid value is checked before the first scenario runs.
 
     The defender's estimates stay fixed across the grid unless
     cfg.defender_knows_actual is set, in which case they track each cell.
     """
-    lambda_grid = [float(v) for v in lambda_grid]
-    beta_grid = [float(v) for v in beta_grid]
+    lambda_grid = _grid("lambda_grid", lambda_grid, lambda lam: _check_beta_lam(0.0, lam))
+    beta_grid = _grid("beta_grid", beta_grid, lambda beta: _check_beta_lam(beta, 1.0))
     repeats = int(repeats)
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    if not lambda_grid or not beta_grid:
-        raise ConfigError("lambda_grid and beta_grid must be non-empty")
     full = concat_datasets(train, test)
-
-    tasks = [
-        (i, j, r, derive_seed(seed, i, j, r))
-        for i in range(len(lambda_grid))
-        for j in range(len(beta_grid))
-        for r in range(repeats)
-    ]
-    reports = {}
-    if jobs is None or int(jobs) <= 1:
-        for i, j, r, s in tasks:
-            reports[(i, j, r)] = _sweep_task(full, train.m, cfg, lambda_grid[i], beta_grid[j], s)
-    else:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            futures = {
-                (i, j, r): pool.submit(
-                    _sweep_task, full, train.m, cfg, lambda_grid[i], beta_grid[j], s
-                )
-                for i, j, r, s in tasks
-            }
-            for key, fut in futures.items():
-                reports[key] = fut.result()
 
     algos = sorted(cfg.algorithms)
     cells = []
-    for i in range(len(lambda_grid)):
+    for i, lam in enumerate(lambda_grid):
         row = []
-        for j in range(len(beta_grid)):
-            cell = {}
-            for algo in algos:
-                # canonical reduction order: repeat 0, 1, ...
-                exp = [reports[(i, j, r)].results[algo]["rmse_expected"] for r in range(repeats)]
-                cln = [reports[(i, j, r)].results[algo]["rmse_clean"] for r in range(repeats)]
-                att = [reports[(i, j, r)].results[algo]["rmse_attacked"] for r in range(repeats)]
-                cell[algo] = {
-                    "rmse_expected": float(np.mean(exp)),
-                    "rmse_clean": float(np.mean(cln)),
-                    "rmse_attacked": float(np.mean(att)),
-                }
-            row.append(cell)
+        for j, beta in enumerate(beta_grid):
+            runs = []
+            for r in range(repeats):
+                s = derive_seed(seed, i, j, r)
+                cell_cfg = replace(cfg, seed=s, actual=replace(cfg.actual, lam=lam, beta=beta))
+                if (i, j, r) == (0, 0, 0):
+                    scenario = cell_cfg.as_dict()
+                runs.append(run_scenario(*split_rows(full, train.m, s), cell_cfg).results)
+            # canonical reduction order: repeat 0, 1, ...
+            row.append({
+                algo: {k: float(np.mean([res[algo][k] for res in runs])) for k in _RMSE_KEYS}
+                for algo in algos
+            })
         cells.append(row)
 
     metadata = {
@@ -402,7 +380,7 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed, jobs=None
         "repeats": repeats,
         "train_fraction": train.m / full.m,
         "rows_total": full.m,
-        "scenario": reports[(0, 0, 0)].metadata["config"],
+        "scenario": scenario,
         "seed_derivation": "hash_combine(base_seed, lambda_index, beta_index, repeat)",
     }
     return SweepGrid(

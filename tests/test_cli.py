@@ -518,6 +518,29 @@ def test_sweep_requires_both_grids(synth_csv, tmp_path):
                    "--out", str(tmp_path / "s.csv")) == 2
 
 
+@pytest.mark.parametrize("grids,name", [
+    ({"lambda_grid": [1.0, 0.5, -1.0]}, "lambda_grid"),
+    ({"beta_grid": 0.5}, "beta_grid"),
+    ({"beta_grid": [0.5, float("nan")]}, "beta_grid"),
+], ids=["negative-lambda", "grid-not-a-list", "nan-beta"])
+def test_sweep_refuses_a_bad_grid_before_any_scenario(
+    grids, name, synth_csv, tmp_path, capsys, monkeypatch
+):
+    import advreg.evaluate as ev
+
+    calls = []
+    monkeypatch.setattr(ev, "run_scenario", lambda *args: calls.append(args))
+    cfg = eval_config(synth_csv, **{"lambda_grid": [1.0], "beta_grid": [0.5], **grids})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", str(cfg_path), "--quiet", "--out", str(out)) == 2
+    assert name in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- verify
 
 
@@ -627,6 +650,29 @@ def test_train_refuses_a_bad_game_setting_before_any_fit(
     assert run_cli("train", "--dataset", synth_csv, "--label", "label", "--algorithm",
                    algorithm, flag, value, "--quiet", "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+WRONG_TYPED_VALUES = {
+    "verify-checks": ("verify", {"checks": 5}, "checks"),
+    "verify-trials": ("verify", {"checks": "core", "trials": [2]}, "trials"),
+    "sweep-repeats": ("sweep", {"repeats": [1]}, "repeats"),
+    "sweep-algorithms": ("sweep", {"algorithms": 5}, "algorithms"),
+    "evaluate-seed": ("evaluate", {"seed": [5]}, "seed"),
+    "train-lambda": ("train", {"algorithm": "ols", "lambda": [1.0]}, "lambda"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPED_VALUES))
+def test_wrong_typed_config_value_is_a_config_error(case, synth_csv, tmp_path, capsys):
+    command, values, key = WRONG_TYPED_VALUES[case]
+    cfg = eval_config(synth_csv, lambda_grid=[1.0], beta_grid=[0.5], **values)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(cfg_path), "--quiet", "--out", str(out)) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 """Scenario harness: attack simulation on held-out data, expected-RMSE
 accounting, per-algorithm comparison, and the sweep grid with its
-deterministic parallel reduction."""
+repeat-order reduction."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,12 +222,25 @@ def test_sweep_shapes_and_sorted_csv():
     assert grid.metadata["base_seed"] == 7
 
 
-def test_sweep_parallel_matches_serial_bytes():
+def test_sweep_cells_are_repeat_means_of_direct_scenarios():
     train, test = small_data(seed=7, m=50)
-    kw = dict(lambda_grid=[0.5, 1.0], beta_grid=[0.5], repeats=3, seed=3)
-    serial = run_sweep(train, test, small_config(), **kw)
-    parallel = run_sweep(train, test, small_config(), jobs=2, **kw)
-    assert to_json(serial.as_dict()) == to_json(parallel.as_dict())
+    cfg = small_config()
+    grid = run_sweep(train, test, cfg, lambda_grid=[0.5, 1.0], beta_grid=[0.3], repeats=3,
+                     seed=3)
+    full = concat_datasets(train, test)
+    for i, lam in enumerate([0.5, 1.0]):
+        direct = []
+        for r in range(3):
+            s = derive_seed(3, i, 0, r)
+            cell_cfg = replace(cfg, seed=s, actual=replace(cfg.actual, lam=lam, beta=0.3))
+            direct.append(run_scenario(*split_rows(full, train.m, s), cell_cfg))
+            if (i, r) == (0, 0):
+                assert grid.metadata["scenario"] == cell_cfg.as_dict()
+        assert sorted(grid.cells[i][0]) == sorted(cfg.algorithms)
+        for algo, vals in grid.cells[i][0].items():
+            for key in ("rmse_expected", "rmse_clean", "rmse_attacked"):
+                want = float(np.mean([rep.results[algo][key] for rep in direct]))
+                assert vals[key] == want
 
 
 def test_sweep_single_cell_matches_direct_scenario():
@@ -236,8 +251,6 @@ def test_sweep_single_cell_matches_direct_scenario():
     full = concat_datasets(train, test)
     s = derive_seed(13, 0, 0, 0)
     tr, te = split_rows(full, train.m, s)
-    from dataclasses import replace
-
     cell_cfg = replace(cfg, seed=s, actual=replace(cfg.actual, lam=0.9, beta=0.4))
     direct = run_scenario(tr, te, cell_cfg)
     for algo, vals in grid.cells[0][0].items():
@@ -272,6 +285,10 @@ def test_sweep_rejects_empty_grid_and_bad_repeats():
         run_sweep(train, test, small_config(), [], [0.5], repeats=1, seed=0)
     with pytest.raises(ConfigError):
         run_sweep(train, test, small_config(), [1.0], [0.5], repeats=0, seed=0)
+    with pytest.raises(ConfigError, match="beta_grid"):
+        run_sweep(train, test, small_config(), [1.0], "0.5", repeats=1, seed=0)
+    with pytest.raises(ConfigError, match="lambda_grid: lam must be finite"):
+        run_sweep(train, test, small_config(), [1.0, float("inf")], [0.5], repeats=1, seed=0)
 
 
 # ------------------------------------------------------------- derive_seed
