@@ -93,6 +93,24 @@ def _load_config(path):
     return cfg
 
 
+def _cast(kind, val):
+    """val as a kind (bool, int or float); ValueError if it is not one.
+
+    A bool must be a JSON true or false, and an int a number that int()
+    keeps as it is (3 or 3.0, not 1.7, "3" or true).
+    """
+    if kind is float:
+        return float(val)
+    if kind is bool and isinstance(val, bool):
+        return val
+    if kind is int and not isinstance(val, bool) and int(val) == val:
+        return int(val)
+    raise ValueError(val)
+
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
 def _pick(flag, cfg, key, default, kind=None):
     """The flag, else cfg[key], else default; a given value is cast by kind.
 
@@ -104,10 +122,9 @@ def _pick(flag, cfg, key, default, kind=None):
     if kind is None:
         return val
     try:
-        return kind(val)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {val!r}") from None
+        return _cast(kind, val)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {val!r}") from None
 
 
 def _resolve_seed(flag_seed, cfg):
@@ -222,7 +239,8 @@ def cmd_train(args):
         raise ConfigError("train needs a label column (--label or config)")
     algorithm = _pick(args.algorithm, cfg, "algorithm", None)
     seed = _resolve_seed(args.seed, cfg)
-    standardize = False if args.no_standardize else bool(cfg.get("standardize", True))
+    no_std = False if args.no_standardize else None
+    standardize = _pick(no_std, cfg, "standardize", True, bool)
     n = _pick(args.n, cfg, "n", 5, int)
     lam = _pick(args.lam, cfg, "lambda", 1.0, float)
     beta = _pick(args.beta, cfg, "beta", 0.8, float)
@@ -416,13 +434,13 @@ def _scenario_from_config(cfg, seed):
     algorithms = tuple(algorithms) if algorithms else KNOWN_ALGORITHMS
     try:
         scen = ScenarioConfig(
-            n=int(cfg.get("n", 5)),
+            n=_pick(None, cfg, "n", 5, int),
             defender_estimates=setting(cfg.get("defender_estimates")),
             actual=setting(cfg.get("actual")),
             algorithms=algorithms,
             seed=seed,
-            defender_knows_actual=bool(cfg.get("defender_knows_actual", False)),
-            standardize=bool(cfg.get("standardize", True)),
+            defender_knows_actual=_pick(None, cfg, "defender_knows_actual", False, bool),
+            standardize=_pick(None, cfg, "standardize", True, bool),
             theta_radius=(
                 None if cfg.get("theta_radius") is None else float(cfg["theta_radius"])
             ),

@@ -29,7 +29,7 @@ from .equilibrium import (
     equilibrium_gradient,
     solve_equilibrium,
 )
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, NotPositiveDefinite
 from .game import (
     GameParams,
     attacker_best_response,
@@ -37,7 +37,7 @@ from .game import (
     learner_cost,
     sq_norm,
 )
-from .linalg import _cholesky, pd_check, rank_one_inverse_update, sym_eig
+from .linalg import _cholesky, rank_one_inverse_update, sym_eig
 
 ENVELOPE = dict(d_max=4, m_max=6, n_max=4, lam_lo=0.5, lam_hi=2.0)
 
@@ -271,13 +271,15 @@ def check_rosen_pd(trials=1000, seed=0, config=None):
             n = inst["thetas"].shape[0]
             weights = np.full(n, 1.0 / n)
         J = _weighted_jacobian(inst, weights)
-        sym = 0.5 * (J + J.T)
-        if pd_check(sym):
-            pivots = np.diag(_cholesky(sym)) ** 2
-            return -float(np.min(pivots)), ""
-        vals, _ = sym_eig(sym)
-        # refused by pd_check, so a failure even where rounding leaves vals[-1] >= 0
-        return max(-float(vals[-1]), np.finfo(float).tiny), "weighted Jacobian not positive definite"
+        sym = 0.5 * (J + J.T)  # exactly symmetric
+        try:
+            L = _cholesky(sym)
+        except NotPositiveDefinite:
+            vals, _ = sym_eig(sym)
+            # refused by the pivot test, so a failure even where rounding leaves vals[-1] >= 0
+            return (max(-float(vals[-1]), np.finfo(float).tiny),
+                    "weighted Jacobian not positive definite")
+        return -float(np.min(np.diag(L) ** 2)), ""
 
     return _run("rosen_pd", trials, seed, trial, n_min=2, full_rank=True)
 

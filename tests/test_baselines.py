@@ -18,8 +18,10 @@ from advreg.baselines import (
     fit_ols,
     fit_ridge,
 )
+from advreg.data import apply_standardizer, fit_standardizer, split_train_test
 from advreg.exceptions import MaxSweepsExceeded, SingularDesign
 from advreg.linalg import PIVOT_RTOL
+from advreg.synthetic import load_bundled
 
 
 def lasso_kkt_gaps(X, y, alpha, theta):
@@ -378,6 +380,17 @@ def test_lasso_long_path_does_not_drift():
         assert abs(lasso_objective(X, y, alpha, th) - ref) <= 1e-9 * float(y @ y), alpha
 
 
+def test_lasso_tied_join_goes_to_the_lowest_index():
+    # columns 0 and 1 are equal, so once column 2 is active their join times
+    # tie exactly; column 0 joins, as np.argmax picks the first maximum, and
+    # column 1 then lies in the active span and stays out to alpha = 0
+    X = np.array([[2.0, 2.0, -1.0], [0.0, 0.0, 1.0]])
+    y = np.array([0.0, -2.0])
+    for alpha in GRID_WITH_ZERO:
+        assert fit_lasso(X, y, alpha)[1] == 0.0, alpha
+    np.testing.assert_allclose(fit_lasso(X, y, 0.0), [-1.0, 0.0, -2.0], rtol=1e-12)
+
+
 # ---------------------------------------------------------- cross_validate
 
 def test_cv_singleton_grid():
@@ -496,3 +509,149 @@ def test_fit_config_as_dict_round_trip():
     d = cfg.as_dict()
     again = FitConfig(**d)
     assert again.as_dict() == d
+
+
+# ------------------------------------------------------------- pinned bits
+
+# cross_validate and fit_lasso on three seeded wine_like half splits, raw and
+# standardized, as float.hex: the chosen alpha and the CV errors of ridge and
+# lasso, and the lasso path's knots and theta at its chosen alpha. A change
+# that moves any of these by rounding updates them and says so.
+PINNED_WINE_FITS = {
+    (0, False): {
+        "ridge": ("0x1.94c583ada5b53p+1", (
+            "0x1.dc97a7c1aeb10p-2 0x1.dc979fd7b5e1ap-2 0x1.dc9786d227a8dp-2 "
+            "0x1.dc9737bd4ec4ep-2 0x1.dc963e1a56f08p-2 0x1.dc932d139554dp-2 "
+            "0x1.dc89a614ce765p-2 0x1.dc6d29e7c0cd8p-2 0x1.dc21edbd93496p-2 "
+            "0x1.dba27c36a1ca3p-2 0x1.dc0ea21a020d0p-2 0x1.e06f8494d1585p-2 "
+            "0x1.e8a91d2bd83e3p-2")),
+        "lasso": ("0x1.94c583ada5b53p+1", (
+            "0x1.dc97a8479feb6p-2 0x1.dc97a17f33af2p-2 0x1.dc978c0cac356p-2 "
+            "0x1.dc97483f5027dp-2 0x1.dc96720ab4828p-2 0x1.dc93ceb3f3022p-2 "
+            "0x1.dc8b8b7a44d52p-2 0x1.dc723662b4a22p-2 0x1.dc2a1119db12dp-2 "
+            "0x1.db8ccc7948eb5p-2 0x1.dd768546fb516p-2 0x1.eb204e7f08886p-2 "
+            "0x1.f965365f4786ap-2")),
+        "knots": 12,
+        "theta": (
+            "0x1.b2024c562ffe6p-8 0x1.24c774cb87a77p-1 0x1.44a863ea26099p-1 "
+            "0x1.9cfcde6aa89cdp-7 0x1.ea04f85981394p-4 0x1.a018573421951p-4 "
+            "0x1.c49b6d1581a4fp-6 -0x1.c3d23bf7ee454p-11 0x1.b7b7112b6df1cp-8 "
+            "0x1.2dcb796533819p-8 -0x1.d2741364fa572p-6"),
+    },
+    (0, True): {
+        "ridge": ("0x1.9000000000000p+6", (
+            "0x1.0f3ac24c1a035p+5 0x1.0f3ac1b581865p+5 0x1.0f3abfd9484cdp+5 "
+            "0x1.0f3ab9f7594a5p+5 0x1.0f3aa75d57ba2p+5 0x1.0f3a6c8c4c72bp+5 "
+            "0x1.0f39b29f26e1ep+5 0x1.0f37675998bc8p+5 0x1.0f302cfedb745p+5 "
+            "0x1.0f19946123d5cp+5 0x1.0ed49fd6ffca3p+5 0x1.0e10a406da104p+5 "
+            "0x1.0c41bae7f306fp+5")),
+        "lasso": ("0x1.9000000000000p+6", (
+            "0x1.0f3ac204a7cf2p+5 0x1.0f3ac0d392cf6p+5 0x1.0f3abd0ed21acp+5 "
+            "0x1.0f3ab12404929p+5 0x1.0f3a8b74aa17ap+5 0x1.0f3a144a60862p+5 "
+            "0x1.0f389b82413c2p+5 0x1.0f33f48980b02p+5 0x1.0f2543857f1f2p+5 "
+            "0x1.0ef67350e090ap+5 0x1.0e63286fd711ep+5 0x1.0ccfb761f0d9ep+5 "
+            "0x1.0961c5606b00bp+5")),
+        "knots": 5,
+        "theta": (
+            "0x1.a6c52c1e18c19p-4 0x1.ec029982bcafep-4 0x1.3ce8400143493p-3 "
+            "0x1.e983ffc147fedp-5 0x1.7a56b2a0d9f0ap-7 0x0.0p+0 "
+            "0x1.11dca640c93a1p-5 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0"),
+    },
+    (1, False): {
+        "ridge": ("0x1.0000000000000p+0", (
+            "0x1.c054b7115fc0dp-2 0x1.c054b54390d63p-2 0x1.c054af9024052p-2 "
+            "0x1.c0549d92704bbp-2 0x1.c054650bdd08bp-2 0x1.c053b5f379a80p-2 "
+            "0x1.c051b05704795p-2 0x1.c04ca66726c9ep-2 0x1.c048b5518bddap-2 "
+            "0x1.c08fb6b84bc4ap-2 0x1.c29ec552900e5p-2 0x1.c8a1727ede0d2p-2 "
+            "0x1.d04194a63f780p-2")),
+        "lasso": ("0x1.0000000000000p+0", (
+            "0x1.c054b6dd81f86p-2 0x1.c054b49f827adp-2 0x1.c054ad88fe3d0p-2 "
+            "0x1.c05497253ba43p-2 0x1.c054509644438p-2 0x1.c05373e6a8c02p-2 "
+            "0x1.c050d26cef86dp-2 0x1.c04b0622f4726p-2 0x1.c049a95aa0583p-2 "
+            "0x1.c064764360146p-2 0x1.c375c7387c7dap-2 0x1.d6ad69b59204ap-2 "
+            "0x1.d98592d0372d0p-2")),
+        "knots": 10,
+        "theta": (
+            "0x1.c2edca7e8ecd2p-7 0x1.5c2aabde38f78p-1 0x1.1c8975cc86971p-1 "
+            "0x1.4503afa14f0b1p-7 0x1.810499426bd67p-7 0x1.b663a531fa2a7p-4 "
+            "0x1.1e34fbd2e8b2cp-5 0x1.d343c65250112p-9 -0x1.4ac3f1ddf7d71p-5 "
+            "0x1.116ffcec5012cp-8 -0x1.0230412306184p-5"),
+    },
+    (1, True): {
+        "ridge": ("0x1.9000000000000p+6", (
+            "0x1.0967741b5ec30p+5 0x1.096773c292b85p+5 0x1.096772a9c5f73p+5 "
+            "0x1.09676f31d127bp+5 0x1.09676439f5b45p+5 0x1.0967418bce7a6p+5 "
+            "0x1.0966d3eb5365ep+5 0x1.096579aa8ab0bp+5 0x1.096136dff678ep+5 "
+            "0x1.0953e67aaca3ep+5 0x1.092b5494f56b6p+5 0x1.08b87e2639ebap+5 "
+            "0x1.07abc7b92566bp+5")),
+        "lasso": ("0x1.9000000000000p+6", (
+            "0x1.096773db71e8fp+5 0x1.096772f86c83ep+5 0x1.0967702a85760p+5 "
+            "0x1.0967674c53401p+5 0x1.09674b4172092p+5 0x1.0966f294f13a1p+5 "
+            "0x1.0965da36ba204p+5 0x1.0962640b84766p+5 0x1.095753d23b69ep+5 "
+            "0x1.0933cf3ae0f00p+5 0x1.08c7f4fe2bb2bp+5 0x1.079de6ec01ad8p+5 "
+            "0x1.05e3856b18162p+5")),
+        "knots": 4,
+        "theta": (
+            "0x1.46351ce480dbep-3 0x1.055fd3c94c2d6p-3 0x1.fda6745a0e237p-4 "
+            "0x1.3eb8b2bdf7787p-5 0x0.0p+0 0x0.0p+0 "
+            "0x1.a6bc182451cf8p-5 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0"),
+    },
+    (2, False): {
+        "ridge": ("0x1.0000000000000p+0", (
+            "0x1.cf87441ff0eb8p-2 0x1.cf873ebe950d6p-2 0x1.cf872dbccca1ep-2 "
+            "0x1.cf86f80700deep-2 0x1.cf864ee2d10cdp-2 0x1.cf843f0851f13p-2 "
+            "0x1.cf7dff00ffa8ep-2 0x1.cf6cd0ec9b180p-2 0x1.cf4d0186083f2p-2 "
+            "0x1.cf7e52e794843p-2 0x1.d2010b8a8294dp-2 0x1.d90b5bc9763eap-2 "
+            "0x1.e16f74ebe46e2p-2")),
+        "lasso": ("0x1.94c583ada5b53p+1", (
+            "0x1.cf87434ebe282p-2 0x1.cf873c28e2e42p-2 0x1.cf87258ee2643p-2 "
+            "0x1.cf86de1b10495p-2 0x1.cf85fc5a7cc6dp-2 0x1.cf833476b6880p-2 "
+            "0x1.cf7a7d494785dp-2 0x1.cf5fb5d6d2073p-2 0x1.cf1df96e1b0c5p-2 "
+            "0x1.ceaca41188f88p-2 0x1.d07b00af53f5ap-2 0x1.eabb089480593p-2 "
+            "0x1.ebb87c8d9ee4bp-2")),
+        "knots": 14,
+        "theta": (
+            "0x1.6773255825b0ap-7 0x1.c118f0277650cp-1 0x1.c4d1499d400cbp-2 "
+            "0x1.a52cd644e0cfbp-8 0x1.571fba2b74f3ep-6 0x1.97555d3bced7dp-4 "
+            "0x1.386cc480bb601p-5 -0x1.2a937af50cfd2p-8 0x1.832ba549babf4p-5 "
+            "0x1.7c1bf60fc6b1ep-8 -0x1.14b7102996990p-7"),
+    },
+    (2, True): {
+        "ridge": ("0x1.9000000000000p+6", (
+            "0x1.09bd39729f1fap+5 0x1.09bd392ea6d0ep+5 0x1.09bd3857b6696p+5 "
+            "0x1.09bd35b005f92p+5 0x1.09bd2d4abc533p+5 0x1.09bd12bedfd93p+5 "
+            "0x1.09bcbed44d903p+5 0x1.09bbb5c4a18d5p+5 0x1.09b8729cbb826p+5 "
+            "0x1.09ae3fa2326ebp+5 0x1.098f1f247d021p+5 0x1.0936a5915c4dfp+5 "
+            "0x1.0865f0760c0e2p+5")),
+        "lasso": ("0x1.9000000000000p+6", (
+            "0x1.09bd393624f10p+5 0x1.09bd386f67dc2p+5 0x1.09bd35faf0a48p+5 "
+            "0x1.09bd2e3790ff2p+5 0x1.09bd15ab08800p+5 0x1.09bcc80a88c87p+5 "
+            "0x1.09bbd667f0952p+5 0x1.09b8f63764768p+5 0x1.09afe11a4c1dap+5 "
+            "0x1.09934b3e47747p+5 0x1.093a5c6337189p+5 0x1.0858968b32cf8p+5 "
+            "0x1.06e8116fde9aap+5")),
+        "knots": 5,
+        "theta": (
+            "0x1.23d22412676c6p-3 0x1.6490ce522dc9dp-3 0x1.6753b342f9419p-4 "
+            "0x1.6bc8a485a3946p-6 0x0.0p+0 0x0.0p+0 "
+            "0x1.1f18a9e9c6b3bp-4 0x0.0p+0 0x0.0p+0 "
+            "0x1.223317c31a370p-9 0x0.0p+0"),
+    },
+}
+
+
+@pytest.mark.parametrize("seed,standardized", sorted(PINNED_WINE_FITS))
+def test_cv_and_lasso_fits_are_pinned_to_the_bit(seed, standardized):
+    pinned = PINNED_WINE_FITS[seed, standardized]
+    train, _ = split_train_test(load_bundled("wine_like"), 0.5, seed)
+    X = train.X
+    if standardized:
+        X = apply_standardizer(fit_standardizer(X), X)
+    for method in ("ridge", "lasso"):
+        alpha, errors = cross_validate(X, train.y, method, seed=seed)
+        assert (alpha.hex(), [float(e).hex() for e in errors]) == (
+            pinned[method][0], pinned[method][1].split()), method
+    theta, info = fit_lasso(X, train.y, alpha, return_info=True)
+    assert info["path_knots"] == pinned["knots"]
+    assert [float(v).hex() for v in theta] == pinned["theta"].split()

@@ -660,6 +660,19 @@ WRONG_TYPED_VALUES = {
     "sweep-algorithms": ("sweep", {"algorithms": 5}, "algorithms"),
     "evaluate-seed": ("evaluate", {"seed": [5]}, "seed"),
     "train-lambda": ("train", {"algorithm": "ols", "lambda": [1.0]}, "lambda"),
+    # a JSON string is not a boolean, and int() may not change a number
+    "train-standardize": ("train", {"algorithm": "ols", "standardize": "false"},
+                          "standardize"),
+    "evaluate-standardize": ("evaluate", {"standardize": "false"}, "standardize"),
+    "evaluate-defender_knows_actual": ("evaluate", {"defender_knows_actual": "no"},
+                                       "defender_knows_actual"),
+    "sweep-standardize": ("sweep", {"standardize": 0}, "standardize"),
+    "sweep-defender_knows_actual": ("sweep", {"defender_knows_actual": "true"},
+                                    "defender_knows_actual"),
+    "sweep-repeats-fraction": ("sweep", {"repeats": 1.7}, "repeats"),
+    "evaluate-n-fraction": ("evaluate", {"n": 2.5}, "n"),
+    "train-n-fraction": ("train", {"algorithm": "ols", "n": 2.5}, "n"),
+    "verify-trials-boolean": ("verify", {"checks": "core", "trials": True}, "trials"),
 }
 
 
@@ -674,6 +687,18 @@ def test_wrong_typed_config_value_is_a_config_error(case, synth_csv, tmp_path, c
     assert run_cli(command, "--config", str(cfg_path), "--quiet", "--out", str(out)) == 2
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_integral_numbers_and_booleans_in_a_config_pass(synth_csv, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(eval_config(
+        synth_csv, n=2.0, seed=5.0, standardize=False, defender_knows_actual=True,
+    )), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run_cli("evaluate", "--config", str(cfg_path), "--quiet", "--out", str(out)) == 0
+    echo = read_json(out)["config"]
+    assert (echo["n"], echo["seed"]) == (2, 5)
+    assert (echo["standardize"], echo["defender_knows_actual"]) == (False, True)
 
 
 # ------------------------------------------------------------------ main
