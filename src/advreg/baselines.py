@@ -13,7 +13,10 @@ cross-validation factors each fold once instead of refitting per alpha:
 
 * ridge: one eigendecomposition X^T X = V diag(lam) V^T gives
   theta(alpha) = V diag(1 / (lam + alpha)) V^T X^T y for every alpha
-  (Hastie, Tibshirani & Friedman, ESL 3.4).
+  (Hastie, Tibshirani & Friedman, ESL 3.4), `linalg.shifted_solve`. An
+  alpha with lam_min + alpha <= PIVOT_RTOL * (lam_max + alpha) raises
+  SingularDesign. OLS is this path at alpha = 0, so `fit_ols` and
+  `fit_ridge(X, y, 0)` are one computation.
 * lasso: the LARS-lasso homotopy (Osborne, Presnell & Turlach 2000;
   Efron, Hastie, Johnstone & Tibshirani 2004). With t = alpha / 2 (the
   quadratic term has no 1/2) the optimality conditions read
@@ -60,14 +63,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatch,
-    MaxSweepsExceeded,
-    NoConvergence,
-    NotPositiveDefinite,
-    SingularDesign,
-)
-from .linalg import PIVOT_RTOL, solve_spd, sym_eig
+from .exceptions import DimensionMismatch, MaxSweepsExceeded, NoConvergence, NotPositiveDefinite
+from .linalg import PIVOT_RTOL, shifted_solve, solve_spd
 
 
 def _default_alpha_grid():
@@ -113,32 +110,14 @@ def _check_alpha(alpha):
 
 
 def fit_ols(X, y):
-    X, y = _check_xy(X, y)
-    try:
-        return solve_spd(X.T @ X, X.T @ y)
-    except NotPositiveDefinite as exc:
-        raise SingularDesign("X^T X is not numerically positive definite") from exc
-
-
-def _ridge_path(G, b, alphas):
-    """Ridge coefficients (one row per alpha) from one eigendecomposition of G.
-
-    Raises SingularDesign when some alpha leaves lam_min + alpha at or
-    below PIVOT_RTOL * (lam_max + alpha).
-    """
-    lam, V = sym_eig(G)  # descending
-    singular = ~(lam[-1] + alphas > PIVOT_RTOL * (lam[0] + alphas))
-    if np.any(singular):
-        raise SingularDesign(
-            f"ridge system is not positive definite at alpha={alphas[singular][0]:g}"
-        )
-    return (V.T @ b / (lam + alphas[:, None])) @ V.T
+    """Least squares: the ridge path at alpha = 0."""
+    return fit_ridge(X, y, 0.0)
 
 
 def fit_ridge(X, y, alpha):
     X, y = _check_xy(X, y)
     alpha = _check_alpha(alpha)
-    return _ridge_path(X.T @ X, X.T @ y, np.array([alpha]))[0]
+    return shifted_solve(X.T @ X, X.T @ y, np.array([alpha]))[0]
 
 
 def _lasso_path(G, b, alphas):
@@ -332,7 +311,7 @@ def cross_validate(X, y, method, cfg=None, seed=0):
         X_trn = X[trn]
         G, b = X_trn.T @ X_trn, X_trn.T @ y[trn]
         if method == "ridge":
-            thetas = _ridge_path(G, b, grid)
+            thetas = shifted_solve(G, b, grid)
         else:
             thetas = _lasso_path(G, b, grid)[0]
         R = X[val] @ thetas.T - y[val][:, None]

@@ -96,10 +96,10 @@ def _load_config(path):
 def _cast(kind, val):
     """val as a kind (bool, int or float); ValueError if it is not one.
 
-    A bool must be a JSON true or false, and an int a number that int()
-    keeps as it is (3 or 3.0, not 1.7, "3" or true).
+    A bool must be a JSON true or false, an int a number that int() keeps
+    as it is (3 or 3.0, not 1.7, "3" or true), and a float not a bool.
     """
-    if kind is float:
+    if kind is float and not isinstance(val, bool):
         return float(val)
     if kind is bool and isinstance(val, bool):
         return val
@@ -158,21 +158,22 @@ def _target_from_dict(d):
     kind = d.get("kind", "offset")
     try:
         if kind == "constant":
-            if d.get("value") is not None:
-                return ConstantTarget(value=float(d["value"]), mask=d.get("mask"))
+            value = _pick(None, d, "value", None, float)
+            if value is not None:
+                return ConstantTarget(value=value, mask=d.get("mask"))
             vr = d.get("value_range")
             if vr is None:
                 raise ConfigError("constant target needs value or value_range")
             return ConstantTarget(
-                value_range=(float(vr[0]), float(vr[1])), mask=d.get("mask")
+                value_range=(_cast(float, vr[0]), _cast(float, vr[1])), mask=d.get("mask")
             )
         if kind != "offset":
             raise ConfigError(f"unknown target kind {kind!r}")
         return TargetSpec(
-            delta_scale=float(d.get("delta_scale", 0.0)),
+            delta_scale=_pick(None, d, "delta_scale", 0.0, float),
             mask=d.get("mask"),
-            clip_min=None if d.get("clip_min") is None else float(d["clip_min"]),
-            clip_max=None if d.get("clip_max") is None else float(d["clip_max"]),
+            clip_min=_pick(None, d, "clip_min", None, float),
+            clip_max=_pick(None, d, "clip_max", None, float),
         )
     except ConfigError:
         raise
@@ -423,8 +424,8 @@ def _scenario_from_config(cfg, seed):
         if not isinstance(d, dict):
             raise ConfigError(f"game setting must be a JSON object, got {d!r}")
         return GameSetting(
-            lam=float(d.get("lambda", 1.0)),
-            beta=float(d.get("beta", 0.5)),
+            lam=_pick(None, d, "lambda", 1.0, float),
+            beta=_pick(None, d, "beta", 0.5, float),
             target=_target_from_dict(d.get("target")),
         )
 
@@ -441,9 +442,7 @@ def _scenario_from_config(cfg, seed):
             seed=seed,
             defender_knows_actual=_pick(None, cfg, "defender_knows_actual", False, bool),
             standardize=_pick(None, cfg, "standardize", True, bool),
-            theta_radius=(
-                None if cfg.get("theta_radius") is None else float(cfg["theta_radius"])
-            ),
+            theta_radius=_pick(None, cfg, "theta_radius", None, float),
             fit=_fit_from_dict(cfg.get("fit")),
         )
     except ConfigError:

@@ -26,7 +26,11 @@ never binds. Two independent solvers, cross-checked in the tests:
   Each residual is convex, strictly decreasing and nonnegative at zero,
   so Newton started from zero climbs monotonically to the root.
 * `solve_equilibrium_pgd` — projected gradient descent with backtracking,
-  kept as the independent oracle the tests compare against.
+  kept as the independent oracle the tests compare against; it starts
+  from the least-squares fit.
+
+Both refuse X^T X by `linalg.nonsingular` (SingularDesign), even where
+kappa > 0 would let the equilibrium exist, so mlsg answers where OLS does.
 """
 
 import warnings
@@ -36,7 +40,7 @@ import numpy as np
 
 from .exceptions import MaxItersExceeded, NonFinite, SingularDesign
 from .game import sq_norm
-from .linalg import pd_check, solve_spd, sym_eig
+from .linalg import nonsingular, shifted_solve, sym_eig
 
 
 @dataclass(eq=False)
@@ -78,10 +82,10 @@ def project_to_ball(theta, radius):
 def default_radius(X, y):
     """Working ball of the PGD oracle and the fixed-point certificate: 10x
     the least-squares norm, which no equilibrium reaches. Raises
-    NotPositiveDefinite when X^T X is not numerically positive definite.
+    SingularDesign when lam_min(X^T X) <= PIVOT_RTOL * lam_max(X^T X).
     """
     X = np.asarray(X, dtype=float)
-    theta = solve_spd(X.T @ X, X.T @ np.asarray(y, dtype=float))
+    theta = shifted_solve(X.T @ X, X.T @ np.asarray(y, dtype=float), np.zeros(1))[0]
     return 10.0 * float(np.sqrt(theta @ theta))
 
 
@@ -119,8 +123,7 @@ def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
     y = np.asarray(y, dtype=float)
     XtX = X.T @ X
     Xty = X.T @ y
-    if not pd_check(XtX):
-        raise SingularDesign("X^T X is not numerically positive definite")
+    start = shifted_solve(XtX, Xty, np.zeros(1))[0]  # least squares
     radius = default_radius(X, y) if params.theta_radius is None else params.theta_radius
     kappa = _kappa(params, y)
     if not np.isfinite(kappa):
@@ -131,7 +134,7 @@ def solve_equilibrium_pgd(X, y, params, tol=1e-8, max_iters=50000):
     t_ref = 1.0 / L_hat
     gscale = 1.0 + float(np.sqrt((2.0 * Xty) @ (2.0 * Xty)))
 
-    theta = project_to_ball(solve_spd(XtX, Xty), radius)
+    theta = project_to_ball(start, radius)
     f_cur = equilibrium_objective(theta, X, y, params)
     t = t_ref
     c1 = 1e-4
@@ -191,18 +194,18 @@ def _newton_from_zero(g):
 def solve_equilibrium(X, y, params):
     """Exact equilibrium from one eigendecomposition of X^T X, with no
     ball when ``params.theta_radius`` is None. Raises SingularDesign when
-    X^T X is not numerically positive definite and NonFinite when the
-    quartic coefficient overflows.
+    lam_min(X^T X) <= PIVOT_RTOL * lam_max(X^T X), even where kappa > 0
+    would make the shifted system solvable, and NonFinite when the quartic
+    coefficient overflows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    XtX = X.T @ X
-    if not pd_check(XtX):
+    lam, V = sym_eig(X.T @ X)
+    if not nonsingular(lam):
         raise SingularDesign("X^T X is not numerically positive definite")
     kappa = _kappa(params, y)
     if not np.isfinite(kappa):
         raise NonFinite("quartic coefficient overflowed")
-    lam, V = sym_eig(XtX)
     b = V.T @ (X.T @ y)
     b2 = b * b
 

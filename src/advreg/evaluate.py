@@ -323,11 +323,13 @@ def run_scenario(train, test, cfg):
 
 
 def _grid(name, values, check):
-    """The grid as floats; ConfigError naming it unless every value passes check."""
+    """The grid as floats; ConfigError naming it unless every value is a
+    number (not a bool) that passes check."""
     try:
-        if isinstance(values, str):
+        grid = list(values)
+        if isinstance(values, str) or any(isinstance(v, bool) for v in grid):
             raise TypeError
-        grid = [float(v) for v in values]
+        grid = [float(v) for v in grid]
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a list of numbers, got {values!r}") from None
     if not grid:

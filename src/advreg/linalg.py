@@ -3,14 +3,18 @@
 All matrices here are plain numpy arrays, small (tens to a few hundred
 rows), symmetric positive definite where stated. The factorizations are
 numpy's LAPACK routines; on top of them this module keeps the library's
-own positive-definiteness threshold (PIVOT_RTOL) and symmetry check.
+own threshold (PIVOT_RTOL) and symmetry check.
+
+`nonsingular` is the library's one rule for when (X^T X + shift I) x = X^T y
+has a solution; `shifted_solve` solves it from one eigendecomposition for
+least squares (shift 0) and ridge regression.
 """
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NoConvergence, NotPositiveDefinite
+from .exceptions import DimensionMismatch, NoConvergence, NotPositiveDefinite, SingularDesign
 
-# Relative pivot threshold below which a Cholesky pivot counts as zero.
+# Relative threshold below which a pivot or an eigenvalue counts as zero.
 PIVOT_RTOL = 1e-12
 # Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-10
@@ -77,16 +81,6 @@ def solve_spd(A, b):
     return np.linalg.solve(A, b)
 
 
-def pd_check(A):
-    """True iff Cholesky succeeds on A with all pivots above the threshold."""
-    A = _require_square_symmetric(A)
-    try:
-        _cholesky(A)
-    except NotPositiveDefinite:
-        return False
-    return True
-
-
 def rank_one_inverse_update(A_inv, v):
     """Inverse of (A + v v^T) given the inverse of A.
 
@@ -122,3 +116,22 @@ def sym_eig(A):
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
     return vals[::-1], vecs[:, ::-1]
+
+
+def nonsingular(lam, shift=0.0):
+    """True where lam_min + shift > PIVOT_RTOL * (lam_max + shift), for the
+    descending eigenvalues lam of `sym_eig` and a shift or array of shifts."""
+    return lam[-1] + shift > PIVOT_RTOL * (lam[0] + shift)
+
+
+def shifted_solve(G, b, shifts):
+    """Solutions x of (G + shift I) x = b, one row per shift, from one
+    eigendecomposition G = V diag(lam) V^T: x = V diag(1 / (lam + shift)) V^T b.
+
+    Raises SingularDesign when some shift fails `nonsingular`.
+    """
+    lam, V = sym_eig(G)
+    ok = nonsingular(lam, shifts)
+    if not np.all(ok):
+        raise SingularDesign(f"X^T X + shift I is singular at shift={shifts[~ok][0]:g}")
+    return (V.T @ b / (lam + shifts[:, None])) @ V.T

@@ -259,6 +259,16 @@ def test_train_error_exit_codes(tmp_path):
                        "--quiet", "--out", out) == code
 
 
+def test_train_refuses_a_near_singular_design_for_ols_and_mlsg(tmp_path):
+    # lam_min / lam_max of X^T X is 5.6e-13, under PIVOT_RTOL: both refuse
+    csv = tmp_path / "near.csv"
+    csv.write_text("a,b,y\n1,1,1\n1,1.000003,2\n0,0,3\n", encoding="utf-8")
+    for algorithm in ("ols", "mlsg"):
+        assert run_cli("train", "--dataset", str(csv), "--label", "y", "--no-standardize",
+                       "--algorithm", algorithm, "--quiet",
+                       "--out", str(tmp_path / "model.json")) == 4
+
+
 # ----------------------------------------------------------------- attack
 
 
@@ -673,13 +683,22 @@ WRONG_TYPED_VALUES = {
     "evaluate-n-fraction": ("evaluate", {"n": 2.5}, "n"),
     "train-n-fraction": ("train", {"algorithm": "ols", "n": 2.5}, "n"),
     "verify-trials-boolean": ("verify", {"checks": "core", "trials": True}, "trials"),
+    # a JSON boolean is not a number either
+    "evaluate-defender_estimates-lambda": (
+        "evaluate", {"defender_estimates": {"lambda": True, "beta": 0.5}}, "lambda"),
+    "evaluate-theta_radius": ("evaluate", {"theta_radius": True}, "theta_radius"),
+    "evaluate-target-delta_scale": (
+        "evaluate", {"actual": {"lambda": 1.0, "beta": 0.5, "target": {"delta_scale": True}}},
+        "delta_scale"),
+    "sweep-lambda_grid": ("sweep", {"lambda_grid": [True]}, "lambda_grid"),
+    "train-beta": ("train", {"algorithm": "mlsg", "beta": True}, "beta"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_TYPED_VALUES))
 def test_wrong_typed_config_value_is_a_config_error(case, synth_csv, tmp_path, capsys):
     command, values, key = WRONG_TYPED_VALUES[case]
-    cfg = eval_config(synth_csv, lambda_grid=[1.0], beta_grid=[0.5], **values)
+    cfg = eval_config(synth_csv, **{"lambda_grid": [1.0], "beta_grid": [0.5], **values})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"

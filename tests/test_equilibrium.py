@@ -24,6 +24,7 @@ from advreg.equilibrium import (
     solve_equilibrium,
     solve_equilibrium_pgd,
 )
+from advreg.exceptions import SingularDesign
 from advreg.game import GameParams
 
 CUBIC_X = np.array([[1.0]])
@@ -211,7 +212,7 @@ def test_no_radius_solves_no_least_squares(monkeypatch):
         raise AssertionError("no least-squares solve expected")
 
     monkeypatch.setattr(eq, "default_radius", refuse)
-    monkeypatch.setattr(eq, "solve_spd", refuse)
+    monkeypatch.setattr(eq, "shifted_solve", refuse)
     X, y, p = random_instance(np.random.default_rng(10))
     sol = solve_equilibrium(X, y, replace(p, theta_radius=None))
     assert not sol.on_boundary
@@ -261,3 +262,45 @@ def test_default_radius_contains_unregularized_solution():
     R = default_radius(X, y)
     assert np.isfinite(R) and R > 0
     assert np.linalg.norm(fit_ols(X, y)) <= R
+
+
+# ----------------------------------------------- one least-squares rule
+
+# lam_min / lam_max of X^T X: about 0.18, 5.6e-13, 0 and 0
+LEAST_SQUARES_DESIGNS = {
+    "well_conditioned": np.random.default_rng(12).normal(size=(8, 3)),
+    "near_singular": np.array([[1.0, 1.0], [1.0, 1.0 + 3e-6], [0.0, 0.0]]),
+    "rank_one": np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]),
+    "zero_column": np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("design", sorted(LEAST_SQUARES_DESIGNS))
+def test_every_least_squares_solver_answers_or_refuses_together(design):
+    # each normal-equations solve reads singularity off the spectrum of
+    # X^T X by one rule; mlsg at kappa > 0 refuses too where OLS does
+    X = LEAST_SQUARES_DESIGNS[design]
+    m = X.shape[0]
+    y = np.linspace(1.0, 2.0, m)
+    game = GameParams(n=3, beta=0.8, lam=1.0, z=y + 1.0)
+    solvers = {
+        "ols": lambda: fit_ols(X, y),
+        "ridge0": lambda: fit_ridge(X, y, 0.0),
+        "mlsg_beta0": lambda: solve_equilibrium(X, y, replace(game, beta=0.0)).theta_star,
+        "mlsg": lambda: solve_equilibrium(X, y, game).theta_star,
+        "pgd": lambda: solve_equilibrium_pgd(X, y, game).theta_star,
+        "radius": lambda: default_radius(X, y),
+    }
+    answers = {}
+    for name, solve in solvers.items():
+        try:
+            answers[name] = solve()
+        except SingularDesign:
+            answers[name] = None
+    refused = {name for name, value in answers.items() if value is None}
+    assert refused in (set(), set(solvers)), refused
+    assert (refused == set()) == (design == "well_conditioned")
+    if not refused:
+        assert np.array_equal(answers["ols"], answers["ridge0"])
+        assert np.allclose(answers["mlsg_beta0"], answers["ols"], rtol=1e-10, atol=1e-12)
+        assert np.allclose(answers["pgd"], answers["mlsg"], rtol=1e-5, atol=1e-8)

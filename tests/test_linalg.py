@@ -1,12 +1,20 @@
-"""Dense symmetric kernel: SPD solves, PD test, rank-one inverse updates,
-and the symmetric eigensolver.  Oracles are hand inversions and the NumPy
-reference decomposition on seeded random matrices."""
+"""Dense symmetric kernel: SPD solves, the singularity rule and shifted
+solves, rank-one inverse updates, and the symmetric eigensolver.  Oracles
+are hand inversions and the NumPy reference decomposition on seeded random
+matrices."""
 
 import numpy as np
 import pytest
 
-from advreg.exceptions import DimensionMismatch, NotPositiveDefinite
-from advreg.linalg import pd_check, rank_one_inverse_update, solve_spd, sym_eig
+from advreg.exceptions import DimensionMismatch, NotPositiveDefinite, SingularDesign
+from advreg.linalg import (
+    PIVOT_RTOL,
+    nonsingular,
+    rank_one_inverse_update,
+    shifted_solve,
+    solve_spd,
+    sym_eig,
+)
 
 
 def random_spd(rng, n, jitter=0.5):
@@ -62,7 +70,6 @@ def test_solve_rejects_indefinite():
     for A in (indefinite, tiny_pivot):
         with pytest.raises(NotPositiveDefinite):
             solve_spd(A, np.array([1.0, 1.0]))
-        assert pd_check(A) is False
 
 
 def test_solve_rejects_shape_mismatch():
@@ -70,28 +77,38 @@ def test_solve_rejects_shape_mismatch():
         solve_spd(np.eye(2), np.array([1.0, 2.0, 3.0]))
 
 
-# ----------------------------------------------------------------- pd_check
+# ------------------------------------------------ nonsingular, shifted_solve
 
-def test_pd_check_identity_true():
-    assert pd_check(np.eye(3)) is True
-
-
-def test_pd_check_indefinite_false():
-    assert pd_check(np.array([[1.0, 2.0], [2.0, 1.0]])) is False
-
-
-def test_pd_check_2x2_true():
-    assert pd_check(np.array([[2.0, 1.0], [1.0, 2.0]])) is True
+def test_nonsingular_refuses_exactly_at_the_threshold():
+    lam = np.array([1.0, PIVOT_RTOL])
+    assert not nonsingular(lam)
+    assert nonsingular(np.array([1.0, 2.0 * PIVOT_RTOL]))
+    with pytest.raises(SingularDesign):
+        shifted_solve(np.diag(lam), np.ones(2), np.zeros(1))
 
 
-def test_pd_check_agrees_with_eigenvalues():
+def test_a_shift_rescues_a_singular_spectrum():
+    G = np.array([[1.0, 1.0], [1.0, 1.0]])  # eigenvalues 2 and 0
+    lam, _ = sym_eig(G)
+    assert not nonsingular(lam)
+    assert nonsingular(lam, 0.5)
+    assert list(nonsingular(lam, np.array([0.0, 0.5]))) == [False, True]
+    x = shifted_solve(G, np.array([1.0, 2.0]), np.array([0.5]))[0]
+    assert np.allclose((G + 0.5 * np.eye(2)) @ x, [1.0, 2.0], atol=1e-12)
+    with pytest.raises(SingularDesign):
+        shifted_solve(G, np.array([1.0, 2.0]), np.array([0.5, 0.0]))
+
+
+def test_nonsingular_agrees_in_sign_with_eigvalsh():
+    # on random symmetric matrices the rule reads lam_min > 0 off any
+    # spectrum not within PIVOT_RTOL of singular
     rng = np.random.default_rng(5)
     for _ in range(100):
         n = int(rng.integers(1, 6))
         M = rng.normal(size=(n, n))
         A = (M + M.T) / 2
-        expected = bool(np.linalg.eigvalsh(A).min() > 0)
-        assert pd_check(A) == expected
+        vals = np.linalg.eigvalsh(A)
+        assert nonsingular(sym_eig(A)[0]) == bool(vals.min() > 0)
 
 
 # ------------------------------------------------- rank_one_inverse_update
