@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .baselines import FitConfig
+from .baselines import FitConfig, _check_alpha
 from .data import (
     ConstantTarget,
     Standardizer,
@@ -40,6 +40,7 @@ from .evaluate import (
     STREAM_ACTUAL_TARGET,
     GameSetting,
     ScenarioConfig,
+    _grid,
     draw_target,
     fit_model,
     run_scenario,
@@ -156,22 +157,30 @@ def _target_from_dict(d):
     if not isinstance(d, dict):
         raise ConfigError(f"target must be a JSON object, got {d!r}")
     kind = d.get("kind", "offset")
+    mask = d.get("mask")
+    if mask is not None:
+        try:
+            if not isinstance(mask, list):
+                raise TypeError
+            mask = [_cast(int, i) for i in mask]
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"mask must be a list of integers, got {mask!r}") from None
     try:
         if kind == "constant":
             value = _pick(None, d, "value", None, float)
             if value is not None:
-                return ConstantTarget(value=value, mask=d.get("mask"))
+                return ConstantTarget(value=value, mask=mask)
             vr = d.get("value_range")
             if vr is None:
                 raise ConfigError("constant target needs value or value_range")
             return ConstantTarget(
-                value_range=(_cast(float, vr[0]), _cast(float, vr[1])), mask=d.get("mask")
+                value_range=(_cast(float, vr[0]), _cast(float, vr[1])), mask=mask
             )
         if kind != "offset":
             raise ConfigError(f"unknown target kind {kind!r}")
         return TargetSpec(
             delta_scale=_pick(None, d, "delta_scale", 0.0, float),
-            mask=d.get("mask"),
+            mask=mask,
             clip_min=_pick(None, d, "clip_min", None, float),
             clip_max=_pick(None, d, "clip_max", None, float),
         )
@@ -201,11 +210,12 @@ def _fit_from_dict(d):
         return FitConfig()
     if not isinstance(d, dict):
         raise ConfigError(f"fit config must be a JSON object, got {d!r}")
+    kwargs = {}
+    if d.get("cv_folds") is not None:
+        kwargs["cv_folds"] = _pick(None, d, "cv_folds", None, int)
+    if d.get("cv_alpha_grid") is not None:
+        kwargs["cv_alpha_grid"] = _grid("cv_alpha_grid", d["cv_alpha_grid"], _check_alpha)
     try:
-        kwargs = {}
-        for key in ("cv_folds", "cv_alpha_grid"):
-            if d.get(key) is not None:
-                kwargs[key] = d[key]
         return FitConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit config {d!r}: {exc}") from exc

@@ -196,16 +196,18 @@ def load_csv(path, label):
                 raise MissingLabelColumn(f"label column {label!r} not in header {header}")
             label_idx = header.index(label)
         width = len(header)
-        parsed = []
-        for line, row in enumerate(itertools.chain([first], reader), start=2):
-            try:
-                vals = list(map(float, map(str.strip, row)))
-            except ValueError:
-                vals = None
-            if vals is None or len(vals) != width or not all(map(math.isfinite, vals)):
-                raise _row_error(line, row, width)  # header is file line 1
-            parsed.append(vals)
-    values = np.array(parsed)
+        try:
+            values = _parse_rows(itertools.chain([first], reader), width)
+        except ValueError:
+            # a second pass, row by row, finds the first violation
+            f.seek(0)
+            rows = csv.reader(f)
+            next(rows)
+            for line, row in enumerate(rows, start=2):  # header is file line 1
+                error = _row_error(line, row, width)
+                if error is not None:
+                    raise error from None
+            raise
     keep = [j for j in range(width) if j != label_idx]
     return Dataset(
         X=values[:, keep],
@@ -215,8 +217,23 @@ def load_csv(path, label):
     )
 
 
+def _parse_rows(rows, width):
+    """The rows as one (rows, width) float array; ValueError if a row has
+    another cell count or a cell is unparsable or non-finite."""
+    flat = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError
+        flat.extend(map(float, map(str.strip, row)))
+    values = np.array(flat).reshape(-1, width)
+    if not np.isfinite(values).all():
+        raise ValueError
+    return values
+
+
 def _row_error(line, row, width):
-    """The ParseError for the first bad cell of a row that failed whole."""
+    """The ParseError for a row's wrong cell count or first bad cell; None
+    for a good row."""
     if len(row) != width:
         return ParseError(line, min(len(row), width) + 1,
                           f"expected {width} cells, got {len(row)}")

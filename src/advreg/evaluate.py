@@ -34,7 +34,14 @@ from .data import (
 )
 from .equilibrium import solve_equilibrium
 from .exceptions import ConfigError, DimensionMismatch
-from .game import GameParams, ThetaProfile, _check_beta_lam, attacker_best_response, sq_norm
+from .game import (
+    GameParams,
+    ThetaProfile,
+    _check_beta_lam,
+    attacker_best_response,
+    sq_norm,
+    symmetric_attacked_predictions,
+)
 
 
 def derive_seed(base, *parts):
@@ -242,13 +249,13 @@ def simulate_attack(thetas, X_test, z_test, lam):
     return attacker_best_response(profile, X_test, params)
 
 
-def expected_rmse(theta, X_clean, X_attacked, y, beta):
-    """(expected, clean, attacked) RMSE for one model under attack prob beta."""
-    theta = np.asarray(theta, dtype=float)
+def expected_rmse(pred_clean, pred_attacked, y, beta):
+    """(expected, clean, attacked) RMSE of one model's predictions on clean
+    and on attacked features, under attack probability beta."""
     y = np.asarray(y, dtype=float)
     N = y.shape[0]
-    sq_clean = sq_norm(X_clean @ theta - y)
-    sq_att = sq_norm(X_attacked @ theta - y)
+    sq_clean = sq_norm(np.asarray(pred_clean, dtype=float) - y)
+    sq_att = sq_norm(np.asarray(pred_attacked, dtype=float) - y)
     rmse_clean = float(np.sqrt(sq_clean / N))
     rmse_att = float(np.sqrt(sq_att / N))
     rmse_exp = float(np.sqrt((beta * sq_att + (1.0 - beta) * sq_clean) / N))
@@ -268,7 +275,9 @@ def run_scenario(train, test, cfg):
     """Fit every algorithm, attack each with the actual setting, score RMSEs.
 
     Each side's target reads sigma from its own labels: the defender's
-    from the training labels, the attacker's from the test labels.
+    from the training labels, the attacker's from the test labels. The
+    attack on n copies of a model is scored from its predictions X' theta
+    in closed form (`symmetric_attacked_predictions`); X' is never built.
     """
     if train.d != test.d:
         raise DimensionMismatch(f"train has {train.d} features, test has {test.d}")
@@ -294,9 +303,8 @@ def run_scenario(train, test, cfg):
             algo, X_tr, train.y, setting=est, n=cfg.n, theta_radius=cfg.theta_radius,
             fit=cfg.fit, seed=cfg.seed,
         )
-        profile = ThetaProfile.symmetric(theta, cfg.n)
-        X_att = simulate_attack(profile, X_te, z_test, cfg.actual.lam)
-        exp, clean, att = expected_rmse(theta, X_te, X_att, test.y, cfg.actual.beta)
+        pred_att = symmetric_attacked_predictions(theta, X_te, z_test, cfg.actual.lam, cfg.n)
+        exp, clean, att = expected_rmse(X_te @ theta, pred_att, test.y, cfg.actual.beta)
         results[algo] = {
             "rmse_expected": exp,
             "rmse_clean": clean,

@@ -8,6 +8,14 @@ strictly convex with the closed-form minimizer
 
     X' = (lam * X + z * sum_i theta_i^T) (lam * I + sum_i theta_i theta_i^T)^-1.
 
+When all n learners play the same theta, A = lam * I + n theta theta^T, and
+Sherman-Morrison on this minimizer gives A^-1 theta = theta / (lam + n s)
+with s = theta^T theta, so the attacked predictions need no X':
+
+    X' theta = (lam * X theta + n s z) / (lam + n s).
+
+`symmetric_attacked_predictions` evaluates this in O(md).
+
 Each learner's realized cost mixes attacked and clean risk with weight
 beta, and `approx_cost` is the upper-bound surrogate that decouples the
 learners (clean risk plus a quartic interaction penalty).
@@ -124,6 +132,11 @@ def _check_design(X, d, m=None, name="X"):
     return X
 
 
+def _check_target_rows(z, X):
+    if z.shape[0] != X.shape[0]:
+        raise DimensionMismatch(f"z has {z.shape[0]} entries, X has {X.shape[0]} rows")
+
+
 def _canonical_sum(values):
     # value-sorted accumulation: invariant under any relabeling of learners
     return float(np.sum(np.sort(np.asarray(values, dtype=float))))
@@ -148,10 +161,7 @@ def build_attack_operator(thetas, X, params):
     """
     T = _profile_array(thetas)
     X = _check_design(X, T.shape[1])
-    if params.z.shape[0] != X.shape[0]:
-        raise DimensionMismatch(
-            f"z has {params.z.shape[0]} entries, X has {X.shape[0]} rows"
-        )
+    _check_target_rows(params.z, X)
     order = _canonical_order(T)
     A_inv = np.eye(T.shape[1]) / params.lam
     for i in order:
@@ -172,15 +182,33 @@ def attacker_best_response(thetas, X, params):
     return X_prime
 
 
+def symmetric_attacked_predictions(theta, X, z, lam, n):
+    """X' theta of the best response to n copies of theta, without X'.
+
+    Equals `attacker_best_response(ThetaProfile.symmetric(theta, n), X,
+    params) @ theta` up to rounding; see the module docstring for the form.
+    """
+    params = GameParams(n=n, beta=1.0, lam=lam, z=z)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        raise DimensionMismatch(f"theta must be a vector, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise NonFinite("theta contains non-finite entries")
+    X = _check_design(X, theta.shape[0])
+    _check_target_rows(params.z, X)
+    ns = params.n * sq_norm(theta)
+    pred = (params.lam * (X @ theta) + ns * params.z) / (params.lam + ns)
+    if not np.all(np.isfinite(pred)):
+        raise NonFinite("attacked predictions are non-finite")
+    return pred
+
+
 def attacker_cost(thetas, X, X_prime, params):
     """sum_i ||X' theta_i - z||^2 + lam * ||X' - X||_F^2."""
     T = _profile_array(thetas)
     X = _check_design(X, T.shape[1])
     X_prime = _check_design(X_prime, T.shape[1], m=X.shape[0], name="X_prime")
-    if params.z.shape[0] != X.shape[0]:
-        raise DimensionMismatch(
-            f"z has {params.z.shape[0]} entries, X has {X.shape[0]} rows"
-        )
+    _check_target_rows(params.z, X)
     resid = X_prime @ T.T - params.z[:, None]
     terms = np.sum(resid * resid, axis=0)
     shift = X_prime - X

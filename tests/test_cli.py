@@ -1,12 +1,16 @@
 """End-to-end command-line tests, driven in-process through main(argv)."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advreg
 import advreg.cli as cli_mod
 import advreg.verify as verify_mod
 from advreg.cli import main
@@ -692,6 +696,18 @@ WRONG_TYPED_VALUES = {
         "delta_scale"),
     "sweep-lambda_grid": ("sweep", {"lambda_grid": [True]}, "lambda_grid"),
     "train-beta": ("train", {"algorithm": "mlsg", "beta": True}, "beta"),
+    # fit settings and target masks are read as typed as the keys above
+    "train-cv_folds-fraction": ("train", {"algorithm": "ridge", "fit": {"cv_folds": 2.7}},
+                                "cv_folds"),
+    "train-cv_folds-string": ("train", {"algorithm": "ridge", "fit": {"cv_folds": "3"}},
+                              "cv_folds"),
+    "train-cv_alpha_grid-boolean": (
+        "train", {"algorithm": "ridge", "fit": {"cv_alpha_grid": [True, 1.0]}}, "cv_alpha_grid"),
+    "train-cv_alpha_grid-scalar": (
+        "train", {"algorithm": "ridge", "fit": {"cv_alpha_grid": 0.5}}, "cv_alpha_grid"),
+    "train-target-mask": (
+        "train", {"algorithm": "mlsg", "target": {"delta_scale": 1.0, "mask": [1.7, True]}},
+        "mask"),
 }
 
 
@@ -761,6 +777,15 @@ def test_seed_precedence_flag_config_env(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------- installed tool
+
+
+def test_module_entry_point_runs():
+    src = str(Path(advreg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "advreg", "verify", "--checks", "rosen_pd",
+                           "--trials", "2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
 
 
 def test_installed_entry_point_runs():

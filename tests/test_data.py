@@ -117,6 +117,13 @@ def test_load_csv_reports_the_first_bad_row(tmp_path):
     assert str(err) == "row 3, column 4: expected 3 cells, got 4"
 
 
+def test_load_csv_reports_a_non_finite_row_before_a_later_unparsable_one(tmp_path):
+    # parsing stops at line 5's text cell; line 3's NaN still comes first
+    err = parse_error(tmp_path, "a,b,y\n1,2,3\n4,nan,6\n7,8,9\n1,x,3\n")
+    assert (err.row, err.col) == (3, 2)
+    assert str(err) == "row 3, column 2: non-finite value 'nan'"
+
+
 @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", " NaN "])
 def test_load_csv_rejects_non_finite_spellings(cell, tmp_path):
     err = parse_error(tmp_path, f"a,y\n1,2\n3,{cell}\n")

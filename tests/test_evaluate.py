@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import advreg.evaluate as evaluate_mod
 from advreg.data import (
     TargetSpec,
     apply_standardizer,
+    build_target,
     concat_datasets,
     fit_standardizer,
     label_stats,
@@ -29,6 +31,7 @@ from advreg.evaluate import (
     run_sweep,
     simulate_attack,
 )
+from advreg.game import ThetaProfile, symmetric_attacked_predictions
 from advreg.serialize import to_json
 from advreg.synthetic import load_bundled, make_synthetic
 
@@ -107,28 +110,52 @@ def test_attack_scalar_oracle():
 # ----------------------------------------------------------- expected_rmse
 
 def test_expected_rmse_beta_extremes():
-    theta = np.array([1.0])
-    Xc = np.array([[1.0], [2.0]])
-    Xa = np.array([[3.0], [5.0]])
+    pred_clean = np.array([1.0, 2.0])
+    pred_att = np.array([3.0, 5.0])
     y = np.array([1.0, 2.0])
-    exp0, clean, att = expected_rmse(theta, Xc, Xa, y, beta=0.0)
+    exp0, clean, att = expected_rmse(pred_clean, pred_att, y, beta=0.0)
     assert exp0 == clean
-    exp1, _, att1 = expected_rmse(theta, Xc, Xa, y, beta=1.0)
+    exp1, _, att1 = expected_rmse(pred_clean, pred_att, y, beta=1.0)
     assert exp1 == att1 == att
 
 
 def test_expected_rmse_hand_value():
     # clean residuals (0,0), attacked residuals (1,1), beta=1/2
-    theta = np.array([1.0])
-    Xc = np.array([[0.0], [0.0]])
-    Xa = np.array([[1.0], [1.0]])
+    pred_clean = np.array([0.0, 0.0])
+    pred_att = np.array([1.0, 1.0])
     y = np.zeros(2)
-    exp, clean, att = expected_rmse(theta, Xc, Xa, y, beta=0.5)
+    exp, clean, att = expected_rmse(pred_clean, pred_att, y, beta=0.5)
     assert clean == 0.0 and att == 1.0
     assert exp == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
 # ------------------------------------------------------------ run_scenario
+
+def test_scenario_attacked_predictions_match_the_attack_command_path(monkeypatch):
+    # the sweep scores X' theta in closed form; the `attack` command writes
+    # the full X' from simulate_attack; both must give the same predictions
+    seen = []
+
+    def recording(theta, X, z, lam, n):
+        pred = symmetric_attacked_predictions(theta, X, z, lam, n)
+        seen.append(pred)
+        return pred
+
+    monkeypatch.setattr(evaluate_mod, "symmetric_attacked_predictions", recording)
+    train, test = small_data(seed=3)
+    cfg = small_config(actual=GameSetting(lam=0.7, beta=0.5, target=TargetSpec(delta_scale=2.0)))
+    results = run_scenario(train, test, cfg).results
+    X_te = apply_standardizer(fit_standardizer(train.X), test.X)
+    z = build_target(test.y, cfg.actual.target, label_stats(test.y)[1])
+    assert len(seen) == len(results)
+    for algo, pred in zip(sorted(results), seen):
+        theta = np.array(results[algo]["theta"])
+        X_att = simulate_attack(ThetaProfile.symmetric(theta, cfg.n), X_te, z, 0.7)
+        want = X_att @ theta
+        assert np.linalg.norm(pred - want) <= 1e-12 * np.linalg.norm(want), algo
+        rmse_att = np.sqrt(np.mean((want - test.y) ** 2))
+        assert results[algo]["rmse_attacked"] == pytest.approx(rmse_att, rel=1e-12), algo
+
 
 def test_scenario_rmse_mixture_identity():
     train, test = small_data()

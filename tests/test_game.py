@@ -6,12 +6,15 @@ the closed form is cross-checked by random perturbation (the best response
 must not be improvable) and, in one dimension, against a grid minimizer.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from advreg.exceptions import DimensionMismatch
+from advreg.exceptions import DimensionMismatch, NonFinite
 from advreg.game import (
     GameParams,
+    ThetaProfile,
     approx_cost,
     approx_cost_gradient,
     attacker_best_response,
@@ -20,6 +23,7 @@ from advreg.game import (
     exact_game_cost,
     learner_cost,
     sq_norm,
+    symmetric_attacked_predictions,
 )
 
 
@@ -139,6 +143,93 @@ def test_best_response_rejects_mismatched_shapes():
     X = np.array([[1.0], [2.0]])
     with pytest.raises(DimensionMismatch):
         attacker_best_response(thetas, X, params_for(thetas, z=[1.0, 1.0]))
+
+
+# ----------------------------------------- symmetric_attacked_predictions
+
+
+def random_symmetric_instance(rng, k, max_m, max_d):
+    """A seeded instance; every 8th has theta = 0, every 5th n = 1, and
+    lam cycles through 1e-6, 1e6 and log-uniform draws in [1e-1, 1e3]."""
+    m = int(rng.integers(1, max_m + 1))
+    d = int(rng.integers(1, max_d + 1))
+    n = 1 if k % 5 == 0 else int(rng.integers(1, 8))
+    lam = (1e-6, 1e6, float(10 ** rng.uniform(-1, 3)))[k % 3]
+    theta = rng.normal(size=d) * 10 ** rng.uniform(-2, 1)
+    if k % 8 == 0:
+        theta[:] = 0.0
+    X = rng.normal(size=(m, d)) * 10 ** rng.uniform(-1, 1)
+    z = rng.normal(size=m) * 3.0
+    return theta, X, z, lam, n
+
+
+def rel_err(got, want):
+    scale = np.linalg.norm(want)
+    return np.linalg.norm(got - want) / scale if scale else np.linalg.norm(got)
+
+
+def test_symmetric_attacked_predictions_match_the_best_response():
+    rng = np.random.default_rng(16)
+    for k in range(240):
+        theta, X, z, lam, n = random_symmetric_instance(rng, k, 40, 8)
+        params = GameParams(n=n, beta=1.0, lam=lam, z=z)
+        want = attacker_best_response(ThetaProfile.symmetric(theta, n), X, params) @ theta
+        got = symmetric_attacked_predictions(theta, X, z, lam, n)
+        # the best response builds A^-1 by rank-one updates from I / lam, which
+        # cancels in theta's direction and loses log10(kappa) digits
+        # (about 3e-7 relative at lam = 1e-6); the exact-arithmetic test
+        # below holds the closed form to 1e-12 on those instances
+        kappa = 1.0 + n * (theta @ theta) / lam
+        assert rel_err(got, want) <= 1e-12 * kappa, (k, lam, n)
+
+
+def exact_attacked_predictions(theta, X, z, lam, n):
+    """X' theta in rational arithmetic, independently of the closed form:
+    solve (lam I + n theta theta^T) w = theta by Gauss-Jordan elimination,
+    then X' theta = (lam X + n z theta^T) w."""
+    d = len(theta)
+    t = [Fraction(v) for v in theta]
+    lam, n = Fraction(lam), Fraction(n)
+    rows = [[lam * (i == j) + n * t[i] * t[j] for j in range(d)] + [t[i]] for i in range(d)]
+    for c in range(d):  # positive definite: every pivot is nonzero
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    w = [rows[i][d] / rows[i][i] for i in range(d)]
+    tw = sum(ti * wi for ti, wi in zip(t, w))
+    return np.array([
+        float(lam * sum(Fraction(x) * wi for x, wi in zip(row, w)) + n * Fraction(zi) * tw)
+        for row, zi in zip(X.tolist(), z.tolist())
+    ])
+
+
+def test_symmetric_attacked_predictions_match_exact_arithmetic():
+    rng = np.random.default_rng(61)
+    for k in range(200):
+        theta, X, z, lam, n = random_symmetric_instance(rng, k, 6, 4)
+        got = symmetric_attacked_predictions(theta, X, z, lam, n)
+        assert rel_err(got, exact_attacked_predictions(theta, X, z, lam, n)) <= 1e-12, (k, lam)
+
+
+def test_symmetric_attacked_predictions_check_inputs():
+    theta, X, z = np.ones(2), np.ones((3, 2)), np.ones(3)
+    with pytest.raises(DimensionMismatch):
+        symmetric_attacked_predictions(theta, np.ones((3, 1)), z, 1.0, 2)
+    with pytest.raises(DimensionMismatch):
+        symmetric_attacked_predictions(theta, X, np.ones(2), 1.0, 2)
+    with pytest.raises(DimensionMismatch):
+        symmetric_attacked_predictions(np.ones((1, 2)), X, z, 1.0, 2)
+    with pytest.raises(NonFinite):
+        symmetric_attacked_predictions([1.0, np.nan], X, z, 1.0, 2)
+    with pytest.raises(NonFinite):
+        symmetric_attacked_predictions(theta, np.full((3, 2), np.inf), z, 1.0, 2)
+    with pytest.raises(ValueError):
+        symmetric_attacked_predictions(theta, X, z, 0.0, 2)
+    with pytest.raises(ValueError):
+        symmetric_attacked_predictions(theta, X, z, 1.0, 0)
+    with np.errstate(over="ignore"), pytest.raises(NonFinite):  # lam * X theta overflows
+        symmetric_attacked_predictions(theta, np.full((3, 2), 1e300), z, 1e300, 2)
 
 
 # ------------------------------------------------------------------ costs
