@@ -6,6 +6,18 @@ reads back to the same double), so a rerun with the same inputs reproduces
 the same bytes. Each JSON artifact embeds the resolved settings under a
 "config" key; feeding that file back through --config replays the run.
 
+Each command declares the keys it reads once, as (key, kind, default) rows
+of one table (_TRAIN, _ATTACK, _EVALUATE, _SWEEP, _VERIFY); the target, the
+fit settings and each game setting are objects read through tables of their
+own. One reader, _read, takes each key from its flag (whose argparse dest is
+the key itself), else from the config, else the default, and casts it by its
+kind. A value the kind cannot hold exactly (a string or a bool where a
+number belongs, 1.7 where an integer belongs, a list where an object
+belongs) is a configuration error naming the key; a JSON null counts as
+absent. Keys that no table declares are ignored, so artifacts that carry a
+setting since removed still replay. The echoed config is the resolved
+table, objects included.
+
 Seed precedence: --seed flag, then the config file, then the ADVREG_SEED
 environment variable, then 0.
 
@@ -23,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .baselines import FitConfig, _check_alpha
+from .baselines import FitConfig, _default_alpha_grid
 from .data import (
     ConstantTarget,
     Standardizer,
@@ -40,7 +52,6 @@ from .evaluate import (
     STREAM_ACTUAL_TARGET,
     GameSetting,
     ScenarioConfig,
-    _grid,
     draw_target,
     fit_model,
     run_scenario,
@@ -94,138 +105,250 @@ def _load_config(path):
     return cfg
 
 
-def _cast(kind, val):
-    """val as a kind (bool, int or float); ValueError if it is not one.
-
-    A bool must be a JSON true or false, an int a number that int() keeps
-    as it is (3 or 3.0, not 1.7, "3" or true), and a float not a bool.
-    """
-    if kind is float and not isinstance(val, bool):
-        return float(val)
-    if kind is bool and isinstance(val, bool):
-        return val
-    if kind is int and not isinstance(val, bool) and int(val) == val:
-        return int(val)
-    raise ValueError(val)
+# -------------------------------------------------------- config schema
+# A kind casts one given value or raises TypeError or ValueError. A number
+# is a JSON number, never a bool or a string; an integer is a number that
+# int() keeps as it is (3 or 3.0, not 1.7).
 
 
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+def _instance_of(cls):
+    def cast(val):
+        if isinstance(val, cls):
+            return val
+        raise TypeError
+    return cast
 
 
-def _pick(flag, cfg, key, default, kind=None):
-    """The flag, else cfg[key], else default; a given value is cast by kind.
+_bool, _string, _object = _instance_of(bool), _instance_of(str), _instance_of(dict)
 
-    A value kind cannot take is a ConfigError naming key.
-    """
-    val = flag if flag is not None else cfg.get(key)
-    if val is None:
-        return default
-    if kind is None:
-        return val
+
+def _float(val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeError
+    return float(val)
+
+
+def _int(val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or int(val) != val:
+        raise TypeError
+    return int(val)
+
+
+def _label(val):
+    """A column index if val is an integer or its digits, else a column name."""
+    if not isinstance(val, str):
+        return _int(val)
     try:
-        return _cast(kind, val)
+        return int(val)
+    except ValueError:
+        return val
+
+
+def _list_of(kind):
+    def cast(val):
+        if not isinstance(val, list):
+            raise TypeError
+        return [kind(v) for v in val]
+    return cast
+
+
+_ints, _floats, _names = _list_of(_int), _list_of(_float), _list_of(_string)
+
+
+def _strings(val):
+    names = _names(val)
+    if not names:
+        raise ValueError
+    return names
+
+
+def _pair(val):
+    lo, hi = _floats(val)
+    return lo, hi
+
+
+def _checks(val):
+    if isinstance(val, list):
+        return _names(val)
+    named = {"all": ALL_CHECKS, "core": CORE_CHECKS}.get(_string(val))
+    if named is not None:
+        return list(named)
+    return [s.strip() for s in val.split(",") if s.strip()]
+
+
+_KIND_NAMES = {
+    _bool: "true or false",
+    _float: "a number",
+    _int: "an integer",
+    _string: "a string",
+    _label: "a column name or 0-based index",
+    _ints: "a list of integers",
+    _floats: "a list of numbers",
+    _strings: "a non-empty list of strings",
+    _pair: "a pair of numbers",
+    _checks: 'a list of check names, "core", "all" or comma-separated names',
+    _object: "a JSON object",
+}
+_REQUIRED = object()
+
+
+def _typed(key, kind, val):
+    """val cast by kind; ConfigError naming key if the kind cannot hold it."""
+    try:
+        return kind(val)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {val!r}") from None
 
 
-def _resolve_seed(flag_seed, cfg):
-    seed = _pick(flag_seed, cfg, "seed", None, int)
-    if seed is not None:
-        return seed
+def _read(args, cfg, spec):
+    """The settings a table declares, as {key: value}.
+
+    For each (key, kind, default) row: the flag whose dest is key, else
+    cfg[key], else the default (a callable one is called), a given value
+    cast by kind. An object kind is a builder: it reads the key's JSON
+    object, or the default {} when absent, through its own table and
+    returns the library object.
+    """
+    out = {}
+    for key, kind, default in spec:
+        val = getattr(args, key, None)
+        if val is None:
+            val = cfg.get(key)
+        if kind in _OBJECTS:
+            out[key] = kind(args, default if val is None else _typed(key, _object, val))
+        elif val is not None:
+            out[key] = _typed(key, kind, val)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{key} is required (by its flag or in the config)")
+        else:
+            out[key] = default() if callable(default) else default
+    return out
+
+
+def _env_seed():
     env = os.environ.get("ADVREG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"ADVREG_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
-def _parse_label(label):
-    """Column index if the label looks like an integer, else column name."""
-    if label is None or isinstance(label, int):
-        return label
+    if env is None:
+        return 0
     try:
-        return int(str(label))
-    except ValueError:
-        return str(label)
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"ADVREG_SEED must be an integer, got {env!r}") from exc
 
 
-def _target_from_dict(d):
-    if d is None:
-        return TargetSpec()
-    if not isinstance(d, dict):
-        raise ConfigError(f"target must be a JSON object, got {d!r}")
+_OFFSET = (
+    ("delta_scale", _float, 0.0),
+    ("mask", _ints, None),
+    ("clip_min", _float, None),
+    ("clip_max", _float, None),
+)
+_CONSTANT = (
+    ("value", _float, None),
+    ("value_range", _pair, None),
+    ("mask", _ints, None),
+)
+_TARGET_FLAGS = ("value", "delta_scale", "clip_min", "clip_max")
+
+
+def _target(args, d):
+    """The attack target. Target flags replace the config's target wholesale:
+    --constant-value makes it constant, any other makes it an offset."""
+    if any(getattr(args, key, None) is not None for key in _TARGET_FLAGS):
+        d = {"kind": "constant" if args.value is not None else "offset"}
     kind = d.get("kind", "offset")
-    mask = d.get("mask")
-    if mask is not None:
-        try:
-            if not isinstance(mask, list):
-                raise TypeError
-            mask = [_cast(int, i) for i in mask]
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"mask must be a list of integers, got {mask!r}") from None
-    try:
-        if kind == "constant":
-            value = _pick(None, d, "value", None, float)
-            if value is not None:
-                return ConstantTarget(value=value, mask=mask)
-            vr = d.get("value_range")
-            if vr is None:
-                raise ConfigError("constant target needs value or value_range")
-            return ConstantTarget(
-                value_range=(_cast(float, vr[0]), _cast(float, vr[1])), mask=mask
-            )
-        if kind != "offset":
-            raise ConfigError(f"unknown target kind {kind!r}")
-        return TargetSpec(
-            delta_scale=_pick(None, d, "delta_scale", 0.0, float),
-            mask=mask,
-            clip_min=_pick(None, d, "clip_min", None, float),
-            clip_max=_pick(None, d, "clip_max", None, float),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad target spec {d!r}: {exc}") from exc
+    if kind == "offset":
+        return TargetSpec(**_read(args, d, _OFFSET))
+    if kind == "constant":
+        r = _read(args, d, _CONSTANT)
+        if r["value"] is not None:  # a value pinned by an echo wins over its range
+            r["value_range"] = None
+        return ConstantTarget(**r)
+    raise ConfigError(f'target kind must be "offset" or "constant", got {kind!r}')
 
 
-def _target_dict_from_flags(args, cfg):
-    """Flags override the config's target wholesale; masks are config-only."""
-    if getattr(args, "constant_value", None) is not None:
-        return {"kind": "constant", "value": args.constant_value}
-    offset_flags = (args.delta_scale, args.clip_min, args.clip_max)
-    if any(v is not None for v in offset_flags):
-        return {
-            "kind": "offset",
-            "delta_scale": 0.0 if args.delta_scale is None else args.delta_scale,
-            "clip_min": args.clip_min,
-            "clip_max": args.clip_max,
-        }
-    return cfg.get("target")
+_FIT = (
+    ("cv_folds", _int, 5),
+    ("cv_alpha_grid", _floats, _default_alpha_grid),
+)
 
 
-def _fit_from_dict(d):
-    if d is None:
-        return FitConfig()
-    if not isinstance(d, dict):
-        raise ConfigError(f"fit config must be a JSON object, got {d!r}")
-    kwargs = {}
-    if d.get("cv_folds") is not None:
-        kwargs["cv_folds"] = _pick(None, d, "cv_folds", None, int)
-    if d.get("cv_alpha_grid") is not None:
-        kwargs["cv_alpha_grid"] = _grid("cv_alpha_grid", d["cv_alpha_grid"], _check_alpha)
-    try:
-        return FitConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad fit config {d!r}: {exc}") from exc
+def _fit(args, d):
+    return FitConfig(**_read(args, d, _FIT))
 
 
-def _target_echo(target, drawn):
-    """The target as given, with a drawn value pinned so a replay matches."""
-    echo = target.as_dict()
+_SETTING = (
+    ("lambda", _float, 1.0),
+    ("beta", _float, 0.5),
+    ("target", _target, {}),
+)
+
+
+def _setting(args, d):
+    r = _read(args, d, _SETTING)
+    return GameSetting(lam=r["lambda"], beta=r["beta"], target=r["target"])
+
+
+_OBJECTS = (_target, _fit, _setting)
+_SEED = ("seed", _int, _env_seed)
+
+_TRAIN = (
+    ("dataset", _string, _REQUIRED),
+    ("label", _label, _REQUIRED),
+    ("algorithm", _string, _REQUIRED),
+    _SEED,
+    ("standardize", _bool, True),
+    ("n", _int, 5),
+    ("lambda", _float, 1.0),
+    ("beta", _float, 0.8),
+    ("theta_radius", _float, None),
+    ("alpha", _float, None),
+    ("target", _target, {}),
+    ("fit", _fit, {}),
+)
+_ATTACK = (
+    ("models", _strings, _REQUIRED),
+    ("test", _string, _REQUIRED),
+    ("label", _label, None),  # None: the models' label column
+    ("lambda", _float, 1.0),
+    _SEED,
+    ("target", _target, {}),
+)
+# the keys of a ScenarioConfig, each under its field name
+_SCENARIO = (
+    ("n", _int, 5),
+    ("defender_estimates", _setting, {}),
+    ("actual", _setting, {}),
+    ("algorithms", _strings, KNOWN_ALGORITHMS),
+    _SEED,
+    ("defender_knows_actual", _bool, False),
+    ("standardize", _bool, True),
+    ("theta_radius", _float, None),
+    ("fit", _fit, {}),
+)
+_EVALUATE = (
+    ("dataset", _string, _REQUIRED),
+    ("label", _label, _REQUIRED),
+    ("train_fraction", _float, 0.5),
+) + _SCENARIO
+_SWEEP = _EVALUATE + (
+    ("lambda_grid", _floats, _REQUIRED),
+    ("beta_grid", _floats, _REQUIRED),
+    ("repeats", _int, 1),
+)
+_VERIFY = (
+    ("checks", _checks, tuple(ALL_CHECKS)),
+    ("trials", _int, 1000),
+    _SEED,
+)
+
+
+def _echo(command, resolved, drawn=None):
+    """The config an artifact embeds: the resolved settings, objects by their
+    as_dict(), and a drawn target value pinned so that a replay matches."""
+    echo = {"command": command}
+    for key, val in resolved.items():
+        echo[key] = val.as_dict() if hasattr(val, "as_dict") else val
     if drawn is not None:
-        echo["value"] = drawn
+        echo["target"]["value"] = drawn
     return echo
 
 
@@ -241,28 +364,11 @@ def _emit_json(args, doc):
 
 
 def cmd_train(args):
-    cfg = _load_config(args.config)
-    dataset = _pick(args.dataset, cfg, "dataset", None)
-    if dataset is None:
-        raise ConfigError("train needs a dataset (--dataset or config)")
-    label = _parse_label(_pick(args.label, cfg, "label", None))
-    if label is None:
-        raise ConfigError("train needs a label column (--label or config)")
-    algorithm = _pick(args.algorithm, cfg, "algorithm", None)
-    seed = _resolve_seed(args.seed, cfg)
-    no_std = False if args.no_standardize else None
-    standardize = _pick(no_std, cfg, "standardize", True, bool)
-    n = _pick(args.n, cfg, "n", 5, int)
-    lam = _pick(args.lam, cfg, "lambda", 1.0, float)
-    beta = _pick(args.beta, cfg, "beta", 0.8, float)
-    radius = _pick(args.radius, cfg, "theta_radius", None, float)
-    alpha = _pick(args.alpha, cfg, "alpha", None, float)
-    fit = _fit_from_dict(cfg.get("fit"))
-    target = _target_from_dict(_target_dict_from_flags(args, cfg))
-    setting = GameSetting(lam=lam, beta=beta, target=target)
+    r = _read(args, _load_config(args.config), _TRAIN)
+    setting = GameSetting(lam=r["lambda"], beta=r["beta"], target=r["target"])
 
-    ds = load_csv(dataset, label)
-    if standardize:
+    ds = load_csv(r["dataset"], r["label"])
+    if r["standardize"]:
         std = fit_standardizer(ds.X)
         X = apply_standardizer(std, ds.X)
     else:
@@ -270,36 +376,21 @@ def cmd_train(args):
 
     # the scenario harness's fit path: same rows, seed and setting, same model
     theta, diagnostics = fit_model(
-        algorithm, X, ds.y, setting=setting, n=n, theta_radius=radius, fit=fit, seed=seed,
-        alpha=alpha,
+        r["algorithm"], X, ds.y, setting=setting, n=r["n"], theta_radius=r["theta_radius"],
+        fit=r["fit"], seed=r["seed"], alpha=r["alpha"],
     )
 
-    resolved = {
-        "command": "train",
-        "dataset": str(dataset),
-        "label": label,
-        "algorithm": algorithm,
-        "seed": seed,
-        "standardize": standardize,
-        "n": n,
-        "lambda": lam,
-        "beta": beta,
-        "theta_radius": radius,
-        "alpha": alpha,
-        "target": _target_echo(target, diagnostics.get("drawn_value")),
-        "fit": fit.as_dict(),
-    }
     model = {
-        "algorithm": algorithm,
+        "algorithm": r["algorithm"],
         "theta": [float(t) for t in theta],
         "preprocessing": {
-            "standardize": standardize,
+            "standardize": r["standardize"],
             "means": None if std is None else [float(v) for v in std.means],
             "stds": None if std is None else [float(v) for v in std.stds],
             "feature_names": list(ds.feature_names),
             "label_name": ds.label_name,
         },
-        "config": resolved,
+        "config": _echo("train", r, diagnostics.get("drawn_value")),
         "diagnostics": diagnostics,
     }
     write_json(args.out, model)
@@ -356,25 +447,16 @@ def _attacked_rows(path, ds, X_out):
 
 
 def cmd_attack(args):
-    cfg = _load_config(args.config)
-    model_paths = args.model if args.model else cfg.get("models")
-    if not model_paths:
-        raise ConfigError("attack needs at least one --model (or models in config)")
-    models = [_load_model(p) for p in model_paths]
+    r = _read(args, _load_config(args.config), _ATTACK)
+    models = [_load_model(p) for p in r["models"]]
     prep = models[0]["preprocessing"]
-    for path, model in zip(model_paths[1:], models[1:]):
+    for path, model in zip(r["models"][1:], models[1:]):
         if not _same_preprocessing(prep, model["preprocessing"]):
             raise ConfigError(f"model {path} was trained with different preprocessing")
+    if r["label"] is None:
+        r["label"] = _typed("label", _label, prep.get("label_name"))
 
-    test_path = _pick(args.test, cfg, "test", None)
-    if test_path is None:
-        raise ConfigError("attack needs a test CSV (--test or config)")
-    label = _parse_label(_pick(args.label, cfg, "label", prep.get("label_name")))
-    lam = _pick(args.lam, cfg, "lambda", 1.0, float)
-    seed = _resolve_seed(args.seed, cfg)
-    target = _target_from_dict(_target_dict_from_flags(args, cfg))
-
-    ds = load_csv(test_path, label)
+    ds = load_csv(r["test"], r["label"])
     if list(ds.feature_names) != prep["feature_names"]:
         raise ConfigError("test feature columns do not match the model's training columns")
     thetas = np.array([m["theta"] for m in models], dtype=float)
@@ -388,27 +470,20 @@ def cmd_attack(args):
     else:
         std, X = None, ds.X
 
-    z, sigma, drawn = draw_target(ds.y, target, seed, STREAM_ACTUAL_TARGET)
+    lam = r["lambda"]
+    z, sigma, drawn = draw_target(ds.y, r["target"], r["seed"], STREAM_ACTUAL_TARGET)
     profile = ThetaProfile(thetas)
     X_att = simulate_attack(profile, X, z, lam)
     cost = attacker_cost(profile, X, X_att, GameParams(n=profile.n, beta=1.0, lam=lam, z=z))
     shift = float(np.sqrt(np.sum((X_att - X) ** 2)))
     X_out = invert_standardizer(std, X_att) if std is not None else X_att
 
-    header, rows = _attacked_rows(test_path, ds, X_out)
+    header, rows = _attacked_rows(r["test"], ds, X_out)
     write_csv(args.out, header, rows)
     _say(args, f"wrote {args.out}")
 
     summary = {
-        "config": {
-            "command": "attack",
-            "models": [str(p) for p in model_paths],
-            "test": str(test_path),
-            "label": label,
-            "lambda": lam,
-            "seed": seed,
-            "target": _target_echo(target, drawn),
-        },
+        "config": _echo("attack", r, drawn),
         "summary": {
             "attacker_cost": cost,
             "frobenius_shift": shift,
@@ -428,104 +503,32 @@ def cmd_attack(args):
 # ----------------------------------------------------- evaluate / sweep
 
 
-def _scenario_from_config(cfg, seed):
-    def setting(d):
-        d = d or {}
-        if not isinstance(d, dict):
-            raise ConfigError(f"game setting must be a JSON object, got {d!r}")
-        return GameSetting(
-            lam=_pick(None, d, "lambda", 1.0, float),
-            beta=_pick(None, d, "beta", 0.5, float),
-            target=_target_from_dict(d.get("target")),
-        )
-
-    algorithms = cfg.get("algorithms")
-    if algorithms is not None and not isinstance(algorithms, list):
-        raise ConfigError(f"algorithms must be a list of names, got {algorithms!r}")
-    algorithms = tuple(algorithms) if algorithms else KNOWN_ALGORITHMS
-    try:
-        scen = ScenarioConfig(
-            n=_pick(None, cfg, "n", 5, int),
-            defender_estimates=setting(cfg.get("defender_estimates")),
-            actual=setting(cfg.get("actual")),
-            algorithms=algorithms,
-            seed=seed,
-            defender_knows_actual=_pick(None, cfg, "defender_knows_actual", False, bool),
-            standardize=_pick(None, cfg, "standardize", True, bool),
-            theta_radius=_pick(None, cfg, "theta_radius", None, float),
-            fit=_fit_from_dict(cfg.get("fit")),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return scen, scen.as_dict()
-
-
-def _common_eval_inputs(args, cfg):
-    dataset = _pick(args.dataset, cfg, "dataset", None)
-    if dataset is None:
-        raise ConfigError("need a dataset (--dataset or config)")
-    label = _parse_label(_pick(args.label, cfg, "label", None))
-    if label is None:
-        raise ConfigError("need a label column (--label or config)")
-    frac = _pick(args.train_fraction, cfg, "train_fraction", 0.5, float)
-    if not 0.0 < frac < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {frac}")
-    return dataset, label, frac
+def _scenario_and_split(r):
+    """The scenario the settings declare, then the dataset's seeded split."""
+    scen = ScenarioConfig(**{key: r[key] for key, _, _ in _SCENARIO})
+    ds = load_csv(r["dataset"], r["label"])
+    return scen, *split_train_test(ds, r["train_fraction"], r["seed"])
 
 
 def cmd_evaluate(args):
-    cfg = _load_config(args.config)
-    dataset, label, frac = _common_eval_inputs(args, cfg)
-    seed = _resolve_seed(args.seed, cfg)
-    scen, echo = _scenario_from_config(cfg, seed)
-
-    ds = load_csv(dataset, label)
-    train, test = split_train_test(ds, frac, seed)
+    r = _read(args, _load_config(args.config), _EVALUATE)
+    scen, train, test = _scenario_and_split(r)
     report = run_scenario(train, test, scen)
-
-    resolved = {
-        "command": "evaluate",
-        "dataset": str(dataset),
-        "label": label,
-        "train_fraction": frac,
-        **echo,
-    }
-    _emit_json(args, {"config": resolved, "results": report.results,
+    _emit_json(args, {"config": _echo("evaluate", r), "results": report.results,
                       "metadata": report.metadata})
     return 0
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args.config)
-    dataset, label, frac = _common_eval_inputs(args, cfg)
-    seed = _resolve_seed(args.seed, cfg)
-    scen, echo = _scenario_from_config(cfg, seed)
-    lambda_grid = cfg.get("lambda_grid")
-    beta_grid = cfg.get("beta_grid")
-    if not lambda_grid or not beta_grid:
-        raise ConfigError("sweep needs lambda_grid and beta_grid in the config")
-    repeats = _pick(args.repeats, cfg, "repeats", 1, int)
-
-    ds = load_csv(dataset, label)
-    train, test = split_train_test(ds, frac, seed)
-    grid = run_sweep(train, test, scen, lambda_grid, beta_grid, repeats, seed)
+    r = _read(args, _load_config(args.config), _SWEEP)
+    scen, train, test = _scenario_and_split(r)
+    grid = run_sweep(train, test, scen, r["lambda_grid"], r["beta_grid"], r["repeats"],
+                     r["seed"])
 
     write_csv(args.out, CSV_HEADER, grid.csv_rows())
     _say(args, f"wrote {args.out}")
-    resolved = {
-        "command": "sweep",
-        "dataset": str(dataset),
-        "label": label,
-        "train_fraction": frac,
-        "lambda_grid": grid.lambda_values,
-        "beta_grid": grid.beta_values,
-        "repeats": repeats,
-        **echo,
-    }
     meta_path = args.out + ".meta.json"
-    write_json(meta_path, {"config": resolved, "grid": grid.as_dict()})
+    write_json(meta_path, {"config": _echo("sweep", r), "grid": grid.as_dict()})
     _say(args, f"wrote {meta_path}")
     return 0
 
@@ -534,37 +537,21 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    cfg = _load_config(args.config)
-    names = args.checks if args.checks is not None else cfg.get("checks")
-    if names is None or names == "all":
-        selected = list(ALL_CHECKS)
-    elif names == "core":
-        selected = list(CORE_CHECKS)
-    elif isinstance(names, str):
-        selected = [s.strip() for s in names.split(",") if s.strip()]
-    elif isinstance(names, list):
-        selected = [str(s) for s in names]
-    else:
-        raise ConfigError(f"checks must be a string or a list of names, got {names!r}")
-    unknown = [s for s in selected if s not in ALL_CHECKS]
+    r = _read(args, _load_config(args.config), _VERIFY)
+    unknown = [s for s in r["checks"] if s not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; available: {sorted(ALL_CHECKS)}")
-    if not selected:
+    if not r["checks"]:
         raise ConfigError("no checks selected")
-    trials = _pick(args.trials, cfg, "trials", 1000, int)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    seed = _resolve_seed(args.seed, cfg)
+    if r["trials"] < 1:
+        raise ConfigError(f"trials must be >= 1, got {r['trials']}")
 
-    reports = run_checks(selected, trials=trials, seed=seed)
+    reports = run_checks(r["checks"], trials=r["trials"], seed=r["seed"])
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         _say(args, f"{status}  {rep.check_name:<24s} {rep.failures}/{rep.trials} failures"
                    f"  worst violation {rep.worst_violation:.3e}")
-    doc = {
-        "config": {"command": "verify", "checks": selected, "trials": trials, "seed": seed},
-        "reports": [rep.as_dict() for rep in reports],
-    }
+    doc = {"config": _echo("verify", r), "reports": [rep.as_dict() for rep in reports]}
     if args.out:
         write_json(args.out, doc)
         _say(args, f"wrote {args.out}")
@@ -590,34 +577,37 @@ def build_parser():
         p.add_argument("--quiet", action="store_true", help="suppress status lines")
         p.add_argument("--out", metavar="PATH", required=out_required, help=out_help)
 
+    # each flag's dest is the config key it sets
     t = sub.add_parser("train", help="fit one model on a CSV and save it as JSON")
     common(t, True, "model JSON output path")
     t.add_argument("--dataset", metavar="CSV")
     t.add_argument("--label", help="label column name or 0-based index")
     t.add_argument("--algorithm", choices=sorted(KNOWN_ALGORITHMS))
     t.add_argument("--n", type=int, help="number of symmetric learners (mlsg)")
-    t.add_argument("--lambda", dest="lam", type=float, help="attacker effort price")
+    t.add_argument("--lambda", type=float, help="attacker effort price")
     t.add_argument("--beta", type=float, help="attack probability the defender plans for")
-    t.add_argument("--radius", type=float, help="coefficient norm bound (mlsg); omit for no bound")
+    t.add_argument("--radius", dest="theta_radius", metavar="RADIUS", type=float,
+                   help="coefficient norm bound (mlsg); omit for no bound")
     t.add_argument("--alpha", type=float, help="ridge/lasso penalty; omit to cross-validate")
     t.add_argument("--delta-scale", type=float,
                    help="attack target offset, in label standard deviations")
     t.add_argument("--clip-min", type=float)
     t.add_argument("--clip-max", type=float)
-    t.add_argument("--constant-value", type=float, help="constant attack target value")
-    t.add_argument("--no-standardize", action="store_true")
+    t.add_argument("--constant-value", dest="value", metavar="CONSTANT_VALUE", type=float,
+                   help="constant attack target value")
+    t.add_argument("--no-standardize", dest="standardize", action="store_const", const=False)
 
     a = sub.add_parser("attack", help="optimally manipulate a test CSV against saved models")
     common(a, True, "attacked CSV output path")
-    a.add_argument("--model", action="append", metavar="JSON",
+    a.add_argument("--model", dest="models", action="append", metavar="JSON",
                    help="saved model; repeat to attack several at once")
     a.add_argument("--test", metavar="CSV")
     a.add_argument("--label", help="label column (default: from the model)")
-    a.add_argument("--lambda", dest="lam", type=float, help="attacker effort price")
+    a.add_argument("--lambda", type=float, help="attacker effort price")
     a.add_argument("--delta-scale", type=float)
     a.add_argument("--clip-min", type=float)
     a.add_argument("--clip-max", type=float)
-    a.add_argument("--constant-value", type=float)
+    a.add_argument("--constant-value", dest="value", metavar="CONSTANT_VALUE", type=float)
     a.add_argument("--summary-out", metavar="PATH",
                    help="summary JSON path (default: <out>.summary.json)")
 

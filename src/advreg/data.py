@@ -129,10 +129,10 @@ class ConstantTarget:
 
 
 def _checked_mask(mask, m):
-    idx = np.asarray(mask, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= m):
+    # checked before the conversion, which overflows on an index past a C long
+    if not all(0 <= i < m for i in mask):
         raise MaskOutOfRange(f"mask indices must lie in [0, {m})")
-    return idx
+    return np.asarray(mask, dtype=int)
 
 
 def build_target(y, spec, sigma=1.0):

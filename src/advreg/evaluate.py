@@ -332,10 +332,10 @@ def run_scenario(train, test, cfg):
 
 def _grid(name, values, check):
     """The grid as floats; ConfigError naming it unless every value is a
-    number (not a bool) that passes check."""
+    number (not a bool or a string) that passes check."""
     try:
         grid = list(values)
-        if isinstance(values, str) or any(isinstance(v, bool) for v in grid):
+        if isinstance(values, str) or any(isinstance(v, (bool, str)) for v in grid):
             raise TypeError
         grid = [float(v) for v in grid]
     except (TypeError, ValueError):

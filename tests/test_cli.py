@@ -241,6 +241,10 @@ def test_train_error_exit_codes(tmp_path):
     cfg.write_text(json.dumps({"dataset": csv, "label": "y", "algorithm": "huh"}),
                    encoding="utf-8")
     assert run_cli("train", "--config", str(cfg), "--quiet", "--out", out) == 2
+    # a mask index past a C long is out of range, a data error
+    cfg.write_text(json.dumps({"dataset": csv, "label": "y", "algorithm": "mlsg",
+                               "target": {"mask": [1e30]}}), encoding="utf-8")
+    assert run_cli("train", "--config", str(cfg), "--quiet", "--out", out) == 3
     # missing input file -> data error
     assert run_cli("train", "--dataset", str(tmp_path / "nope.csv"), "--label", "y",
                    "--algorithm", "ols", "--quiet", "--out", out) == 3
@@ -708,13 +712,33 @@ WRONG_TYPED_VALUES = {
     "train-target-mask": (
         "train", {"algorithm": "mlsg", "target": {"delta_scale": 1.0, "mask": [1.7, True]}},
         "mask"),
+    # a path is a string: 0 would open standard input
+    "train-dataset-number": ("train", {"algorithm": "ols", "dataset": 0}, "dataset"),
+    "attack-test-number": ("attack", {"test": 0}, "test"),
+    "train-dataset-list": ("train", {"algorithm": "ols", "dataset": [1]}, "dataset"),
+    "train-algorithm-list": ("train", {"algorithm": ["ols"]}, "algorithm"),
+    "train-label-boolean": ("train", {"algorithm": "ols", "label": True}, "label"),
+    "train-value_range-triple": (
+        "train", {"algorithm": "mlsg", "target": {"kind": "constant", "value_range": [1, 2, 3]}},
+        "value_range"),
+    # a number is never a string, as a scalar or as a grid entry
+    "train-lambda-string": ("train", {"algorithm": "ols", "lambda": "0.5"}, "lambda"),
+    "sweep-lambda_grid-string": ("sweep", {"lambda_grid": ["0.5"]}, "lambda_grid"),
+    "evaluate-actual-list": ("evaluate", {"actual": []}, "actual"),
+    "attack-models-string": ("attack", {"models": "m.json"}, "models"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_TYPED_VALUES))
 def test_wrong_typed_config_value_is_a_config_error(case, synth_csv, tmp_path, capsys):
     command, values, key = WRONG_TYPED_VALUES[case]
-    cfg = eval_config(synth_csv, **{"lambda_grid": [1.0], "beta_grid": [0.5], **values})
+    defaults = {"lambda_grid": [1.0], "beta_grid": [0.5], "test": synth_csv}
+    if command == "attack":
+        model = str(tmp_path / "model.json")
+        assert run_cli("train", "--dataset", synth_csv, "--label", "label", "--algorithm",
+                       "ols", "--quiet", "--out", model) == 0
+        defaults["models"] = [model]
+    cfg = eval_config(synth_csv, **{**defaults, **values})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"
@@ -734,6 +758,32 @@ def test_integral_numbers_and_booleans_in_a_config_pass(synth_csv, tmp_path):
     echo = read_json(out)["config"]
     assert (echo["n"], echo["seed"]) == (2, 5)
     assert (echo["standardize"], echo["defender_knows_actual"]) == (False, True)
+
+
+@pytest.mark.parametrize("command", ["train", "attack", "evaluate", "sweep", "verify"])
+def test_every_artifact_replays_itself_byte_for_byte(command, synth_csv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(eval_config(synth_csv, lambda_grid=[0.5, 1.0], beta_grid=[0.5])),
+                   encoding="utf-8")
+    model = str(tmp_path / "model.json")
+    if command == "attack":
+        assert run_cli("train", "--dataset", synth_csv, "--label", "label", "--algorithm",
+                       "ridge", "--quiet", "--out", model) == 0
+    flags = {
+        "train": ["--dataset", synth_csv, "--label", "label", "--algorithm", "mlsg",
+                  "--delta-scale", "1.5", "--clip-max", "6", "--seed", "3"],
+        "attack": ["--model", model, "--test", synth_csv, "--delta-scale", "1", "--seed", "2"],
+        "evaluate": ["--config", str(cfg)],
+        "sweep": ["--config", str(cfg)],
+        "verify": ["--checks", "rosen_pd,sherman_morrison", "--trials", "3"],
+    }[command]
+    # the output that embeds the config, beside the main output
+    echo = {"attack": ".summary.json", "sweep": ".meta.json"}.get(command, "")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(command, *flags, "--quiet", "--out", str(first)) == 0
+    assert run_cli(command, "--config", f"{first}{echo}", "--quiet", "--out", str(again)) == 0
+    for suffix in {"", echo}:
+        assert Path(f"{again}{suffix}").read_bytes() == Path(f"{first}{suffix}").read_bytes()
 
 
 # ------------------------------------------------------------------ main

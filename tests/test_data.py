@@ -265,6 +265,12 @@ def test_target_mask_out_of_range():
         build_target(np.array([1.0, 2.0]), TargetSpec(delta_scale=1.0, mask=[2]))
 
 
+def test_target_mask_index_past_a_c_long_is_out_of_range():
+    for spec in (TargetSpec(mask=[10**30]), ConstantTarget(value=1.0, mask=[0, 10**30])):
+        with pytest.raises(MaskOutOfRange):
+            build_target(np.array([1.0, 2.0]), spec)
+
+
 def test_constant_target_fills_masked_rows():
     z = build_target(np.array([1.0, 2.0, 3.0]), ConstantTarget(value=9.0, mask=[1]))
     assert np.array_equal(z, [0.0, 9.0, 0.0])
