@@ -103,8 +103,8 @@ class ConstantTarget:
     """Attack target independent of labels: z = value on masked rows, 0 off.
 
     Exactly one of `value` / `value_range` must be set, with finite
-    numbers; a range means the scenario harness draws the value uniformly
-    per run (seeded).
+    numbers and a range's low end at most its high end; a range means the
+    scenario harness draws the value uniformly per run (seeded).
     """
 
     value: float | None = None
@@ -118,6 +118,9 @@ class ConstantTarget:
             raise ValueError(f"value must be finite, got {self.value}")
         if self.value_range is not None and not all(map(math.isfinite, self.value_range)):
             raise ValueError(f"value_range must be finite, got {self.value_range}")
+        if self.value_range is not None and self.value_range[0] > self.value_range[1]:
+            raise ValueError(f"value_range must be [low, high] with low <= high, "
+                             f"got {list(self.value_range)}")
 
     def as_dict(self):
         return {

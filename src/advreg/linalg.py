@@ -86,17 +86,19 @@ def rank_one_inverse_update(A_inv, v):
 
     Uses the rank-one expansion
     ``(A + v v^T)^-1 = A^-1 - (A^-1 v)(A^-1 v)^T / (1 + v^T A^-1 v)``,
-    which keeps the result exactly symmetric when ``A_inv`` is.
+    which keeps the result exactly symmetric when ``A_inv`` is. Stacks
+    ``A_inv`` (..., d, d) and ``v`` (..., d) are updated slice by slice,
+    each slice bit for bit as the 2-D call on it.
     """
     A_inv = np.asarray(A_inv, dtype=float)
     v = np.asarray(v, dtype=float)
-    if A_inv.ndim != 2 or A_inv.shape[0] != A_inv.shape[1]:
+    if A_inv.ndim < 2 or A_inv.shape[-1] != A_inv.shape[-2]:
         raise DimensionMismatch(f"A_inv must be square, got shape {A_inv.shape}")
-    if v.ndim != 1 or v.shape[0] != A_inv.shape[0]:
-        raise DimensionMismatch(f"v has shape {v.shape}, expected ({A_inv.shape[0]},)")
-    w = A_inv @ v
-    denom = 1.0 + float(v @ w)
-    return A_inv - np.outer(w, w) / denom
+    if v.shape != A_inv.shape[:-1]:
+        raise DimensionMismatch(f"v has shape {v.shape}, expected {A_inv.shape[:-1]}")
+    w = (A_inv @ v[..., None])[..., 0]
+    denom = 1.0 + (v[..., None, :] @ w[..., None])[..., 0]
+    return A_inv - w[..., :, None] * w[..., None, :] / denom[..., None]
 
 
 def sym_eig(A):

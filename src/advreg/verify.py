@@ -3,11 +3,22 @@
 Each check draws instances from a small envelope (m <= 6 rows, d <= 4
 features, n <= 4 learners, entries uniform in [-1, 1], lam in [0.5, 2],
 beta in [0, 1]) and evaluates one inequality or identity per instance with
-an independent construction. One driver applies the rules every check
-shares and builds its CheckReport: `trials` must be at least 1 (ValueError
-otherwise), a positive violation is a failure (negative = passed with that
-margin), worst_violation is the largest one seen, and at most five failing
-instances are kept, serialized for reproduction.
+an independent construction. It draws the instances in turn from one
+generator, each followed by the extras its trial needs; stacks them (up to
+STACK_TRIALS at a time) into arrays zero-padded to the stack's largest
+(m, d, n), with feature and learner masks; and evaluates the inequality on
+the whole stack at once. Padding is exact: a zero row of X, y and z adds
+zero to every sum, a zero learner makes a rank-one update a no-op (a
+leave-one-out chain zeroes learner i instead of deleting it, so the updates
+run in the same order), and padded coordinates are masked out of every max
+and min. The library calls a check certifies stay per instance:
+`attacker_best_response`, `solve_equilibrium` with `equilibrium_gradient`,
+and `robust_inner_max` (which seeds its own generator per trial) with
+`robust_disturbance`. One driver applies the rules every check shares and
+builds its CheckReport: `trials` must be at least 1 (ValueError otherwise),
+a positive violation is a failure (negative = passed with that margin),
+worst_violation is the largest one seen, and at most five failing instances
+are kept, serialized for reproduction.
 
 The checks certify, respectively: the incremental rank-one inversion of
 the attacker's system matrix; the quadratic-form bound theta^T A^-1 theta
@@ -20,24 +31,15 @@ realized and surrogate costs (whose additive constant is non-constructive,
 so only boundedness is recorded, never a specific value).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .equilibrium import (
-    default_radius,
-    equilibrium_gradient,
-    solve_equilibrium,
-)
+from .equilibrium import default_radius, equilibrium_gradient, solve_equilibrium
 from .exceptions import DimensionMismatch, NotPositiveDefinite
-from .game import (
-    GameParams,
-    attacker_best_response,
-    approx_cost,
-    learner_cost,
-    sq_norm,
-)
-from .linalg import _cholesky, rank_one_inverse_update, sym_eig
+from .game import GameParams, attacker_best_response, sq_norm
+from .linalg import PIVOT_RTOL, _cholesky, rank_one_inverse_update, sym_eig
 
 ENVELOPE = dict(d_max=4, m_max=6, n_max=4, lam_lo=0.5, lam_hi=2.0)
 
@@ -56,14 +58,7 @@ class CheckReport:
         return self.failures == 0
 
     def as_dict(self):
-        return {
-            "check_name": self.check_name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_violation": self.worst_violation,
-            "sample_of_failures": self.sample_of_failures,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -102,77 +97,102 @@ def _draw_instance(rng, n_min=1, full_rank=False):
     }
 
 
-def _run(name, trials, seed, trial, n_min=1, full_rank=False):
-    """Draw `trials` instances and tally trial(inst, rng, k) -> (violation, detail),
-    keeping the first five failing instances."""
+def _pad(arrays):
+    """Stack arrays of one rank, zero-padded to their largest shape."""
+    out = np.zeros((len(arrays), *np.max([a.shape for a in arrays], axis=0)))
+    for k, a in enumerate(arrays):
+        out[(k, *map(slice, a.shape))] = a
+    return out
+
+
+def _stack(insts):
+    """The instances as zero-padded arrays X, y, z, thetas, lam and beta, with
+    masks feats (K, D), learners (K, N) and pairs (K, D, D) of real features."""
+    S = SimpleNamespace(**{key: _pad([inst[key] for inst in insts])
+                           for key in ("X", "y", "z", "thetas")})
+    S.lam, S.beta = (np.array([inst[key] for inst in insts]) for key in ("lam", "beta"))
+    n, d = np.array([inst["thetas"].shape for inst in insts]).T
+    S.feats = np.arange(S.X.shape[2]) < d[:, None]
+    S.learners = np.arange(S.thetas.shape[1]) < n[:, None]
+    S.pairs = S.feats[:, :, None] & S.feats[:, None, :]
+    return S
+
+
+STACK_TRIALS = 1000  # trials per stack; a longer run stacks them in turn, in bounded memory
+
+
+def _run(name, trials, seed, evaluate, n_min=1, full_rank=False, extra=None):
+    """Draw `trials` instances, each followed by extra(inst, rng), evaluate up to
+    STACK_TRIALS at once by evaluate(insts, stack, extras, index of the first)
+    -> (violations, detail or a detail per instance), and tally the report."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     failures, worst, samples = 0, -np.inf, []
-    for k in range(trials):
-        inst = _draw_instance(rng, n_min=n_min, full_rank=full_rank)
-        viol, detail = trial(inst, rng, k)
-        worst = max(worst, viol)
-        if viol > 0:
-            failures += 1
-            if len(samples) < 5:
-                instance = {key: val.tolist() if isinstance(val, np.ndarray) else val
-                            for key, val in inst.items()}
-                samples.append({"instance": instance, "violation": float(viol), "detail": detail})
-    return CheckReport(name, trials, failures, worst, samples)
+    for k0 in range(0, trials, STACK_TRIALS):
+        insts, extras = [], []
+        for _ in range(min(STACK_TRIALS, trials - k0)):
+            insts.append(_draw_instance(rng, n_min=n_min, full_rank=full_rank))
+            extras.append(extra(insts[-1], rng) if extra else None)
+        viol, details = evaluate(insts, _stack(insts), extras, k0)
+        failing = np.flatnonzero(viol > 0)
+        failures, worst = failures + failing.size, max(worst, float(np.max(viol)))
+        for k in failing[:5 - len(samples)]:  # the first five failing instances
+            instance = {key: val.tolist() if isinstance(val, np.ndarray) else val
+                        for key, val in insts[k].items()}
+            detail = details if isinstance(details, str) else details[k]
+            samples.append({"instance": instance, "violation": float(viol[k]), "detail": detail})
+    return CheckReport(name, trials, int(failures), worst, samples)
 
 
 def _params(inst):
-    return GameParams(
-        n=inst["thetas"].shape[0],
-        beta=inst["beta"],
-        lam=inst["lam"],
-        z=inst["z"],
-    )
+    return GameParams(n=inst["thetas"].shape[0], beta=inst["beta"], lam=inst["lam"], z=inst["z"])
 
 
-def _inverse_by_updates(thetas, lam):
-    A_inv = np.eye(thetas.shape[1]) / lam
-    for t in thetas:
-        A_inv = rank_one_inverse_update(A_inv, t)
+def _mv(A, v):
+    """A @ v over stacks A (..., p, q) and v (..., q)."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _inverse_by_updates(T, lam):
+    """(lam I + sum_j theta_j theta_j^T)^-1 by rank-one updates, for stacks
+    T (..., n, d) and lam broadcast against T's leading axes."""
+    A_inv = np.eye(T.shape[-1]) / lam[..., None, None] + np.zeros(T.shape[:-2] + (1, 1))
+    for j in range(T.shape[-2]):
+        A_inv = rank_one_inverse_update(A_inv, T[..., j, :])
     return A_inv
 
 
-def _leave_one_out(T, lam):
-    """Yield (i, the other rows, their inverse (lam I + sum theta theta^T)^-1 by updates)."""
-    for i in range(T.shape[0]):
-        others = np.delete(T, i, axis=0)
-        yield i, others, _inverse_by_updates(others, lam)
+def _leave_one_out(T):
+    """Stack (N, K, N, D) of T (K, N, D) with learner i zeroed in slice i. A
+    zero learner is a no-op rank-one update, so a chain over slice i skips i."""
+    return np.where(np.eye(T.shape[1], dtype=bool)[:, None, :, None], 0.0, T)
 
 
 def check_sherman_morrison(trials=1000, seed=0):
     """Incremental inverse of lam*I + sum theta theta^T matches the direct matrix."""
     tol = 1e-8
 
-    def trial(inst, rng, k):
-        T, lam = inst["thetas"], inst["lam"]
-        A = lam * np.eye(T.shape[1]) + T.T @ T
-        A_inv = _inverse_by_updates(T, lam)
-        err = float(np.max(np.abs(A_inv @ A - np.eye(T.shape[1]))))
-        return err - tol, f"max |A_inv A - I| = {err:.3e}"
+    def evaluate(insts, S, extras, k0):
+        eye = np.eye(S.X.shape[2])
+        A = S.lam[:, None, None] * eye + S.thetas.transpose(0, 2, 1) @ S.thetas
+        err = np.max(np.abs(_inverse_by_updates(S.thetas, S.lam) @ A - eye) * S.pairs, axis=(1, 2))
+        return err - tol, [f"max |A_inv A - I| = {e:.3e}" for e in err]
 
-    return _run("sherman_morrison", trials, seed, trial)
+    return _run("sherman_morrison", trials, seed, evaluate)
 
 
 def check_quadratic_bound(trials=1000, seed=0):
     """theta_i^T A_{-i}^-1 theta_i <= theta_i^T theta_i / lam for every learner."""
     tol = 1e-10
 
-    def trial(inst, rng, k):
-        T, lam = inst["thetas"], inst["lam"]
-        trial_worst = -np.inf
-        for i, _, A_inv in _leave_one_out(T, lam):
-            lhs = float(T[i] @ (A_inv @ T[i]))
-            rhs = sq_norm(T[i]) / lam
-            trial_worst = max(trial_worst, lhs - rhs - tol)
-        return trial_worst, "quadratic bound violated"
+    def evaluate(insts, S, extras, k0):
+        T = S.thetas.transpose(1, 0, 2)  # (N, K, D): learner i across the stack
+        A_inv = _inverse_by_updates(_leave_one_out(S.thetas), S.lam)
+        gap = np.sum(T * _mv(A_inv, T), -1) - np.sum(T * T, -1) / S.lam - tol
+        return np.max(np.where(S.learners.T, gap, -np.inf), axis=0), "quadratic bound violated"
 
-    return _run("quadratic_bound", trials, seed, trial)
+    return _run("quadratic_bound", trials, seed, evaluate)
 
 
 def check_first_bound(trials=1000, seed=0):
@@ -198,33 +218,32 @@ def check_first_bound(trials=1000, seed=0):
     tol = 1e-9
     additive_hits, additive_worst = 0, 0.0
 
-    def trial(inst, rng, k):
+    def evaluate(insts, S, extras, k0):
         nonlocal additive_hits, additive_worst
-        T, X, y, z, lam = inst["thetas"], inst["X"], inst["y"], inst["z"], inst["lam"]
-        X_star = attacker_best_response(T, X, _params(inst))
-        B_full = lam * X + np.outer(z, T.sum(axis=0))
-        shift = np.linalg.norm(z - y)
-        quart = shift**2 / lam**2
-        trial_worst = -np.inf
-        additive_bad = False
-        for i, others, A_inv_minus in _leave_one_out(T, lam):
-            B_minus = lam * X + np.outer(z, others.sum(axis=0))
-            s = float(T[i] @ A_inv_minus @ T[i])
-            reduced = (B_full @ (A_inv_minus @ T[i])) / (1.0 + s)
-            ident_gap = float(np.max(np.abs(X_star @ T[i] - reduced)))
-            lhs = sq_norm(X_star @ T[i] - y)
-            loo = sq_norm((B_minus @ A_inv_minus) @ T[i] - y)
-            rhs = (np.sqrt(loo) + shift * sq_norm(T[i]) / lam) ** 2
-            trial_worst = max(trial_worst, ident_gap - tol, lhs - rhs - tol)
-            additive = loo + quart * sq_norm(T[i]) ** 2
-            if lhs - additive > tol:
-                additive_bad = True
-                additive_worst = max(additive_worst, lhs - additive)
-        if additive_bad:
-            additive_hits += 1
-        return trial_worst, "leave-one-out risk bound violated"
+        X_star = _pad([attacker_best_response(inst["thetas"], inst["X"], _params(inst))
+                       for inst in insts])
+        T = S.thetas.transpose(1, 0, 2)  # (N, K, D): learner i across the stack
+        others = _leave_one_out(S.thetas)
+        A_inv_minus = _inverse_by_updates(others, S.lam)
+        lam = S.lam[:, None, None]
+        B_full = lam * S.X + S.z[:, :, None] * S.thetas.sum(axis=1)[:, None, :]
+        B_minus = lam * S.X + S.z[:, :, None] * others.sum(axis=2)[:, :, None, :]
+        shift = np.sqrt(np.sum((S.z - S.y) ** 2, -1))
+        w = _mv(A_inv_minus, T)
+        attacked = _mv(X_star, T)
+        reduced = _mv(B_full, w) / (1.0 + np.sum(T * w, -1))[..., None]
+        lhs = np.sum((attacked - S.y) ** 2, axis=-1)
+        loo = np.sum((_mv(B_minus, w) - S.y) ** 2, axis=-1)
+        tsq = np.sum(T * T, -1)
+        rhs = (np.sqrt(loo) + shift * tsq / S.lam) ** 2
+        worst = np.maximum(np.max(np.abs(attacked - reduced), axis=-1), lhs - rhs) - tol
+        excess = np.where(S.learners.T, lhs - (loo + shift**2 / S.lam**2 * tsq**2), 0.0)
+        additive_hits += int(np.count_nonzero(np.any(excess > tol, axis=0)))
+        additive_worst = max(additive_worst, float(np.max(np.where(excess > tol, excess, 0.0))))
+        return (np.max(np.where(S.learners.T, worst, -np.inf), axis=0),
+                "leave-one-out risk bound violated")
 
-    report = _run("first_bound", trials, seed, trial)
+    report = _run("first_bound", trials, seed, evaluate)
     report.notes = (
         "asserted: reduction identity and completed (cross-term aware) bound; "
         f"additive variant without the cross term exceeded on {additive_hits}/{trials} "
@@ -233,55 +252,57 @@ def check_first_bound(trials=1000, seed=0):
     return report
 
 
-def _weighted_jacobian(inst, weights):
-    """Block matrix of weighted second derivatives of the surrogate costs."""
-    T, X, y, z, lam, beta = (
-        inst["thetas"], inst["X"], inst["y"], inst["z"], inst["lam"], inst["beta"],
-    )
-    n, d = T.shape
-    XtX = X.T @ X
-    c2 = 2.0 * beta * sq_norm(z - y) / lam**2
-    J = np.zeros((n * d, n * d))
-    eye = np.eye(d)
-    for i in range(n):
-        cross = sum(np.outer(T[j], T[j]) for j in range(n) if j != i)
-        cross = cross if isinstance(cross, np.ndarray) else np.zeros((d, d))
-        diag = 2.0 * XtX + c2 * (
-            4.0 * np.outer(T[i], T[i]) + 2.0 * sq_norm(T[i]) * eye + cross
-        )
-        J[i * d : (i + 1) * d, i * d : (i + 1) * d] = weights[i] * diag
-        for j in range(n):
-            if j == i:
-                continue
-            block = c2 * (float(T[i] @ T[j]) * eye + np.outer(T[j], T[i]))
-            J[i * d : (i + 1) * d, j * d : (j + 1) * d] = weights[i] * block
-    return J
+def _weighted_jacobian(S, weights):
+    """Stack (K, N*D, N*D) of block matrices of weighted second derivatives
+    of the surrogate costs; zero on padded coordinates, whose weights are 0."""
+    T = S.thetas
+    K, N, D = T.shape
+    eye = S.pairs * np.eye(D)
+    c2 = (2.0 * S.beta * np.sum((S.z - S.y) ** 2, -1) / S.lam**2)[:, None, None, None, None]
+    # block (i, j != i): c2 (theta_i^T theta_j I + theta_j theta_i^T)
+    J = c2 * (np.einsum("kij,kab->kijab", T @ T.transpose(0, 2, 1), eye)
+              + np.einsum("kja,kib->kijab", T, T))
+    others = _leave_one_out(T)
+    cross = np.einsum("ikja,ikjb->kiab", others, others)
+    own = T[:, :, :, None] * T[:, :, None, :]
+    XtX = (S.X.transpose(0, 2, 1) @ S.X)[:, None]
+    sq = 2.0 * np.sum(T * T, -1)[..., None, None] * eye[:, None]
+    J[:, np.arange(N), np.arange(N)] = 2.0 * XtX + c2[:, 0] * (4.0 * own + sq + cross)
+    return (weights[:, :, None, None, None] * J).transpose(0, 1, 3, 2, 4).reshape(K, N * D, N * D)
 
 
 def check_rosen_pd(trials=1000, seed=0, config=None):
     """The symmetrized weighted Jacobian is positive definite on random profiles."""
 
-    def trial(inst, rng, k):
-        if config is not None:
-            weights = config.weights
-            n, d = weights.size, inst["thetas"].shape[1]
-            if inst["thetas"].shape[0] != n:
-                inst["thetas"] = rng.uniform(-1.0, 1.0, (n, d))
-        else:
-            n = inst["thetas"].shape[0]
-            weights = np.full(n, 1.0 / n)
-        J = _weighted_jacobian(inst, weights)
-        sym = 0.5 * (J + J.T)  # exactly symmetric
-        try:
-            L = _cholesky(sym)
-        except NotPositiveDefinite:
-            vals, _ = sym_eig(sym)
-            # refused by the pivot test, so a failure even where rounding leaves vals[-1] >= 0
-            return (max(-float(vals[-1]), np.finfo(float).tiny),
-                    "weighted Jacobian not positive definite")
-        return -float(np.min(np.diag(L) ** 2)), ""
+    def extra(inst, rng):
+        if config is not None and inst["thetas"].shape[0] != config.weights.size:
+            inst["thetas"] = rng.uniform(-1.0, 1.0, (config.weights.size, inst["X"].shape[1]))
 
-    return _run("rosen_pd", trials, seed, trial, n_min=2, full_rank=True)
+    def evaluate(insts, S, extras, k0):
+        K = len(insts)
+        n = S.learners.sum(axis=1, keepdims=True)
+        J = _weighted_jacobian(S, S.learners * (1.0 / n if config is None else config.weights))
+        sym = 0.5 * (J + J.transpose(0, 2, 1))  # exactly symmetric
+        real = (S.learners[:, :, None] & S.feats[:, None, :]).reshape(K, -1)
+        threshold = PIVOT_RTOL * np.max(np.diagonal(sym, 0, 1, 2), axis=1)
+        sym += ~real[:, :, None] * np.eye(real.shape[1])  # the identity on padded coordinates
+        try:
+            pivots = np.where(real, np.diagonal(np.linalg.cholesky(sym), 0, 1, 2) ** 2, np.inf)
+            viol, ok = -np.min(pivots, axis=1), np.all(pivots > threshold[:, None], axis=1)
+        except np.linalg.LinAlgError:  # one refusal refuses the whole stack
+            viol, ok = np.zeros(K), np.zeros(K, dtype=bool)
+        details = [""] * K
+        for k in np.flatnonzero(~ok):  # refused: decided one matrix at a time
+            sub = sym[k][np.ix_(real[k], real[k])]
+            try:
+                viol[k] = -float(np.min(np.diag(_cholesky(sub)) ** 2))
+            except NotPositiveDefinite:
+                # refused by the pivot test, so a failure even where rounding leaves vals[-1] >= 0
+                viol[k] = max(-float(sym_eig(sub)[0][-1]), np.finfo(float).tiny)
+                details[k] = "weighted Jacobian not positive definite"
+        return viol, details
+
+    return _run("rosen_pd", trials, seed, evaluate, n_min=2, full_rank=True, extra=extra)
 
 
 def check_equilibrium_fixed_point(trials=1000, seed=0, directions=200):
@@ -289,21 +310,23 @@ def check_equilibrium_fixed_point(trials=1000, seed=0, directions=200):
     (eta - theta*)^T F(theta*) >= -1e-8 for sampled feasible eta."""
     tol = 1e-8
 
-    def trial(inst, rng, k):
-        X, y = inst["X"], inst["y"]
-        params = _params(inst)
-        sol = solve_equilibrium(X, y, params)
-        grad = equilibrium_gradient(sol.theta_star, X, y, params)
-        R = default_radius(X, y)
-        d = X.shape[1]
-        dirs = rng.normal(size=(directions, d))
-        dirs /= np.sqrt(np.sum(dirs**2, axis=1))[:, None]
-        radii = R * rng.uniform(0.0, 1.0, directions) ** (1.0 / d)
-        etas = dirs * radii[:, None]
-        values = (etas - sol.theta_star) @ grad
-        return -float(np.min(values)) - tol, "variational inequality violated"
+    def extra(inst, rng):
+        return rng.normal(size=(directions, inst["X"].shape[1])), rng.uniform(0.0, 1.0, directions)
 
-    return _run("equilibrium_fixed_point", trials, seed, trial, full_rank=True)
+    def evaluate(insts, S, extras, k0):
+        games = [(inst["X"], inst["y"], _params(inst)) for inst in insts]
+        theta = [solve_equilibrium(*game).theta_star for game in games]
+        grad = [equilibrium_gradient(th, *game) for th, game in zip(theta, games)]
+        R = np.array([default_radius(X, y) for X, y, _ in games])
+        dirs = _pad([e[0] for e in extras])
+        radii = R[:, None] * np.array([e[1] for e in extras]) ** (1.0 / S.feats.sum(1)[:, None])
+        theta, grad = _pad(theta), _pad(grad)
+        # (eta - theta*)^T grad with eta = radius * dir / ||dir||, without an eta array
+        values = radii * _mv(dirs, grad) / np.sqrt(np.einsum("kja,kja->kj", dirs, dirs))
+        values -= np.sum(theta * grad, -1)[:, None]
+        return -np.min(values, axis=1) - tol, "variational inequality violated"
+
+    return _run("equilibrium_fixed_point", trials, seed, evaluate, full_rank=True, extra=extra)
 
 
 def robust_disturbance(theta, X, y, c):
@@ -363,32 +386,41 @@ def check_robust_correspondence(trials=1000, seed=0, samples=1000):
     equilibrium objective's robust-regularization form."""
     tol = 1e-8
 
-    def trial(inst, rng, k):
-        X, y, z, lam, beta = inst["X"], inst["y"], inst["z"], inst["lam"], inst["beta"]
-        n = inst["thetas"].shape[0]
-        theta = inst["thetas"][0]
-        c = beta * (n + 1) * sq_norm(z - y) / (2.0 * lam**2)
-        closed, sampled = robust_inner_max(
-            theta, X, y, c, samples=samples, seed=seed + 7919 * (k + 1)
-        )
-        delta_star = robust_disturbance(theta, X, y, c)
-        G = delta_star.T @ delta_star
-        feas_gap = float(np.max(np.abs(G) - c * np.abs(np.outer(theta, theta)))) if theta.size else 0.0
-        attained = sq_norm(y - (X + delta_star) @ theta)
-        fval = sq_norm(y - X @ theta) + c * sq_norm(theta) ** 2
-        return max(
-            sampled - closed - tol,
-            feas_gap - tol,
-            abs(attained - closed) - tol,
-            fval - closed - tol,
-        ), "robust inner-max correspondence violated"
+    def evaluate(insts, S, extras, k0):
+        theta = S.thetas[:, 0]
+        c = S.beta * (S.learners.sum(axis=1) + 1) * np.sum((S.z - S.y) ** 2, -1) / (2.0 * S.lam**2)
+        args = [(inst["thetas"][0], inst["X"], inst["y"], c[k]) for k, inst in enumerate(insts)]
+        closed, sampled = np.array([robust_inner_max(*a, samples=samples, seed=seed + 7919 * k)
+                                    for k, a in enumerate(args, k0 + 1)]).T
+        delta_star = _pad([robust_disturbance(*a) for a in args])
+        G = delta_star.transpose(0, 2, 1) @ delta_star
+        excess = np.abs(G) - c[:, None, None] * np.abs(theta[:, :, None] * theta[:, None, :])
+        feas_gap = np.max(np.where(S.pairs, excess, -np.inf), axis=(1, 2))
+        attained = np.sum((S.y - _mv(S.X + delta_star, theta)) ** 2, axis=1)
+        fval = np.sum((S.y - _mv(S.X, theta)) ** 2, axis=1) + c * np.sum(theta**2, -1) ** 2
+        worst = np.max([sampled - closed, feas_gap, np.abs(attained - closed), fval - closed],
+                       axis=0)
+        return worst - tol, "robust inner-max correspondence violated"
 
-    return _run("robust_correspondence", trials, seed, trial)
+    return _run("robust_correspondence", trials, seed, evaluate)
 
 
 # a non-finite cost gap is recorded as the largest finite float: it ranks
 # above every finite gap and the report stays valid JSON
 NON_FINITE_GAP = float(np.finfo(float).max)
+
+
+def _theorem2_costs(inst, P):
+    """Realized cost (`game.learner_cost` against the best response X' = B A^-1)
+    and `game.approx_cost` of every learner on each profile of P (samples, n, d)."""
+    X, y, z, lam, beta = inst["X"], inst["y"], inst["z"], inst["lam"], inst["beta"]
+    Pt = P.transpose(0, 2, 1)
+    A = lam * np.eye(X.shape[1]) + Pt @ P
+    B = lam * X + z[:, None] * P.sum(axis=1)[:, None, :]
+    attacked = np.sum((B @ np.linalg.solve(A, Pt) - y[:, None]) ** 2, axis=1)
+    clean = np.sum((X @ Pt - y[:, None]) ** 2, axis=1)
+    quartic = beta / lam**2 * sq_norm(z - y) * np.sum((P @ Pt) ** 2, axis=1)
+    return beta * attacked + (1.0 - beta) * clean, clean + quartic
 
 
 def check_theorem2_bound(trials=1000, seed=0, samples=100):
@@ -404,26 +436,26 @@ def check_theorem2_bound(trials=1000, seed=0, samples=100):
     """
     largest_gap = -np.inf
 
-    def trial(inst, rng, k):
-        nonlocal largest_gap
-        X, y = inst["X"], inst["y"]
-        n, d = inst["thetas"].shape
-        params = _params(inst)
-        for _s in range(samples):
-            T = rng.uniform(-1.0, 1.0, (n, d))
-            X_star = attacker_best_response(T, X, params)
-            for i in range(n):
-                realized = learner_cost(T[i], X, X_star, y, params)
-                surrogate = approx_cost(i, T, X, y, params)
-                gap = realized - surrogate
-                if not np.isfinite(gap):
-                    largest_gap = NON_FINITE_GAP
-                    return NON_FINITE_GAP, (f"non-finite cost gap of learner {i}: realized "
-                                            f"{float(realized)!r}, surrogate {float(surrogate)!r}")
-                largest_gap = max(largest_gap, gap)
-        return -np.inf, ""
+    def extra(inst, rng):
+        return rng.uniform(-1.0, 1.0, (samples, *inst["thetas"].shape))
 
-    report = _run("theorem2_bound", trials, seed, trial)
+    def evaluate(insts, S, extras, k0):
+        nonlocal largest_gap
+        viol, details = np.full(len(insts), -np.inf), [""] * len(insts)
+        for k, (inst, P) in enumerate(zip(insts, extras)):
+            realized, surrogate = _theorem2_costs(inst, P)
+            gap = realized - surrogate
+            bad = np.argwhere(~np.isfinite(gap))  # the first in sample, then learner, order
+            if not bad.size:
+                largest_gap = max(largest_gap, float(np.max(gap, initial=-np.inf)))
+                continue
+            (s, i), largest_gap = bad[0], NON_FINITE_GAP
+            viol[k], details[k] = NON_FINITE_GAP, (
+                f"non-finite cost gap of learner {i}: realized {float(realized[s, i])!r}, "
+                f"surrogate {float(surrogate[s, i])!r}")
+        return viol, details
+
+    report = _run("theorem2_bound", trials, seed, evaluate, extra=extra)
     report.worst_violation = largest_gap
     report.notes = (
         "records the largest realized-minus-surrogate gap; the bound's "
@@ -444,14 +476,7 @@ ALL_CHECKS = {
 
 # the six inequality/identity certificates; the gap check is reported
 # separately because it asserts only finiteness
-CORE_CHECKS = (
-    "sherman_morrison",
-    "quadratic_bound",
-    "first_bound",
-    "rosen_pd",
-    "equilibrium_fixed_point",
-    "robust_correspondence",
-)
+CORE_CHECKS = tuple(name for name in ALL_CHECKS if name != "theorem2_bound")
 
 
 def run_checks(names=None, trials=1000, seed=0):

@@ -599,7 +599,10 @@ def test_verify_failure_exits_five(monkeypatch):
 
 
 def test_verify_reports_a_non_finite_cost_gap_and_exits_five(tmp_path, monkeypatch):
-    monkeypatch.setattr(verify_mod, "approx_cost", lambda *args: float("nan"))
+    # every surrogate cost NaN
+    exact = verify_mod._theorem2_costs
+    monkeypatch.setattr(verify_mod, "_theorem2_costs",
+                        lambda inst, P: (exact(inst, P)[0], np.full(P.shape[:2], np.nan)))
     out = tmp_path / "verify.json"
     assert run_cli("verify", "--checks", "theorem2_bound", "--trials", "3", "--quiet",
                    "--out", str(out)) == 5
@@ -720,6 +723,10 @@ WRONG_TYPED_VALUES = {
     "train-label-boolean": ("train", {"algorithm": "ols", "label": True}, "label"),
     "train-value_range-triple": (
         "train", {"algorithm": "mlsg", "target": {"kind": "constant", "value_range": [1, 2, 3]}},
+        "value_range"),
+    # a range runs from its low end to its high end, refused before any data loads
+    "train-value_range-reversed": (
+        "train", {"algorithm": "mlsg", "target": {"kind": "constant", "value_range": [4, 1]}},
         "value_range"),
     # a number is never a string, as a scalar or as a grid entry
     "train-lambda-string": ("train", {"algorithm": "ols", "lambda": "0.5"}, "lambda"),

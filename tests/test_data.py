@@ -295,6 +295,12 @@ def test_targets_refuse_non_finite_numbers(kwargs):
         kind(**kwargs)
 
 
+def test_constant_target_refuses_a_reversed_value_range():
+    with pytest.raises(ValueError, match="value_range must be"):
+        ConstantTarget(value_range=(4.0, 1.0))
+    assert ConstantTarget(value_range=(2.0, 2.0)).value_range == (2.0, 2.0)  # a point is a range
+
+
 def test_unresolved_value_range_cannot_materialize():
     spec = ConstantTarget(value_range=(0.0, 4.0))
     with pytest.raises(ValueError):

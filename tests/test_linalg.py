@@ -144,6 +144,28 @@ def test_rank_one_chain_inverts_accumulated_matrix():
         assert np.allclose(A_inv @ A, np.eye(d), atol=1e-10)
 
 
+def test_rank_one_stacked_equals_each_slice_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(250):
+        d = int(rng.integers(1, 7))
+        lead = tuple(int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 3))))
+        M = rng.uniform(-1, 1, lead + (d, d))
+        A_inv = M @ np.swapaxes(M, -1, -2) + np.eye(d)
+        v = rng.uniform(-1, 1, lead + (d,))
+        v[(0,) * len(lead)] = 0.0  # a zero vector leaves its slice unchanged
+        out = rank_one_inverse_update(A_inv, v)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(out[idx], rank_one_inverse_update(A_inv[idx], v[idx]))
+        assert np.array_equal(out[(0,) * len(lead)], A_inv[(0,) * len(lead)])
+
+
+def test_rank_one_refuses_mismatched_stacks():
+    with pytest.raises(DimensionMismatch):
+        rank_one_inverse_update(np.zeros((2, 3, 3)), np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        rank_one_inverse_update(np.zeros((2, 3, 2)), np.zeros((2, 3)))
+
+
 # ------------------------------------------------------------------ sym_eig
 
 def test_sym_eig_diagonal():

@@ -9,12 +9,13 @@ quartic slack.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import advreg.verify as verify_mod
-from advreg.game import GameParams, attacker_best_response, sq_norm
+from advreg.game import GameParams, approx_cost, attacker_best_response, learner_cost, sq_norm
 from advreg.serialize import to_json
 from advreg.verify import (
     ALL_CHECKS,
@@ -34,6 +35,30 @@ from advreg.verify import (
 )
 
 TRIALS = 120  # fast unit-test budget; the acceptance suite runs 1000
+
+# reports of every check recorded at 496799d, the last commit that evaluated
+# the checks one trial at a time, at the (trials, seed) pairs of this file,
+# demo 05 (300, 0), criterion 1 (1000, 0) and the benchmark's certify rounds
+# (50 trials at seeds (2 << 32) | r for r < 4, and its warm-up seed 3 << 32)
+PINNED = json.loads((Path(__file__).parent / "verify_reports.json").read_text(encoding="utf-8"))
+
+
+def _case_id(case):
+    return "-".join([case["check"], str(case["trials"]), str(case["seed"]), *case["kwargs"]])
+
+
+@pytest.mark.parametrize("case", PINNED["cases"], ids=_case_id)
+def test_reports_match_the_recorded_ones(case):
+    kwargs = dict(case["kwargs"])
+    if "weights" in kwargs:
+        kwargs = {"config": RosenConfig(weights=kwargs["weights"])}
+    got = json.loads(to_json(
+        ALL_CHECKS[case["check"]](trials=case["trials"], seed=case["seed"], **kwargs).as_dict()))
+    want = case["report"]
+    assert (got["failures"], got["notes"]) == (want["failures"], want["notes"])
+    assert got["sample_of_failures"] == want["sample_of_failures"]
+    assert abs(got["worst_violation"] - want["worst_violation"]) <= (
+        1e-12 * max(1.0, abs(want["worst_violation"])))
 
 
 def test_sherman_morrison_clean():
@@ -106,8 +131,9 @@ def test_rosen_pd_accepts_custom_weights():
 def test_rosen_pd_fails_a_jacobian_that_pd_check_refuses(monkeypatch):
     # a zero Jacobian has smallest eigenvalue 0, not below it: the refusal
     # alone must still count as a failure with a positive violation
+    exact = verify_mod._weighted_jacobian
     monkeypatch.setattr(verify_mod, "_weighted_jacobian",
-                        lambda inst, weights: np.zeros((2, 2)))
+                        lambda stack, weights: 0.0 * exact(stack, weights))
     r = check_rosen_pd(trials=3, seed=0)
     assert r.failures == 3 and r.worst_violation > 0
 
@@ -181,6 +207,24 @@ def test_theorem2_gap_bounded():
     assert np.isfinite(r.worst_violation)
 
 
+def test_theorem2_stacked_gaps_equal_the_game_costs():
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        inst = verify_mod._draw_instance(rng)
+        P = rng.uniform(-1.0, 1.0, (7, *inst["thetas"].shape))
+        realized, surrogate = verify_mod._theorem2_costs(inst, P)
+        params = verify_mod._params(inst)
+        for s, T in enumerate(P):
+            X_star = attacker_best_response(T, inst["X"], params)
+            for i in range(T.shape[0]):
+                want_r = learner_cost(T[i], inst["X"], X_star, inst["y"], params)
+                want_s = approx_cost(i, T, inst["X"], inst["y"], params)
+                scale = max(abs(want_r), abs(want_s))
+                assert abs(realized[s, i] - want_r) <= 1e-12 * scale
+                assert abs(surrogate[s, i] - want_s) <= 1e-12 * scale
+                assert abs((realized[s, i] - surrogate[s, i]) - (want_r - want_s)) <= 1e-12 * scale
+
+
 def test_run_checks_default_covers_everything():
     reports = run_checks(trials=2, seed=0)
     assert [r.check_name for r in reports] == list(ALL_CHECKS)
@@ -224,6 +268,28 @@ def test_failing_trials_are_counted_and_the_first_five_kept(monkeypatch):
     assert max(s["violation"] for s in r.sample_of_failures) <= r.worst_violation
     assert set(r.sample_of_failures[0]["instance"]) == {"X", "y", "z", "lam", "beta", "thetas"}
     json.loads(to_json(r.as_dict()))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CHECKS))
+def test_reports_do_not_depend_on_the_stack_size(name, monkeypatch):
+    # a run longer than one stack draws and evaluates its stacks in turn
+    whole = ALL_CHECKS[name](trials=40, seed=3).as_dict()
+    monkeypatch.setattr(verify_mod, "STACK_TRIALS", 7)
+    split = ALL_CHECKS[name](trials=40, seed=3).as_dict()
+    assert (split["failures"], split["notes"]) == (whole["failures"], whole["notes"])
+    assert split["worst_violation"] == pytest.approx(whole["worst_violation"], rel=1e-12, abs=1e-12)
+
+
+def test_failing_instances_are_kept_across_stacks(monkeypatch):
+    exact = verify_mod.rank_one_inverse_update
+    monkeypatch.setattr(verify_mod, "rank_one_inverse_update",
+                        lambda A_inv, v: 2.0 * exact(A_inv, v))
+    whole = check_sherman_morrison(trials=8, seed=0)
+    monkeypatch.setattr(verify_mod, "STACK_TRIALS", 3)
+    split = check_sherman_morrison(trials=8, seed=0)
+    assert (split.failures, len(split.sample_of_failures)) == (8, 5)
+    assert ([f["instance"] for f in split.sample_of_failures]
+            == [f["instance"] for f in whole.sample_of_failures])
 
 
 def test_check_report_shape():
