@@ -10,12 +10,7 @@ really is the cost minimizer by probing random directions around it.
 import numpy as np
 
 from advreg.baselines import fit_ols
-from advreg.game import (
-    GameParams,
-    ThetaProfile,
-    attacker_best_response,
-    attacker_cost,
-)
+from advreg.game import GameParams, attacker_best_response, attacker_cost
 
 rng = np.random.default_rng(0)
 
@@ -27,7 +22,7 @@ theta = fit_ols(X, y)
 # the attacker wants predictions pushed two units above the truth
 z = y + 2.0
 params = GameParams(n=1, beta=1.0, lam=0.5, z=z)
-profile = ThetaProfile(theta[None, :])
+profile = theta[None, :]  # one learner, as a row
 
 X_star = attacker_best_response(profile, X, params)
 

@@ -56,7 +56,6 @@ from .evaluate import (
     fit_model,
     run_scenario,
     run_sweep,
-    simulate_attack,
 )
 from .exceptions import (
     ConfigError,
@@ -71,7 +70,7 @@ from .exceptions import (
     SingularDesign,
     TooFewRows,
 )
-from .game import GameParams, ThetaProfile, attacker_cost
+from .game import GameParams, attacker_best_response, attacker_cost
 from .serialize import to_json, write_csv, write_json
 from .verify import ALL_CHECKS, CORE_CHECKS, run_checks
 
@@ -259,8 +258,8 @@ def _target(args, d):
         return TargetSpec(**_read(args, d, _OFFSET))
     if kind == "constant":
         r = _read(args, d, _CONSTANT)
-        if r["value"] is not None:  # a value pinned by an echo wins over its range
-            r["value_range"] = None
+        if r["value_range"] is not None:  # a range redraws the value its echo pinned
+            r["value"] = None
         return ConstantTarget(**r)
     raise ConfigError(f'target kind must be "offset" or "constant", got {kind!r}')
 
@@ -470,11 +469,10 @@ def cmd_attack(args):
     else:
         std, X = None, ds.X
 
-    lam = r["lambda"]
     z, sigma, drawn = draw_target(ds.y, r["target"], r["seed"], STREAM_ACTUAL_TARGET)
-    profile = ThetaProfile(thetas)
-    X_att = simulate_attack(profile, X, z, lam)
-    cost = attacker_cost(profile, X, X_att, GameParams(n=profile.n, beta=1.0, lam=lam, z=z))
+    params = GameParams(n=len(models), beta=1.0, lam=r["lambda"], z=z)
+    X_att = attacker_best_response(thetas, X, params)
+    cost = attacker_cost(thetas, X, X_att, params)
     shift = float(np.sqrt(np.sum((X_att - X) ** 2)))
     X_out = invert_standardizer(std, X_att) if std is not None else X_att
 
@@ -489,7 +487,7 @@ def cmd_attack(args):
             "frobenius_shift": shift,
             "shift_space": "standardized" if std is not None else "original",
             "rows": ds.m,
-            "n_models": profile.n,
+            "n_models": params.n,
             "algorithms": [m["algorithm"] for m in models],
             "sigma": sigma,
         },

@@ -36,9 +36,7 @@ from .equilibrium import solve_equilibrium
 from .exceptions import ConfigError, DimensionMismatch
 from .game import (
     GameParams,
-    ThetaProfile,
     _check_beta_lam,
-    attacker_best_response,
     sq_norm,
     symmetric_attacked_predictions,
 )
@@ -240,13 +238,6 @@ class SweepGrid:
 
 _RMSE_KEYS = ("rmse_expected", "rmse_clean", "rmse_attacked")
 CSV_HEADER = ["lambda", "beta", "algorithm", *_RMSE_KEYS]
-
-
-def simulate_attack(thetas, X_test, z_test, lam):
-    """Optimal manipulated features against the deployed profile."""
-    profile = thetas if isinstance(thetas, ThetaProfile) else ThetaProfile(thetas)
-    params = GameParams(n=profile.n, beta=1.0, lam=lam, z=z_test)
-    return attacker_best_response(profile, X_test, params)
 
 
 def expected_rmse(pred_clean, pred_attacked, y, beta):

@@ -21,8 +21,8 @@ beta, and `approx_cost` is the upper-bound surrogate that decouples the
 learners (clean risk plus a quartic interaction penalty).
 
 Cost sums over learners are accumulated in a canonical order (value-sorted
-contributions; lexicographic order for the rank-one updates) so relabeling
-learners changes nothing, not even floating-point rounding.
+contributions; lexicographic row order for the best response's system) so
+relabeling learners changes nothing, not even floating-point rounding.
 """
 
 import math
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, NonFinite
-from .linalg import rank_one_inverse_update
 
 
 def _check_beta_lam(beta, lam):
@@ -77,42 +76,7 @@ class GameParams:
                 raise ValueError(f"theta_radius must be finite and > 0, got {self.theta_radius}")
 
 
-@dataclass(eq=False)
-class ThetaProfile:
-    """Strategy profile: one coefficient vector per learner, as rows."""
-
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        self.thetas = np.atleast_2d(np.asarray(self.thetas, dtype=float))
-        if not np.all(np.isfinite(self.thetas)):
-            raise NonFinite("profile contains non-finite entries")
-
-    @classmethod
-    def symmetric(cls, theta, n):
-        theta = np.asarray(theta, dtype=float)
-        return cls(np.tile(theta, (int(n), 1)))
-
-    @property
-    def n(self):
-        return self.thetas.shape[0]
-
-    @property
-    def d(self):
-        return self.thetas.shape[1]
-
-
-@dataclass(eq=False)
-class AttackOperator:
-    """Pieces of the closed-form best response: X' = B @ A_inv."""
-
-    A_inv: np.ndarray
-    B: np.ndarray
-
-
 def _profile_array(thetas):
-    if isinstance(thetas, ThetaProfile):
-        return thetas.thetas
     T = np.atleast_2d(np.asarray(thetas, dtype=float))
     if not np.all(np.isfinite(T)):
         raise NonFinite("profile contains non-finite entries")
@@ -152,31 +116,21 @@ def sq_norm(v):
     return float(v @ v)
 
 
-def build_attack_operator(thetas, X, params):
-    """Assemble A_inv and B of the attacker's closed-form response.
+def attacker_best_response(thetas, X, params):
+    """The attacker's optimal manipulated feature matrix X'.
 
-    A = lam * I + sum_i theta_i theta_i^T is inverted incrementally,
-    starting from (1/lam) I and applying one rank-one inverse update per
-    learner (in canonical order, so the profile labeling is irrelevant).
+    X' solves X' A = B with A = lam * I + Theta^T Theta, symmetric positive
+    definite, and B = lam * X + z (sum_i theta_i)^T: one LAPACK solve against
+    B, with Theta's rows in canonical order so the profile labeling is
+    irrelevant. A^-1 is never formed.
     """
     T = _profile_array(thetas)
     X = _check_design(X, T.shape[1])
     _check_target_rows(params.z, X)
-    order = _canonical_order(T)
-    A_inv = np.eye(T.shape[1]) / params.lam
-    for i in order:
-        A_inv = rank_one_inverse_update(A_inv, T[i])
-    theta_sum = np.zeros(T.shape[1])
-    for i in order:
-        theta_sum = theta_sum + T[i]
-    B = params.lam * X + np.outer(params.z, theta_sum)
-    return AttackOperator(A_inv=A_inv, B=B)
-
-
-def attacker_best_response(thetas, X, params):
-    """The attacker's optimal manipulated feature matrix X'."""
-    op = build_attack_operator(thetas, X, params)
-    X_prime = op.B @ op.A_inv
+    T = T[_canonical_order(T)]
+    A = params.lam * np.eye(T.shape[1]) + T.T @ T
+    B = params.lam * X + np.outer(params.z, T.sum(axis=0))
+    X_prime = np.linalg.solve(A, B.T).T
     if not np.all(np.isfinite(X_prime)):
         raise NonFinite("best response produced non-finite entries")
     return X_prime
@@ -185,8 +139,8 @@ def attacker_best_response(thetas, X, params):
 def symmetric_attacked_predictions(theta, X, z, lam, n):
     """X' theta of the best response to n copies of theta, without X'.
 
-    Equals `attacker_best_response(ThetaProfile.symmetric(theta, n), X,
-    params) @ theta` up to rounding; see the module docstring for the form.
+    Equals `attacker_best_response(np.tile(theta, (n, 1)), X, params) @ theta`
+    up to rounding; see the module docstring for the form.
     """
     params = GameParams(n=n, beta=1.0, lam=lam, z=z)
     theta = np.asarray(theta, dtype=float)

@@ -21,14 +21,15 @@ worst_violation is the largest one seen, and at most five failing instances
 are kept, serialized for reproduction.
 
 The checks certify, respectively: the incremental rank-one inversion of
-the attacker's system matrix; the quadratic-form bound theta^T A^-1 theta
-<= theta^T theta / lam; the single-learner risk bound that motivates the
-surrogate cost; positive definiteness of the weighted game Jacobian (the
-uniqueness certificate); the variational-inequality optimality of the
-computed symmetric equilibrium; the closed form of the worst-case
-correlated-disturbance risk; and empirical boundedness of the gap between
-realized and surrogate costs (whose additive constant is non-constructive,
-so only boundedness is recorded, never a specific value).
+lam * I + sum theta theta^T that the leave-one-out checks build on; the
+quadratic-form bound theta^T A^-1 theta <= theta^T theta / lam; the
+single-learner risk bound that motivates the surrogate cost; positive
+definiteness of the weighted game Jacobian (the uniqueness certificate);
+the variational-inequality optimality of the computed symmetric
+equilibrium; the closed form of the worst-case correlated-disturbance risk;
+and empirical boundedness of the gap between realized and surrogate costs
+(whose additive constant is non-constructive, so only boundedness is
+recorded, never a specific value).
 """
 
 from dataclasses import asdict, dataclass, field
@@ -480,12 +481,10 @@ CORE_CHECKS = tuple(name for name in ALL_CHECKS if name != "theorem2_bound")
 
 
 def run_checks(names=None, trials=1000, seed=0):
-    """Run the named checks (all by default) and return their reports."""
-    if names is None:
-        names = list(ALL_CHECKS)
-    reports = []
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise KeyError(f"unknown check {name!r}; have {sorted(ALL_CHECKS)}")
-        reports.append(ALL_CHECKS[name](trials=trials, seed=seed))
-    return reports
+    """Run the named checks (all by default) and return their reports. An
+    unknown name raises KeyError before any check runs."""
+    names = list(ALL_CHECKS) if names is None else list(names)
+    unknown = [name for name in names if name not in ALL_CHECKS]
+    if unknown:
+        raise KeyError(f"unknown check {unknown[0]!r}; have {sorted(ALL_CHECKS)}")
+    return [ALL_CHECKS[name](trials=trials, seed=seed) for name in names]

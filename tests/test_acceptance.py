@@ -20,7 +20,7 @@ from advreg.equilibrium import (
     solve_equilibrium_pgd,
 )
 from advreg.evaluate import GameSetting, ScenarioConfig, run_sweep
-from advreg.game import GameParams, ThetaProfile, attacker_best_response, attacker_cost
+from advreg.game import GameParams, attacker_best_response, attacker_cost
 from advreg.synthetic import dataset_to_csv, load_bundled, make_synthetic
 from advreg.verify import CORE_CHECKS, run_checks
 
@@ -62,13 +62,12 @@ def test_criterion_2_best_response_optimality():
     for _ in range(200):
         X, y, z, thetas, lam = _draw_instance(rng)
         params = GameParams(n=thetas.shape[0], beta=1.0, lam=lam, z=z)
-        profile = ThetaProfile(thetas)
-        X_star = attacker_best_response(profile, X, params)
-        c_star = attacker_cost(profile, X, X_star, params)
+        X_star = attacker_best_response(thetas, X, params)
+        c_star = attacker_cost(thetas, X, X_star, params)
         for _ in range(100):
             E = rng.standard_normal(X.shape)
             E *= 1e-3 / np.sqrt(np.sum(E**2))
-            worst = min(worst, attacker_cost(profile, X, X_star + E, params) - c_star)
+            worst = min(worst, attacker_cost(thetas, X, X_star + E, params) - c_star)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-12 and elapsed < 10.0
     _report(2, ok, f"200 instances x 100 perturbations, worst margin {worst:.3e}, "

@@ -30,8 +30,8 @@ from advreg.evaluate import (
     ScenarioConfig,
     draw_target,
     run_scenario,
-    simulate_attack,
 )
+from advreg.game import GameParams, attacker_best_response
 from advreg.serialize import write_csv
 from advreg.synthetic import bundled_path, dataset_to_csv, make_synthetic
 from advreg.verify import CheckReport
@@ -415,7 +415,8 @@ def test_attack_writes_the_bytes_of_a_per_cell_reference_writer(tmp_path):
     ds = load_csv(csv_path, "value")
     X = apply_standardizer(std, ds.X)
     z, _, _ = draw_target(ds.y, TargetSpec(delta_scale=2.0), 0, STREAM_ACTUAL_TARGET)
-    X_out = invert_standardizer(std, simulate_attack(np.array([model["theta"]]), X, z, 1.0))
+    params = GameParams(n=1, beta=1.0, lam=1.0, z=z)
+    X_out = invert_standardizer(std, attacker_best_response([model["theta"]], X, params))
     columns = {name: X_out[:, j] for j, name in enumerate(ds.feature_names)}
     columns[ds.label_name] = ds.y
     with open(csv_path, encoding="utf-8") as f:
@@ -767,11 +768,16 @@ def test_integral_numbers_and_booleans_in_a_config_pass(synth_csv, tmp_path):
     assert (echo["standardize"], echo["defender_knows_actual"]) == (False, True)
 
 
-@pytest.mark.parametrize("command", ["train", "attack", "evaluate", "sweep", "verify"])
-def test_every_artifact_replays_itself_byte_for_byte(command, synth_csv, tmp_path):
+@pytest.mark.parametrize("case", ["train", "train-value_range", "attack", "evaluate", "sweep",
+                                  "verify"])
+def test_every_artifact_replays_itself_byte_for_byte(case, synth_csv, tmp_path):
+    command = case.split("-")[0]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(eval_config(synth_csv, lambda_grid=[0.5, 1.0], beta_grid=[0.5])),
                    encoding="utf-8")
+    ranged = tmp_path / "ranged.json"
+    ranged.write_text(json.dumps({"target": {"kind": "constant", "value_range": [0, 4]}}),
+                      encoding="utf-8")
     model = str(tmp_path / "model.json")
     if command == "attack":
         assert run_cli("train", "--dataset", synth_csv, "--label", "label", "--algorithm",
@@ -779,11 +785,14 @@ def test_every_artifact_replays_itself_byte_for_byte(command, synth_csv, tmp_pat
     flags = {
         "train": ["--dataset", synth_csv, "--label", "label", "--algorithm", "mlsg",
                   "--delta-scale", "1.5", "--clip-max", "6", "--seed", "3"],
+        # the echo pins the drawn value beside its range; the replay redraws it
+        "train-value_range": ["--config", str(ranged), "--dataset", synth_csv, "--label",
+                              "label", "--algorithm", "mlsg", "--seed", "3"],
         "attack": ["--model", model, "--test", synth_csv, "--delta-scale", "1", "--seed", "2"],
         "evaluate": ["--config", str(cfg)],
         "sweep": ["--config", str(cfg)],
         "verify": ["--checks", "rosen_pd,sherman_morrison", "--trials", "3"],
-    }[command]
+    }[case]
     # the output that embeds the config, beside the main output
     echo = {"attack": ".summary.json", "sweep": ".meta.json"}.get(command, "")
     first, again = tmp_path / "first", tmp_path / "again"

@@ -1,4 +1,4 @@
-"""Scenario harness: attack simulation on held-out data, expected-RMSE
+"""Scenario harness: the attack on held-out data, expected-RMSE
 accounting, per-algorithm comparison, and the sweep grid with its
 repeat-order reduction."""
 
@@ -29,9 +29,8 @@ from advreg.evaluate import (
     fit_model,
     run_scenario,
     run_sweep,
-    simulate_attack,
 )
-from advreg.game import ThetaProfile, symmetric_attacked_predictions
+from advreg.game import GameParams, attacker_best_response, symmetric_attacked_predictions
 from advreg.serialize import to_json
 from advreg.synthetic import load_bundled, make_synthetic
 
@@ -82,12 +81,13 @@ def test_fits_do_not_depend_on_memory_layout():
         assert fits(Xl, yl) == reference, name
 
 
-# --------------------------------------------------------- simulate_attack
+# ------------------------------------------- the attack on held-out data
 
 def test_attack_zero_profile_returns_design_unchanged():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(6, 3))
-    out = simulate_attack(np.zeros((4, 3)), X, rng.normal(size=6), lam=1.0)
+    params = GameParams(n=4, beta=1.0, lam=1.0, z=rng.normal(size=6))
+    out = attacker_best_response(np.zeros((4, 3)), X, params)
     assert np.allclose(out, X, atol=1e-12)
 
 
@@ -98,12 +98,14 @@ def test_attack_huge_lambda_barely_moves_design():
         m = int(rng.integers(2, 7))
         X = rng.uniform(-1, 1, (m, d))
         thetas = rng.uniform(-1, 1, (int(rng.integers(1, 4)), d))
-        out = simulate_attack(thetas, X, rng.uniform(-1, 1, m), lam=1e9)
+        params = GameParams(n=len(thetas), beta=1.0, lam=1e9, z=rng.uniform(-1, 1, m))
+        out = attacker_best_response(thetas, X, params)
         assert np.linalg.norm(out - X) <= 1e-3 * np.linalg.norm(X)
 
 
 def test_attack_scalar_oracle():
-    out = simulate_attack(np.array([[1.0]]), np.array([[1.0]]), np.array([2.0]), lam=1.0)
+    params = GameParams(n=1, beta=1.0, lam=1.0, z=[2.0])
+    out = attacker_best_response(np.array([[1.0]]), np.array([[1.0]]), params)
     assert np.allclose(out, [[1.5]], atol=1e-12)
 
 
@@ -133,7 +135,7 @@ def test_expected_rmse_hand_value():
 
 def test_scenario_attacked_predictions_match_the_attack_command_path(monkeypatch):
     # the sweep scores X' theta in closed form; the `attack` command writes
-    # the full X' from simulate_attack; both must give the same predictions
+    # the full X' from attacker_best_response; both must give the same predictions
     seen = []
 
     def recording(theta, X, z, lam, n):
@@ -150,7 +152,8 @@ def test_scenario_attacked_predictions_match_the_attack_command_path(monkeypatch
     assert len(seen) == len(results)
     for algo, pred in zip(sorted(results), seen):
         theta = np.array(results[algo]["theta"])
-        X_att = simulate_attack(ThetaProfile.symmetric(theta, cfg.n), X_te, z, 0.7)
+        params = GameParams(n=cfg.n, beta=1.0, lam=0.7, z=z)
+        X_att = attacker_best_response(np.tile(theta, (cfg.n, 1)), X_te, params)
         want = X_att @ theta
         assert np.linalg.norm(pred - want) <= 1e-12 * np.linalg.norm(want), algo
         rmse_att = np.sqrt(np.mean((want - test.y) ** 2))

@@ -1,5 +1,5 @@
-"""Attack operator, closed-form best response, and the exact/surrogate
-learner costs.
+"""Attack operator equation, closed-form best response, and the
+exact/surrogate learner costs.
 
 The scalar oracles below were derived by direct arithmetic; optimality of
 the closed form is cross-checked by random perturbation (the best response
@@ -14,12 +14,10 @@ import pytest
 from advreg.exceptions import DimensionMismatch, NonFinite
 from advreg.game import (
     GameParams,
-    ThetaProfile,
     approx_cost,
     approx_cost_gradient,
     attacker_best_response,
     attacker_cost,
-    build_attack_operator,
     exact_game_cost,
     learner_cost,
     sq_norm,
@@ -34,66 +32,56 @@ def params_for(thetas, lam=1.0, z=None, beta=1.0, radius=10.0):
     return GameParams(n=thetas.shape[0], beta=beta, lam=lam, z=z, theta_radius=radius)
 
 
-# --------------------------------------------------- build_attack_operator
+# ------------------------------------------- the operator X' A = B
+# The best response solves X' A = B with A = lam I + Theta^T Theta and
+# B = lam X + z (sum theta)^T; these hand instances check that equation
+# against A and B worked out by direct arithmetic.
 
 def test_operator_scalar_instance():
+    # A = 1 + 1 = 2 and B = 1 + 2 = 3
     thetas = np.array([[1.0]])
-    op = build_attack_operator(thetas, np.array([[1.0]]), params_for(thetas, z=[2.0]))
-    assert np.allclose(op.A_inv, [[0.5]], atol=1e-14)
-    assert np.allclose(op.B, [[3.0]], atol=1e-14)
+    out = attacker_best_response(thetas, np.array([[1.0]]), params_for(thetas, z=[2.0]))
+    assert np.allclose(out @ [[2.0]], [[3.0]], atol=1e-14)
 
 
 def test_operator_zero_profile():
+    # A = 1.7 I and B = 1.7 X
     thetas = np.zeros((3, 2))
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     p = params_for(thetas, lam=1.7, z=[0.3, -0.4])
-    op = build_attack_operator(thetas, X, p)
-    assert np.allclose(op.A_inv, np.eye(2) / 1.7, atol=1e-14)
-    assert np.allclose(op.B, 1.7 * X, atol=1e-14)
+    out = attacker_best_response(thetas, X, p)
+    assert np.allclose(out @ (1.7 * np.eye(2)), 1.7 * X, atol=1e-14)
 
 
 def test_operator_two_identical_learners():
+    # A = 1 + 2 = 3 and B = 1 + 2 * 2 = 5
     thetas = np.array([[1.0], [1.0]])
-    op = build_attack_operator(thetas, np.array([[1.0]]), params_for(thetas, z=[2.0]))
-    assert np.allclose(op.A_inv, [[1.0 / 3.0]], atol=1e-14)
-    assert np.allclose(op.B, [[5.0]], atol=1e-14)
-
-
-def test_operator_A_inv_symmetric_pd():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        d = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(2, 6))
-        thetas = rng.uniform(-1, 1, (n, d))
-        X = rng.uniform(-1, 1, (m, d))
-        p = params_for(thetas, lam=float(rng.uniform(0.5, 2)), z=rng.uniform(-1, 1, m))
-        op = build_attack_operator(thetas, X, p)
-        assert np.allclose(op.A_inv, op.A_inv.T, atol=1e-12)
-        assert np.linalg.eigvalsh((op.A_inv + op.A_inv.T) / 2).min() > 0
-        A = p.lam * np.eye(d) + thetas.T @ thetas
-        assert np.allclose(op.A_inv @ A, np.eye(d), atol=1e-9)
+    out = attacker_best_response(thetas, np.array([[1.0]]), params_for(thetas, z=[2.0]))
+    assert np.allclose(out @ [[3.0]], [[5.0]], atol=1e-14)
 
 
 # ------------------------------------------------- attacker_best_response
 
 def test_best_response_zero_profile_leaves_X():
+    # A = lam I and B = lam X, so X' = X whatever lam and z are
     thetas = np.zeros((2, 3))
     X = np.arange(12.0).reshape(4, 3)
     p = params_for(thetas, lam=0.9, z=np.ones(4))
-    assert np.allclose(attacker_best_response(thetas, X, p), X, atol=1e-12)
+    assert np.allclose(attacker_best_response(thetas, X, p), X, atol=1e-14)
 
 
 def test_best_response_scalar_oracle():
+    # A = 1 + 1 = 2 and B = 1 + 2 = 3
     thetas = np.array([[1.0]])
     out = attacker_best_response(thetas, np.array([[1.0]]), params_for(thetas, z=[2.0]))
-    assert np.allclose(out, [[1.5]], atol=1e-12)
+    assert np.allclose(out, [[1.5]], atol=1e-14)
 
 
 def test_best_response_two_learners_oracle():
+    # A = 1 + 2 = 3 and B = 1 + 2 * 2 = 5
     thetas = np.array([[1.0], [1.0]])
     out = attacker_best_response(thetas, np.array([[1.0]]), params_for(thetas, z=[2.0]))
-    assert np.allclose(out, [[5.0 / 3.0]], atol=1e-12)
+    assert np.allclose(out, [[5.0 / 3.0]], atol=1e-14)
 
 
 def test_best_response_beats_grid_in_1d():
@@ -145,6 +133,28 @@ def test_best_response_rejects_mismatched_shapes():
         attacker_best_response(thetas, X, params_for(thetas, z=[1.0, 1.0]))
 
 
+def test_best_response_is_accurate_when_lam_is_tiny():
+    # A = lam I + Theta^T Theta has condition number up to 1 + n s / lam, about
+    # 1e10 here; a solve against B keeps X' theta and the residual X' A - B at
+    # rounding level, where an explicit A^-1 loses up to log10(cond) digits
+    rng = np.random.default_rng(20)
+    for k in range(400):
+        m, d, n = int(rng.integers(1, 30)), int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        lam = 1e-8 if k % 4 == 0 else float(10 ** rng.uniform(-8, 2))
+        X = rng.normal(size=(m, d)) * 10 ** rng.uniform(-2, 2)
+        z = rng.normal(size=m) * 3.0
+        thetas = rng.normal(size=(n, d)) * 10 ** rng.uniform(-2, 1)
+        params = GameParams(n=n, beta=1.0, lam=lam, z=z)
+        theta = thetas[0]
+        got = attacker_best_response(np.tile(theta, (n, 1)), X, params) @ theta
+        want = symmetric_attacked_predictions(theta, X, z, lam, n)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (k, lam, n)
+        X_prime = attacker_best_response(thetas, X, params)
+        A = lam * np.eye(d) + thetas.T @ thetas
+        B = lam * X + np.outer(z, thetas.sum(axis=0))
+        assert np.linalg.norm(X_prime @ A - B) <= 1e-12 * np.linalg.norm(B), (k, lam, n)
+
+
 # ----------------------------------------- symmetric_attacked_predictions
 
 
@@ -173,14 +183,9 @@ def test_symmetric_attacked_predictions_match_the_best_response():
     for k in range(240):
         theta, X, z, lam, n = random_symmetric_instance(rng, k, 40, 8)
         params = GameParams(n=n, beta=1.0, lam=lam, z=z)
-        want = attacker_best_response(ThetaProfile.symmetric(theta, n), X, params) @ theta
+        want = attacker_best_response(np.tile(theta, (n, 1)), X, params) @ theta
         got = symmetric_attacked_predictions(theta, X, z, lam, n)
-        # the best response builds A^-1 by rank-one updates from I / lam, which
-        # cancels in theta's direction and loses log10(kappa) digits
-        # (about 3e-7 relative at lam = 1e-6); the exact-arithmetic test
-        # below holds the closed form to 1e-12 on those instances
-        kappa = 1.0 + n * (theta @ theta) / lam
-        assert rel_err(got, want) <= 1e-12 * kappa, (k, lam, n)
+        assert rel_err(got, want) <= 1e-12, (k, lam, n)
 
 
 def exact_attacked_predictions(theta, X, z, lam, n):

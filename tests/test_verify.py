@@ -232,9 +232,12 @@ def test_run_checks_default_covers_everything():
     assert "theorem2_bound" not in CORE_CHECKS
 
 
-def test_run_checks_rejects_unknown_name():
+def test_run_checks_rejects_unknown_name(monkeypatch):
+    ran = []
+    monkeypatch.setitem(ALL_CHECKS, "sherman_morrison", lambda **kw: ran.append(kw))
     with pytest.raises(KeyError):
         run_checks(["sherman_morrison", "does_not_exist"], trials=1)
+    assert ran == []  # every name is checked before any check runs
 
 
 @pytest.mark.parametrize("trials", [0, -3])
