@@ -55,16 +55,16 @@ per-call overhead, which was most of a knot. The results are bit-identical
 to the elementwise numpy form, because + - * / and comparisons on Python
 floats round as numpy's elementwise ufuncs do, and every product that sums
 stays in the same BLAS call.
-`fit_lasso_cd` (cyclic coordinate descent) is the tests' oracle.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, MaxSweepsExceeded, NoConvergence, NotPositiveDefinite
-from .linalg import PIVOT_RTOL, shifted_solve, solve_spd
+from .exceptions import DimensionMismatch, NoConvergence
+from .linalg import PIVOT_RTOL, shifted_solve
+# unused here; perfbench/selftest.py asserts that its tracer restores this binding
+from .linalg import solve_spd  # noqa: F401
 
 
 def _default_alpha_grid():
@@ -236,48 +236,6 @@ def fit_lasso(X, y, alpha, *, return_info=False):
     if return_info:
         return thetas[0], {"solver": "path", "path_knots": knots}
     return thetas[0]
-
-
-def fit_lasso_cd(X, y, alpha, theta0=None, *, tol=1e-9, max_sweeps=10000):
-    """Lasso at one alpha by cyclic coordinate descent (the path's oracle).
-
-    Starts from theta0, or else from the matching ridge solution (zeros on
-    singular designs). Each sweep sets theta_j <- soft(rho_j, alpha/2) / G_jj
-    with rho_j = b_j - (G theta)_j + G_jj theta_j, G = X^T X, b = X^T y;
-    sweeps stop once the largest coordinate change is at most tol.
-    Zero-norm columns keep a zero coefficient. Hitting max_sweeps emits
-    MaxSweepsExceeded and returns the iterate.
-    """
-    X, y = _check_xy(X, y)
-    alpha = _check_alpha(alpha)
-    G = X.T @ X
-    b = X.T @ y
-    if theta0 is None:
-        try:
-            theta = solve_spd(G + alpha * np.eye(X.shape[1]), b)
-        except NotPositiveDefinite:
-            theta = np.zeros(X.shape[1])
-    else:
-        theta = np.array(theta0, dtype=float)
-    col_sq = np.diag(G)
-    live = np.flatnonzero(col_sq > 0.0)
-    theta[col_sq == 0.0] = 0.0
-    Gtheta = G @ theta
-    half = 0.5 * alpha
-    for _ in range(max_sweeps):
-        max_delta = 0.0
-        for j in live:
-            rho = b[j] - Gtheta[j] + col_sq[j] * theta[j]
-            new = np.sign(rho) * max(abs(rho) - half, 0.0) / col_sq[j]
-            delta = new - theta[j]
-            if delta != 0.0:
-                Gtheta += G[:, j] * delta
-                theta[j] = new
-                max_delta = max(max_delta, abs(delta))
-        if max_delta <= tol:
-            return theta
-    warnings.warn(f"coordinate descent stopped at cap {max_sweeps}", MaxSweepsExceeded)
-    return theta
 
 
 def cross_validate(X, y, method, cfg=None, seed=0):

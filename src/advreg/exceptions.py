@@ -53,6 +53,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+# raised only by the tests' oracles; perfbench/run.py counts both on every run
 class MaxItersExceeded(Warning):
     """Iterative solver stopped at its iteration cap; result is best iterate."""
 

@@ -76,8 +76,10 @@ class GameParams:
                 raise ValueError(f"theta_radius must be finite and > 0, got {self.theta_radius}")
 
 
-def _profile_array(thetas):
+def _profile_array(thetas, params):
     T = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if T.shape[0] != params.n:
+        raise DimensionMismatch(f"profile has {T.shape[0]} learners, params.n is {params.n}")
     if not np.all(np.isfinite(T)):
         raise NonFinite("profile contains non-finite entries")
     return T
@@ -94,6 +96,13 @@ def _check_design(X, d, m=None, name="X"):
     if not np.all(np.isfinite(X)):
         raise NonFinite(f"{name} contains non-finite entries")
     return X
+
+
+def _check_labels(y, z, X):
+    y = np.asarray(y, dtype=float)
+    if y.shape != (X.shape[0],) or z.shape != y.shape:
+        raise DimensionMismatch("X, y, z row counts disagree")
+    return y
 
 
 def _check_target_rows(z, X):
@@ -124,7 +133,7 @@ def attacker_best_response(thetas, X, params):
     B, with Theta's rows in canonical order so the profile labeling is
     irrelevant. A^-1 is never formed.
     """
-    T = _profile_array(thetas)
+    T = _profile_array(thetas, params)
     X = _check_design(X, T.shape[1])
     _check_target_rows(params.z, X)
     T = T[_canonical_order(T)]
@@ -159,7 +168,7 @@ def symmetric_attacked_predictions(theta, X, z, lam, n):
 
 def attacker_cost(thetas, X, X_prime, params):
     """sum_i ||X' theta_i - z||^2 + lam * ||X' - X||_F^2."""
-    T = _profile_array(thetas)
+    T = _profile_array(thetas, params)
     X = _check_design(X, T.shape[1])
     X_prime = _check_design(X_prime, T.shape[1], m=X.shape[0], name="X_prime")
     _check_target_rows(params.z, X)
@@ -184,7 +193,7 @@ def learner_cost(theta_i, X, X_prime, y, params):
 
 def exact_game_cost(i, thetas, X, y, params):
     """Learner i's realized cost when the attacker best-responds to thetas."""
-    T = _profile_array(thetas)
+    T = _profile_array(thetas, params)
     X_prime = attacker_best_response(T, X, params)
     return learner_cost(T[i], X, X_prime, y, params)
 
@@ -194,11 +203,9 @@ def approx_cost(i, thetas, X, y, params):
 
     ||X theta_i - y||^2 + (beta / lam^2) * ||z - y||^2 * sum_j (theta_j^T theta_i)^2
     """
-    T = _profile_array(thetas)
+    T = _profile_array(thetas, params)
     X = _check_design(X, T.shape[1])
-    y = np.asarray(y, dtype=float)
-    if y.shape != (X.shape[0],) or params.z.shape != y.shape:
-        raise DimensionMismatch("X, y, z row counts disagree")
+    y = _check_labels(y, params.z, X)
     base = sq_norm(X @ T[i] - y)
     coef = params.beta / params.lam**2 * sq_norm(params.z - y)
     terms = (T @ T[i]) ** 2
@@ -207,9 +214,9 @@ def approx_cost(i, thetas, X, y, params):
 
 def approx_cost_gradient(i, thetas, X, y, params):
     """Gradient of approx_cost in learner i's own coefficients."""
-    T = _profile_array(thetas)
+    T = _profile_array(thetas, params)
     X = _check_design(X, T.shape[1])
-    y = np.asarray(y, dtype=float)
+    y = _check_labels(y, params.z, X)
     coef = params.beta / params.lam**2 * sq_norm(params.z - y)
     ips = T @ T[i]
     quartic = 2.0 * coef * (T.T @ ips + ips[i] * T[i])

@@ -53,6 +53,7 @@ def _cholesky(A):
     return L
 
 
+# no module here calls it; perfbench/selftest.py checks its tracing, the tests' lasso oracle calls it
 def solve_spd(A, b):
     """Solve A x = b for symmetric positive definite A.
 

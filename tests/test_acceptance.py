@@ -17,12 +17,12 @@ from advreg.equilibrium import (
     equilibrium_gradient,
     equilibrium_objective,
     solve_equilibrium,
-    solve_equilibrium_pgd,
 )
 from advreg.evaluate import GameSetting, ScenarioConfig, run_sweep
 from advreg.game import GameParams, attacker_best_response, attacker_cost
 from advreg.synthetic import dataset_to_csv, load_bundled, make_synthetic
 from advreg.verify import CORE_CHECKS, run_checks
+from oracles import solve_equilibrium_pgd
 
 BASELINES = ("ols", "ridge", "lasso")
 

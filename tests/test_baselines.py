@@ -2,7 +2,8 @@
 
 Lasso correctness is certified through its KKT conditions (subgradient
 stationarity of ||X theta - y||^2 + alpha ||theta||_1), and the homotopy
-path is compared with the coordinate-descent oracle `fit_lasso_cd`.
+path is compared with the coordinate-descent oracle `fit_lasso_cd` from
+`oracles`.
 """
 
 import warnings
@@ -14,7 +15,6 @@ from advreg.baselines import (
     FitConfig,
     cross_validate,
     fit_lasso,
-    fit_lasso_cd,
     fit_ols,
     fit_ridge,
 )
@@ -22,6 +22,7 @@ from advreg.data import apply_standardizer, fit_standardizer, split_train_test
 from advreg.exceptions import MaxSweepsExceeded, SingularDesign
 from advreg.linalg import PIVOT_RTOL
 from advreg.synthetic import load_bundled
+from oracles import fit_lasso_cd
 
 
 def lasso_kkt_gaps(X, y, alpha, theta):
@@ -363,11 +364,14 @@ def long_path_design(d, scale):
     return X, y
 
 
-def test_lasso_long_path_does_not_drift():
-    # the active-set inverse is updated at every knot; here 167 knots pass,
-    # 81 of them leaves, and the duplicate of column 0 is turned away as
-    # spanned 29 times, so error that accumulated over the updates would show
-    X, y = long_path_design(6, 0.2)
+@pytest.mark.parametrize("scale", [0.2, 0.1])
+def test_lasso_long_path_does_not_drift(scale):
+    # the active-set inverse is updated at every knot; at scale 0.2, 167
+    # knots pass, 81 of them leaves, and the duplicate of column 0 is turned
+    # away as spanned 29 times, so error that accumulated over the updates
+    # would show. At 0.1, 363 knots pass and the smallest column has norm
+    # about 5e-5, so the oracle's stop rule must not depend on column scale
+    X, y = long_path_design(6, scale)
     X = np.column_stack([X, X[:, 0]])
     _, info = fit_lasso(X, y, 0.0, return_info=True)
     assert info["path_knots"] >= 3 * X.shape[1]

@@ -20,12 +20,11 @@ from advreg.equilibrium import (
     default_radius,
     equilibrium_gradient,
     equilibrium_objective,
-    project_to_ball,
     solve_equilibrium,
-    solve_equilibrium_pgd,
 )
 from advreg.exceptions import SingularDesign
 from advreg.game import GameParams
+from oracles import project_to_ball, solve_equilibrium_pgd
 
 CUBIC_X = np.array([[1.0]])
 CUBIC_Y = np.array([2.0])

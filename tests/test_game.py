@@ -375,3 +375,38 @@ def test_approx_cost_gradient_matches_central_differences():
             dn[i, k] -= h
             fd[k] = (approx_cost(i, up, X, y, p) - approx_cost(i, dn, X, y, p)) / (2 * h)
         assert np.linalg.norm(grad - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
+
+
+# ------------------------------------------------------ input agreement
+
+PROFILE_FUNCTIONS = {
+    "attacker_best_response": lambda T, X, y, p: attacker_best_response(T, X, p),
+    "attacker_cost": lambda T, X, y, p: attacker_cost(T, X, X, p),
+    "exact_game_cost": lambda T, X, y, p: exact_game_cost(0, T, X, y, p),
+    "approx_cost": lambda T, X, y, p: approx_cost(0, T, X, y, p),
+    "approx_cost_gradient": lambda T, X, y, p: approx_cost_gradient(0, T, X, y, p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_FUNCTIONS))
+def test_profile_must_have_params_n_learners(name):
+    # a profile of three learners against a game declared for one
+    thetas = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    X = np.eye(2)
+    y = np.array([1.0, 0.0])
+    p = GameParams(n=1, beta=0.5, lam=1.0, z=np.array([2.0, 0.0]))
+    with pytest.raises(DimensionMismatch, match="params.n"):
+        PROFILE_FUNCTIONS[name](thetas, X, y, p)
+    # the same call with a matching n answers
+    PROFILE_FUNCTIONS[name](thetas, X, y, params_for(thetas, beta=0.5, z=[2.0, 0.0]))
+
+
+@pytest.mark.parametrize("labels, target", [([1.0, 0.0, 3.0], [2.0, 0.0]),
+                                            ([1.0, 0.0], [2.0, 0.0, 1.0])],
+                         ids=["y-rows", "z-rows"])
+def test_approx_cost_gradient_rejects_mismatched_labels(labels, target):
+    thetas = np.array([[1.0, 0.0]])
+    p = params_for(thetas, beta=0.5, z=target)
+    for fn in (approx_cost, approx_cost_gradient):
+        with pytest.raises(DimensionMismatch):
+            fn(0, thetas, np.eye(2), np.array(labels), p)
