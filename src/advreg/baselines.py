@@ -55,13 +55,17 @@ per-call overhead, which was most of a knot. The results are bit-identical
 to the elementwise numpy form, because + - * / and comparisons on Python
 floats round as numpy's elementwise ufuncs do, and every product that sums
 stays in the same BLAS call.
+
+`_lasso_paths` runs a stack of paths in lockstep, one knot per path per
+step, each equal to `_lasso_path`'s bit for bit: `cross_validate` stacks its
+lasso folds, and `lasso_cv_fits` the folds of many problems, then their fits.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NoConvergence
+from .exceptions import DimensionMismatch, NoConvergence, NonFinite
 from .linalg import PIVOT_RTOL, shifted_solve
 # unused here; perfbench/selftest.py asserts that its tracer restores this binding
 from .linalg import solve_spd  # noqa: F401
@@ -75,13 +79,17 @@ def _default_alpha_grid():
 class FitConfig:
     """Cross-validation settings for ridge and lasso.
 
-    The alpha grid must be non-empty, finite and non-negative.
+    cv_folds must be an integer (not a bool) of at least 2, and the alpha
+    grid non-empty, finite and non-negative.
     """
 
     cv_folds: int = 5
     cv_alpha_grid: np.ndarray = field(default_factory=_default_alpha_grid)
 
     def __post_init__(self):
+        k = self.cv_folds
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
+            raise ValueError(f"cv_folds must be an integer >= 2, got {k!r}")
         self.cv_alpha_grid = grid = np.asarray(self.cv_alpha_grid, dtype=float)
         if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
             raise ValueError("cv_alpha_grid must be non-empty, finite and non-negative")
@@ -99,6 +107,9 @@ def _check_xy(X, y):
     y = np.ascontiguousarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise DimensionMismatch(f"y has shape {y.shape}, X has {X.shape[0]} rows")
+    for name, v in (("X", X), ("y", y)):
+        if not np.isfinite(v).all():
+            raise NonFinite(f"{name} contains non-finite entries")
     return X, y
 
 
@@ -224,6 +235,139 @@ def _lasso_path(G, b, alphas):
     return np.array(thetas), knots
 
 
+def _lasso_paths(G, b, alphas):
+    """`_lasso_path` on a stack: G (k, d, d), b (k, d), alphas (k, n) give
+    thetas (k, n, d) and knots (k,), each slice equal to its result bit for bit."""
+    if len(b) == 1:  # nothing to run in lockstep with
+        thetas, knots = _lasso_path(G[0], b[0], alphas[0])
+        return thetas[None], np.array([knots])
+    thetas, knots, rerun = _lockstep(G, b, alphas)
+    for path in rerun:
+        thetas[path], knots[path] = _lasso_path(G[path], b[path], alphas[path])
+    return thetas, knots
+
+
+def _lockstep(G, b, alphas):
+    """The homotopies of a stack, one knot per path per step, as masked array
+    operations. Returns (thetas, knots, rerun); the paths in rerun met a knot
+    that ties their t (a tied start, a rejoin the bars refuse, a cycle) or a
+    spanned joining column, and are left to `_lasso_path` and its tie rules.
+    Active columns, signs and H are kept in join order and zero-padded, so a
+    padded product sums `_lasso_path`'s terms in its order (a zero term
+    changes no BLAS sum); h = H g, whose BLAS kernel groups terms by length,
+    runs unpadded, one stack per active-set size.
+    """
+    k, d = b.shape
+    e = d + 1  # position d pads: act d, signs and H zero
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    live = diag > 0.0
+    r = 1.0 / np.sqrt(np.where(live, diag, 1.0))
+    rb = np.stack((r * b, r), axis=2)  # per column: r b, r
+    halves = 0.5 * alphas
+    t = np.max(np.where(live, np.abs(b), 0.0), axis=1)
+    pending = halves < t[:, None]
+    j = np.argmax(np.where(live, np.abs(b), -1.0), axis=1)
+    rows = np.arange(k)
+    act = np.full((k, e), d)
+    act[:, 0] = j
+    S = np.zeros((k, e, 2))  # 1 and the sign; 0 and 0 on the pad
+    S[:, 0, 0], S[:, 0, 1] = 1.0, np.sign(b[rows, j])
+    H = np.zeros((k, e, e))
+    H[:, 0, 0] = 1.0
+    na = np.ones(k, dtype=int)
+    free = np.repeat(live[:, None], 2, axis=1)  # may join going up, going down
+    free[rows, :, j] = False
+    bar = np.zeros((k, 2, d), dtype=bool)  # the column that just left, on its side
+    knots = np.zeros(k, dtype=int)
+    thetas = np.zeros((k, alphas.shape[1], e))  # column d takes the padding
+    rerun = []
+    flip = np.array([[1.0], [-1.0]])
+    on = pending.any(axis=1)  # a finished path rides along, masked out
+    while on.any():
+        # the pad reads a real column, which only ever meets zeros
+        col_of = (rows[:, None], np.minimum(act, d - 1))
+        C = rb[col_of]
+        U = C[:, :, 1:] * (H @ (C * S))  # r_A * (H @ [r_A b_A, r_A s])
+        GU = G[rows[:, None], :, col_of[1]].transpose(0, 2, 1) @ U  # G[:, A] @ U
+        u, w, sgn = U[:, :, 0], U[:, :, 1], S[:, :, 1]
+        p, a = b - GU[:, :, 0], GU[:, :, 1]
+        # join times going up, p / (1 - a), and down, -p / (1 + a)
+        den = 1.0 - a[:, None] * flip
+        ok = free & ~bar & (den > 0.0)
+        bar[:] = False
+        c = np.full((k, 2, d), -np.inf)
+        np.divide(p[:, None] * flip, den, out=c, where=ok)
+        s = np.minimum(np.maximum(c[:, 0], c[:, 1]), t[:, None])
+        j = np.argmax(s, axis=1)
+        join = s[rows, j]
+        s = np.full((k, e), -np.inf)
+        np.divide(u, w, out=s, where=sgn * w < 0.0)
+        np.minimum(s, t[:, None], out=s)
+        i = np.argmax(s, axis=1)
+        leave = s[rows, i]
+        t_next = np.maximum(np.maximum(join, leave), 0.0)
+        read = pending & (halves >= t_next[:, None])
+        if read.any():
+            ri, ai = np.nonzero(read)
+            x = w[ri]
+            x *= halves[ri, ai, None]
+            np.subtract(u[ri], x, out=x)  # u - half w
+            x[sgn[ri] * x < 0.0] = 0.0  # at its own knot it may round past zero
+            at = act[ri]  # flat positions in thetas
+            at += ((ri * alphas.shape[1] + ai) * e)[:, None]
+            thetas.put(at, x)
+            pending &= ~read
+        on = pending.any(axis=1)
+        tied = on & (t_next == t)
+        if tied.any():
+            rerun += np.flatnonzero(tied).tolist()
+            pending[tied] = on[tied] = False
+        t[:] = t_next
+        knots += on
+        lv = on & (leave >= join)
+        jn = np.flatnonzero(on ^ lv)
+        lv = np.flatnonzero(lv)
+        if lv.size:
+            lr, n = np.arange(lv.size), i[lv]
+            col, side = act[lv, n], np.where(S[lv, n, 1] > 0.0, 0, 1)
+            Hl = H[lv]
+            q = Hl[lr, :, n]
+            Hl -= q[:, :, None] * q[:, None, :] / Hl[lr, n, n][:, None, None]
+            # drop position n: the later ones move up, the pad fills the end
+            order = np.minimum(np.arange(e) + (np.arange(e) >= n[:, None]), d)
+            H[lv] = Hl[lr[:, None, None], order[:, :, None], order[:, None, :]]
+            act[lv] = act[lv[:, None], order]
+            S[lv] = S[lv[:, None], order]
+            free[lv, :, col] = True
+            bar[lv, side, col] = True
+            na[lv] -= 1
+            pending[lv[na[lv] == 0]] = on[lv[na[lv] == 0]] = False  # none left active
+        if jn.size:
+            nj, col = na[jn], j[jn]
+            up = c[jn, 0, col] >= c[jn, 1, col]
+            joins = np.zeros(jn.size, dtype=bool)  # False: spanned, rerun
+            for n in sorted(set(nj.tolist())):
+                z = np.flatnonzero(nj == n)
+                row, A, cz = jn[z, None], act[jn[z], :n], col[z, None]
+                g = (G[row, A, cz] * r[row, A] * r[row, cz])[:, :, None]
+                h = H[jn[z], :n, :n] @ g
+                schur = 1.0 - (g.transpose(0, 2, 1) @ h)[:, 0, 0]  # squared pivot
+                joins[z] = keep = schur > PIVOT_RTOL
+                # H' = [[H, 0], [0, 0]] + v v^T / schur, v = [h, -1]
+                v = np.concatenate((h[keep, :, 0], np.full((keep.sum(), 1), -1.0)), axis=1)
+                v = v[:, :, None] * v[:, None, :] / schur[keep, None, None]
+                H[jn[z[keep]], :n + 1, :n + 1] += v
+            if not joins.all():
+                rerun += jn[~joins].tolist()
+                pending[jn[~joins]] = on[jn[~joins]] = False
+                jn, nj, col, up = jn[joins], nj[joins], col[joins], up[joins]
+            act[jn, nj] = col
+            S[jn, nj, 0], S[jn, nj, 1] = 1.0, np.where(up, 1.0, -1.0)
+            free[jn, :, col] = False
+            na[jn] += 1
+    return np.ascontiguousarray(thetas[:, :, :d]), knots, sorted(rerun)
+
+
 def fit_lasso(X, y, alpha, *, return_info=False):
     """Lasso at one alpha, read off the homotopy path.
 
@@ -238,14 +382,51 @@ def fit_lasso(X, y, alpha, *, return_info=False):
     return thetas[0]
 
 
+def _folds(m, cfg, seed):
+    """cross_validate's folds of m rows: one seeded shuffle cut into k
+    contiguous parts, the first m mod k of them a row longer."""
+    k = int(cfg.cv_folds)
+    if k < 2 or k > m:
+        raise ValueError(f"cv_folds must be in 2..{m}, got {k}")
+    return np.array_split(np.random.default_rng(seed).permutation(m), k)
+
+
+def _fold_systems(X, y, folds):
+    """Each fold's training X^T X and X^T y, stacked."""
+    k, d = len(folds), X.shape[1]
+    G, b = np.empty((k, d, d)), np.empty((k, d))
+    for f in range(k):
+        trn = np.concatenate([folds[g] for g in range(k) if g != f])
+        X_trn = X[trn]
+        G[f], b[f] = X_trn.T @ X_trn, X_trn.T @ y[trn]
+    return G, b
+
+
+def _cv_choice(X, y, folds, thetas, grid):
+    """(alpha, errors): each alpha's mean held-out error over the folds, and
+    the alpha with the least, ties to the larger alpha."""
+    errors = np.zeros(grid.size)
+    for val, theta in zip(folds, thetas):
+        R = X[val] @ theta.T - y[val][:, None]
+        errors += np.sum(R * R, axis=0) / val.size
+    errors /= len(folds)
+    best_idx = 0
+    for i in range(grid.size):
+        if errors[i] < errors[best_idx] or (
+            errors[i] == errors[best_idx] and grid[i] > grid[best_idx]
+        ):
+            best_idx = i
+    return float(grid[best_idx]), errors
+
+
 def cross_validate(X, y, method, cfg=None, seed=0):
     """Pick alpha for ridge/lasso by k-fold CV on held-out squared error.
 
     Rows are shuffled once with the given seed and cut into contiguous
     folds (the first m mod k folds get the extra row). Each fold fits every
-    alpha from one regularization path. The score of an alpha is the mean
-    over folds of ||X_val theta - y_val||^2 / |fold|; ties go to the larger
-    alpha.
+    alpha from one regularization path; the lasso folds run as one stack.
+    The score of an alpha is the mean over folds of
+    ||X_val theta - y_val||^2 / |fold|; ties go to the larger alpha.
 
     Returns (alpha_best, cv_errors) with cv_errors aligned to
     cfg.cv_alpha_grid.
@@ -254,32 +435,42 @@ def cross_validate(X, y, method, cfg=None, seed=0):
     cfg = cfg or FitConfig()
     if method not in ("ridge", "lasso"):
         raise ValueError(f"method must be 'ridge' or 'lasso', got {method!r}")
-    k = int(cfg.cv_folds)
-    m = X.shape[0]
-    if k < 2 or k > m:
-        raise ValueError(f"cv_folds must be in 2..{m}, got {k}")
     grid = cfg.cv_alpha_grid
-    perm = np.random.default_rng(seed).permutation(m)
-    folds = np.array_split(perm, k)  # the first m mod k folds get a row more
+    folds = _folds(len(y), cfg, seed)
+    G, b = _fold_systems(X, y, folds)
+    if method == "ridge":
+        thetas = [shifted_solve(Gf, bf, grid) for Gf, bf in zip(G, b)]
+    else:
+        thetas = _lasso_paths(G, b, np.tile(grid, (len(folds), 1)))[0]
+    return _cv_choice(X, y, folds, thetas, grid)
 
-    errors = np.zeros(grid.size)
-    for f in range(k):
-        val = folds[f]
-        trn = np.concatenate([folds[g] for g in range(k) if g != f])
-        X_trn = X[trn]
-        G, b = X_trn.T @ X_trn, X_trn.T @ y[trn]
-        if method == "ridge":
-            thetas = shifted_solve(G, b, grid)
-        else:
-            thetas = _lasso_path(G, b, grid)[0]
-        R = X[val] @ thetas.T - y[val][:, None]
-        errors += np.sum(R * R, axis=0) / val.size
-    errors /= k
 
-    best_idx = 0
-    for i in range(grid.size):
-        if errors[i] < errors[best_idx] or (
-            errors[i] == errors[best_idx] and grid[i] > grid[best_idx]
-        ):
-            best_idx = i
-    return float(grid[best_idx]), errors
+def lasso_cv_fits(problems):
+    """Per problem (xy, cfg, seed), with xy() -> (X, y), the (theta, alpha,
+    cv_errors, knots) of cross_validate(X, y, "lasso", cfg, seed) and
+    fit_lasso(X, y, alpha). All fold paths run as one stack and all fits as
+    another, so the problems share their column count and grid size; xy() is
+    called again to score the folds, so no rows are held while a stack runs.
+    """
+    if not problems:
+        return []
+    cv, fits = [], []
+    for xy, cfg, seed in problems:
+        X, y = _check_xy(*xy())
+        G, b = _fold_systems(X, y, _folds(len(y), cfg, seed))
+        cv.append((G, b, np.tile(cfg.cv_alpha_grid, (len(G), 1))))
+        fits.append([(X.T @ X)[None], (X.T @ y)[None]])
+    choices = []
+    for (xy, cfg, seed), (thetas, _), fit in zip(problems, _stack(cv), fits):
+        X, y = _check_xy(*xy())
+        choices.append(_cv_choice(X, y, _folds(len(y), cfg, seed), thetas, cfg.cv_alpha_grid))
+        fit.append(np.array([[choices[-1][0]]]))
+    return [(thetas[0, 0], *choice, int(knots[0]))
+            for choice, (thetas, knots) in zip(choices, _stack(fits))]
+
+
+def _stack(systems):
+    """`_lasso_paths` on systems [(G, b, alphas)] as one stack; (thetas, knots) of each."""
+    ends = np.cumsum([len(G) for G, _, _ in systems]).tolist()
+    thetas, knots = _lasso_paths(*(np.concatenate(part) for part in zip(*systems)))
+    return [(thetas[lo:hi], knots[lo:hi]) for lo, hi in zip([0] + ends, ends)]

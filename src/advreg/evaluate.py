@@ -11,7 +11,10 @@ command shares.
 
 Sweeps repeat scenarios over a lambda x beta grid with fresh seeded
 train/test splits per repeat. Each (cell, repeat) derives its own RNG seed
-from (base seed, cell indices, repeat), and cells run one after another.
+from (base seed, cell indices, repeat). The scenarios run in blocks of
+SWEEP_BLOCK in that order: the lasso CV folds of a block run as one stacked
+homotopy and its deployed lasso fits as another (`lasso_cv_fits`), then each
+scenario finishes in turn. `run_scenario` is the block of one.
 """
 
 # unused here; perfbench's tracer reads and rebinds this name when installed
@@ -21,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .baselines import FitConfig, cross_validate, fit_lasso, fit_ols, fit_ridge
+from .baselines import FitConfig, cross_validate, fit_lasso, fit_ols, fit_ridge, lasso_cv_fits
 from .data import (
     ConstantTarget,
     TargetSpec,
@@ -98,15 +101,25 @@ def _fit_ols(X, y, **_):
     return fit_ols(X, y), {}
 
 
+def _lasso_fit(fit):
+    """(theta, diagnostics) of one of `lasso_cv_fits`'s results, or raise it."""
+    if isinstance(fit, Exception):
+        raise fit
+    theta, alpha, errs, knots = fit
+    return theta, {"cv_errors": [float(e) for e in errs], "alpha": alpha, "solver": "path",
+                   "path_knots": knots}
+
+
 def _fit_penalized(method, X, y, *, fit, seed, alpha, **_):
-    ridge = method == "ridge"
+    if method == "lasso" and alpha is None:
+        cv = (lambda: (X, y), fit, derive_seed(seed, STREAM_CV_LASSO))
+        return _lasso_fit(lasso_cv_fits([cv])[0])
     diagnostics = {}
     if alpha is None:
-        stream = STREAM_CV_RIDGE if ridge else STREAM_CV_LASSO
-        alpha, errs = cross_validate(X, y, method, fit, seed=derive_seed(seed, stream))
+        alpha, errs = cross_validate(X, y, method, fit, seed=derive_seed(seed, STREAM_CV_RIDGE))
         diagnostics["cv_errors"] = [float(e) for e in errs]
     diagnostics["alpha"] = float(alpha)
-    if ridge:
+    if method == "ridge":
         return fit_ridge(X, y, alpha), diagnostics
     theta, info = fit_lasso(X, y, alpha, return_info=True)
     diagnostics.update(info)
@@ -269,16 +282,50 @@ def run_scenario(train, test, cfg):
     from the training labels, the attacker's from the test labels. The
     attack on n copies of a model is scored from its predictions X' theta
     in closed form (`symmetric_attacked_predictions`); X' is never built.
+    This is the block of one scenario; sweeps run blocks of SWEEP_BLOCK.
     """
+    return _run_block([(lambda: (train, test), cfg)])[0]
+
+
+SWEEP_BLOCK = 12  # scenarios per block; bounds what a block's lasso stacks hold
+
+
+def _features(rows, cfg):
+    """(train, test, X_tr, X_te) of a scenario whose rows() is (train, test)."""
+    train, test = rows()
     if train.d != test.d:
         raise DimensionMismatch(f"train has {train.d} features, test has {test.d}")
     if cfg.standardize:
         std = fit_standardizer(train.X)
-        X_tr = apply_standardizer(std, train.X)
-        X_te = apply_standardizer(std, test.X)
-    else:
-        X_tr, X_te = train.X, test.X
+        return train, test, apply_standardizer(std, train.X), apply_standardizer(std, test.X)
+    return train, test, train.X, test.X
 
+
+def _lasso_rows(rows, cfg):
+    train, _, X_tr, _ = _features(rows, cfg)
+    return X_tr, train.y
+
+
+def _run_block(scenarios):
+    """EvalReports of scenarios (rows, cfg), rows() -> (train, test): one
+    `lasso_cv_fits` call for all their lassos, then each finishes in turn. If
+    it raises, the scenarios run as blocks of one, so the error comes where
+    the scenario alone raises it."""
+    lasso = [(partial(_lasso_rows, rows, cfg), cfg.fit, derive_seed(cfg.seed, STREAM_CV_LASSO))
+             for rows, cfg in scenarios if "lasso" in cfg.algorithms]
+    try:
+        lassos = iter(lasso_cv_fits(lasso))
+    except Exception as exc:  # raised at its place among the scenario's fits
+        if len(scenarios) > 1:
+            return [report for one in scenarios for report in _run_block([one])]
+        lassos = iter([exc])
+    return [_finish(rows, cfg, next(lassos) if "lasso" in cfg.algorithms else None)
+            for rows, cfg in scenarios]
+
+
+def _finish(rows, cfg, lasso):
+    """run_scenario's report, the lasso taken from its `lasso_cv_fits` result."""
+    train, test, X_tr, X_te = _features(rows, cfg)
     est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
     _, est_sigma, est_drawn = draw_target(
         train.y, est.target, cfg.seed, STREAM_DEFENDER_TARGET
@@ -290,10 +337,13 @@ def run_scenario(train, test, cfg):
     results = {}
     diagnostics = {}
     for algo in sorted(cfg.algorithms):
-        theta, diagnostics[algo] = fit_model(
-            algo, X_tr, train.y, setting=est, n=cfg.n, theta_radius=cfg.theta_radius,
-            fit=cfg.fit, seed=cfg.seed,
-        )
+        if algo == "lasso":
+            theta, diagnostics[algo] = _lasso_fit(lasso)
+        else:
+            theta, diagnostics[algo] = fit_model(
+                algo, X_tr, train.y, setting=est, n=cfg.n, theta_radius=cfg.theta_radius,
+                fit=cfg.fit, seed=cfg.seed,
+            )
         pred_att = symmetric_attacked_predictions(theta, X_te, z_test, cfg.actual.lam, cfg.n)
         exp, clean, att = expected_rmse(X_te @ theta, pred_att, test.y, cfg.actual.beta)
         results[algo] = {
@@ -358,23 +408,24 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed):
     full = concat_datasets(train, test)
 
     algos = sorted(cfg.algorithms)
-    cells = []
-    for i, lam in enumerate(lambda_grid):
-        row = []
-        for j, beta in enumerate(beta_grid):
-            runs = []
-            for r in range(repeats):
-                s = derive_seed(seed, i, j, r)
-                cell_cfg = replace(cfg, seed=s, actual=replace(cfg.actual, lam=lam, beta=beta))
-                if (i, j, r) == (0, 0, 0):
-                    scenario = cell_cfg.as_dict()
-                runs.append(run_scenario(*split_rows(full, train.m, s), cell_cfg).results)
-            # canonical reduction order: repeat 0, 1, ...
-            row.append({
-                algo: {k: float(np.mean([res[algo][k] for res in runs])) for k in _RMSE_KEYS}
-                for algo in algos
-            })
-        cells.append(row)
+    flat = [(i, j, r) for i in range(len(lambda_grid)) for j in range(len(beta_grid))
+            for r in range(repeats)]
+    runs = {}  # (i, j) -> each repeat's RMSEs per algorithm, in repeat order
+    for start in range(0, len(flat), SWEEP_BLOCK):
+        block = []
+        for i, j, r in flat[start:start + SWEEP_BLOCK]:
+            s = derive_seed(seed, i, j, r)
+            cell_cfg = replace(cfg, seed=s, actual=replace(
+                cfg.actual, lam=lambda_grid[i], beta=beta_grid[j]))
+            if (i, j, r) == (0, 0, 0):
+                scenario = cell_cfg.as_dict()
+            block.append((partial(split_rows, full, train.m, s), cell_cfg))
+        for (i, j, _), report in zip(flat[start:], _run_block(block)):
+            runs.setdefault((i, j), []).append(
+                {algo: {k: report.results[algo][k] for k in _RMSE_KEYS} for algo in algos})
+    # canonical reduction order: repeat 0, 1, ...
+    cells = [[{algo: {k: float(np.mean([res[algo][k] for res in runs[i, j]])) for k in _RMSE_KEYS}
+               for algo in algos} for j in range(len(beta_grid))] for i in range(len(lambda_grid))]
 
     metadata = {
         "base_seed": int(seed),

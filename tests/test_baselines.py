@@ -11,15 +11,19 @@ import warnings
 import numpy as np
 import pytest
 
+import advreg.baselines as baselines
 from advreg.baselines import (
     FitConfig,
+    _lasso_path,
+    _lasso_paths,
     cross_validate,
     fit_lasso,
     fit_ols,
     fit_ridge,
+    lasso_cv_fits,
 )
 from advreg.data import apply_standardizer, fit_standardizer, split_train_test
-from advreg.exceptions import MaxSweepsExceeded, SingularDesign
+from advreg.exceptions import MaxSweepsExceeded, NonFinite, SingularDesign
 from advreg.linalg import PIVOT_RTOL
 from advreg.synthetic import load_bundled
 from oracles import fit_lasso_cd
@@ -105,6 +109,35 @@ def test_penalty_must_be_finite_and_non_negative(fit, alpha):
 def test_fit_config_rejects_bad_alpha_grid(grid):
     with pytest.raises(ValueError):
         FitConfig(cv_alpha_grid=grid)
+
+
+@pytest.mark.parametrize("folds", [2.7, "5", True, 1, 0, -3, None])
+def test_fit_config_rejects_bad_cv_folds(folds):
+    # a float would run int(folds) folds and a string its integer
+    with pytest.raises(ValueError, match="cv_folds"):
+        FitConfig(cv_folds=folds)
+    assert FitConfig(cv_folds=np.int64(3)).cv_folds == 3
+
+
+BASELINE_FITS = {
+    "ols": fit_ols,
+    "ridge": lambda X, y: fit_ridge(X, y, 0.5),
+    "lasso": lambda X, y: fit_lasso(X, y, 0.5),
+    "cv-ridge": lambda X, y: cross_validate(X, y, "ridge", FitConfig(cv_folds=2)),
+    "cv-lasso": lambda X, y: cross_validate(X, y, "lasso", FitConfig(cv_folds=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_FITS))
+@pytest.mark.parametrize("where,value", [("X", np.nan), ("X", np.inf), ("y", np.nan)])
+def test_baselines_refuse_non_finite_inputs(name, where, value):
+    # a NaN or inf used to come back as coefficients, a singular design or
+    # NaN errors; in a stack it would stall its path or poison its neighbours
+    rng = np.random.default_rng(27)
+    X, y = rng.normal(size=(12, 3)), rng.normal(size=12)
+    (X if where == "X" else y)[5] = value
+    with pytest.raises(NonFinite, match=f"^{where} contains non-finite"):
+        BASELINE_FITS[name](X, y)
 
 
 # ------------------------------------------------------------------- lasso
@@ -272,28 +305,35 @@ def test_lasso_degenerate_designs_stay_on_the_path():
     assert seen == set(kinds)
 
 
-@pytest.mark.parametrize("X,y", [
+DEGENERATE_KNOTS = {
     # column 2 lies in the span of active columns 5, 3 and 0; it must join
     # once column 3 leaves
-    ([[0, 1, 0, 1, 0, 1], [-1, 1, 0, 0, -1, 1], [-1, 0, 1, -1, -1, 1]], [2, 0, 1]),
+    "span-shrinks": (
+        [[0, 1, 0, 1, 0, 1], [-1, 1, 0, 0, -1, 1], [-1, 0, 1, -1, -1, 1]], [2, 0, 1]),
     # columns 1 and 3 are equal, and column 1's coefficient reaches zero at
     # the knot where column 5 joins, so the pair can trade places at one t
-    ([[1, 1, -1, 1, -1, -1, -1], [-1, 1, -1, 1, -1, -1, -1], [-1, 1, 1, 1, -1, 1, -1],
-      [1, -1, 1, -1, -1, -1, 1], [-1, 1, 1, 1, 1, -1, -1], [1, -1, 1, -1, -1, 1, -1],
-      [1, 1, -1, 1, 1, 1, -1], [-1, 1, 1, 1, -1, -1, 1], [1, -1, -1, -1, 1, -1, 1]],
-     [-2, 2, 0, -2, -1, -2, 1, 1, -2]),
+    "duplicate-at-a-knot": (
+        [[1, 1, -1, 1, -1, -1, -1], [-1, 1, -1, 1, -1, -1, -1], [-1, 1, 1, 1, -1, 1, -1],
+         [1, -1, 1, -1, -1, -1, 1], [-1, 1, 1, 1, 1, -1, -1], [1, -1, 1, -1, -1, 1, -1],
+         [1, 1, -1, 1, 1, 1, -1], [-1, 1, 1, 1, -1, -1, 1], [1, -1, -1, -1, 1, -1, 1]],
+        [-2, 2, 0, -2, -1, -2, 1, 1, -2]),
     # six of seven correlations tie at the start: eight knots at one t
-    ([[-1, 1, 0, 0, -1, 1, 1], [1, -1, 0, 0, 1, 1, 1], [-1, -1, 0, 0, 0, -1, 0],
-      [1, 0, 0, -1, 1, 0, -1], [1, 0, 0, 0, 0, 1, 0], [1, 1, 0, -1, 1, -1, 1],
-      [0, -1, -1, -1, 1, 1, -1]],
-     [0, 0, -1, 2, 1, -2, -2]),
+    "six-way-tie": (
+        [[-1, 1, 0, 0, -1, 1, 1], [1, -1, 0, 0, 1, 1, 1], [-1, -1, 0, 0, 0, -1, 0],
+         [1, 0, 0, -1, 1, 0, -1], [1, 0, 0, 0, 0, 1, 0], [1, 1, 0, -1, 1, -1, 1],
+         [0, -1, -1, -1, 1, 1, -1]],
+        [0, 0, -1, 2, 1, -2, -2]),
     # all five correlations tie at the start: ten knots after the first at
     # one t (2 d), joins and leaves interleaved
-    ([[1, -1, -1, 1, -1], [1, -1, -1, 1, -1], [-1, -1, 1, -1, 1], [-1, 1, 1, -1, -1],
-      [-1, 1, 1, -1, -1], [-1, 1, -1, -1, 1], [1, -1, 1, 1, 1], [-1, -1, 1, -1, 1],
-      [-1, 1, 1, 1, -1]],
-     [-1, 0, -2, 1, -2, -1, -1, 2, 1]),
-], ids=["span-shrinks", "duplicate-at-a-knot", "six-way-tie", "five-way-tie"])
+    "five-way-tie": (
+        [[1, -1, -1, 1, -1], [1, -1, -1, 1, -1], [-1, -1, 1, -1, 1], [-1, 1, 1, -1, -1],
+         [-1, 1, 1, -1, -1], [-1, 1, -1, -1, 1], [1, -1, 1, 1, 1], [-1, -1, 1, -1, 1],
+         [-1, 1, 1, 1, -1]],
+        [-1, 0, -2, 1, -2, -1, -1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("X,y", DEGENERATE_KNOTS.values(), ids=DEGENERATE_KNOTS)
 def test_lasso_path_passes_degenerate_knots(X, y):
     X, y = np.array(X, dtype=float), np.array(y, dtype=float)
     for alpha in GRID_WITH_ZERO:
@@ -384,15 +424,134 @@ def test_lasso_long_path_does_not_drift(scale):
         assert abs(lasso_objective(X, y, alpha, th) - ref) <= 1e-9 * float(y @ y), alpha
 
 
+TIED_JOIN_DESIGN = (np.array([[2.0, 2.0, -1.0], [0.0, 0.0, 1.0]]), np.array([0.0, -2.0]))
+
+
 def test_lasso_tied_join_goes_to_the_lowest_index():
     # columns 0 and 1 are equal, so once column 2 is active their join times
     # tie exactly; column 0 joins, as np.argmax picks the first maximum, and
     # column 1 then lies in the active span and stays out to alpha = 0
-    X = np.array([[2.0, 2.0, -1.0], [0.0, 0.0, 1.0]])
-    y = np.array([0.0, -2.0])
+    X, y = TIED_JOIN_DESIGN
     for alpha in GRID_WITH_ZERO:
         assert fit_lasso(X, y, alpha)[1] == 0.0, alpha
     np.testing.assert_allclose(fit_lasso(X, y, 0.0), [-1.0, 0.0, -2.0], rtol=1e-12)
+
+
+# ------------------------------------------------------------ lasso stacks
+
+def every_lasso_design():
+    """The designs the lasso path tests above fit, as (X, y)."""
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        d = int(rng.integers(1, 7))
+        m = int(rng.integers(d + 2, d + 20))
+        X = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-1, 2, d)
+        yield X, rng.normal(size=m) * float(10.0 ** rng.uniform(0, 1))
+        rng.uniform(0.05, 5.0)  # that test's alpha, to keep the draws in step
+    yield from ((X, y) for _, X, y in path_instances(13, 40))
+    yield from ((X, y) for _, X, y in path_instances(22, 200, DEGENERATE_KINDS + ("pm1",)))
+    rng = np.random.default_rng(25)
+    for _, X, y in path_instances(24, 80, ("correlated",) + DEGENERATE_KINDS):
+        yield X * 10.0 ** rng.uniform(-4, 4, X.shape[1]), y
+    rng = np.random.default_rng(26)
+    for _, X, y in path_instances(23, 60, ("collinear",)):
+        m = X.shape[0]
+        X[:, -1] += 1e-7 * np.linalg.norm(X[:, -1]) / np.sqrt(m) * rng.normal(size=m)
+        yield X, y
+    for X, y in DEGENERATE_KNOTS.values():
+        yield np.array(X, dtype=float), np.array(y, dtype=float)
+    for scale in (0.2, 0.1):
+        X, y = long_path_design(6, scale)
+        yield np.column_stack([X, X[:, 0]]), y
+    rng = np.random.default_rng(20)
+    yield rng.normal(size=(4, 7)), rng.normal(size=4)  # wide: the span stops every join
+    yield TIED_JOIN_DESIGN
+    yield np.array([[1e7, 0.0], [0.0, 1.0]]), np.array([1e7, 1.0])
+
+
+def wine_fold_systems(seed):
+    """X^T X and X^T y of each CV fold's training rows on a wine_like half
+    split: ordinary paths, with no ties and no spanned column."""
+    train, _ = split_train_test(load_bundled("wine_like"), 0.5, seed)
+    folds = np.array_split(np.random.default_rng(seed).permutation(train.m), 5)
+    for f in range(5):
+        trn = np.concatenate(folds[:f] + folds[f + 1:])
+        yield train.X[trn].T @ train.X[trn], train.X[trn].T @ train.y[trn]
+
+
+def padded_systems(designs, d=11):
+    """X^T X and X^T y of each design, zero-padded to d columns."""
+    for X, y in designs:
+        G, b = np.zeros((d, d)), np.zeros(d)
+        G[:X.shape[1], :X.shape[1]], b[:X.shape[1]] = X.T @ X, X.T @ y
+        yield G, b
+
+
+LONG_GRID = np.concatenate([GRID_WITH_ZERO, 2.0 * np.logspace(-12, 0, 13)])
+
+
+def assert_stack_equals_paths(systems, alphas=LONG_GRID):
+    G, b = (np.array(part) for part in zip(*systems))
+    A = np.tile(alphas, (len(b), 1))
+    thetas, knots = _lasso_paths(G, b, A)
+    for q in range(len(b)):
+        ref, ref_knots = _lasso_path(G[q], b[q], A[q])
+        assert thetas[q].tobytes() == ref.tobytes(), q  # to the bit and the sign of zero
+        assert knots[q] == ref_knots, q
+
+
+def test_lasso_paths_equal_lasso_path_on_every_design():
+    designs = list(every_lasso_design())
+    # one stack: every design padded to wine_like's 11 columns among wine folds
+    assert_stack_equals_paths([*wine_fold_systems(0), *padded_systems(designs),
+                               *wine_fold_systems(1)])
+    # and unpadded, one stack per column count
+    by_d = {}
+    for X, y in designs:
+        by_d.setdefault(X.shape[1], []).append((X.T @ X, X.T @ y))
+    for systems in by_d.values():
+        assert_stack_equals_paths(systems)
+
+
+def test_lasso_paths_rerun_a_tie_and_a_spanned_join_and_stack_the_rest(monkeypatch):
+    tie = np.array(DEGENERATE_KNOTS["six-way-tie"][0], dtype=float), np.array(
+        DEGENERATE_KNOTS["six-way-tie"][1], dtype=float)
+    rng = np.random.default_rng(20)
+    wide = rng.normal(size=(4, 7)), rng.normal(size=4)
+    # the tie comes at the tied start; the wide design has a single first
+    # column, and its fifth column to join lies in the span of four
+    assert np.sum(np.abs(tie[0].T @ tie[1]) == np.max(np.abs(tie[0].T @ tie[1]))) == 6
+    assert np.sum(np.abs(wide[0].T @ wide[1]) == np.max(np.abs(wide[0].T @ wide[1]))) == 1
+    systems = [*wine_fold_systems(2), *padded_systems([tie]), *wine_fold_systems(3),
+               *padded_systems([wide])]
+    rerun = []
+
+    def spy(G, b, alphas):
+        rerun.append(next(q for q, (_, bq) in enumerate(systems) if np.array_equal(b, bq)))
+        return _lasso_path(G, b, alphas)
+
+    monkeypatch.setattr(baselines, "_lasso_path", spy)
+    assert_stack_equals_paths(systems, GRID_WITH_ZERO)
+    assert rerun == [5, 11]  # each once, in path order; the ten folds ran in the stack
+
+
+def test_lasso_cv_fits_equal_cross_validate_then_fit_lasso():
+    rng = np.random.default_rng(28)
+    problems = []
+    for n in range(6):
+        X = rng.normal(size=(30 + n, 4)) * 10.0 ** rng.uniform(-1, 1, 4)
+        y = X @ rng.normal(size=4) + rng.normal(size=X.shape[0])
+        problems.append((lambda X=X, y=y: (X, y), FitConfig(cv_folds=3 + n % 3), n))
+    for (xy, cfg, seed), fit in zip(problems, lasso_cv_fits(problems)):
+        theta, alpha, errors, knots = fit
+        ref_alpha, ref_errors = cross_validate(*xy(), "lasso", cfg, seed)
+        assert (alpha, errors.tobytes()) == (ref_alpha, ref_errors.tobytes())
+        ref, info = fit_lasso(*xy(), alpha, return_info=True)
+        assert (theta.tobytes(), knots) == (ref.tobytes(), info["path_knots"])
+    X = np.ones((6, 4))
+    X[1, 1] = np.nan
+    with pytest.raises(NonFinite):
+        lasso_cv_fits([*problems, (lambda: (X, np.ones(6)), FitConfig(), 0)])
 
 
 # ---------------------------------------------------------- cross_validate

@@ -548,7 +548,7 @@ def test_sweep_refuses_a_bad_grid_before_any_scenario(
     import advreg.evaluate as ev
 
     calls = []
-    monkeypatch.setattr(ev, "run_scenario", lambda *args: calls.append(args))
+    monkeypatch.setattr(ev, "_run_block", lambda *args: calls.append(args))
     cfg = eval_config(synth_csv, **{"lambda_grid": [1.0], "beta_grid": [0.5], **grids})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

@@ -2,6 +2,7 @@
 accounting, per-algorithm comparison, and the sweep grid with its
 repeat-order reduction."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -294,17 +295,64 @@ def test_sweep_scenarios_train_on_the_given_rows(monkeypatch, m, n_train):
     import advreg.evaluate as ev
 
     seen = []
+    run_block = ev._run_block
 
-    def spy(tr, te, cfg):
-        report = run_scenario(tr, te, cfg)
-        seen.append((report.metadata["resolved"]["rows_train"], te.m))
-        return report
+    def spy(scenarios):
+        reports = run_block(scenarios)
+        for (rows, _), report in zip(scenarios, reports):
+            seen.append((report.metadata["resolved"]["rows_train"], rows()[1].m))
+        return reports
 
-    monkeypatch.setattr(ev, "run_scenario", spy)
+    monkeypatch.setattr(ev, "_run_block", spy)
     ds = make_synthetic(m=m, d=2, mu=2.0, sigma=1.0, r2=0.5, seed=m)
     train, test = split_rows(ds, n_train, seed=1)
     run_sweep(train, test, small_config(), [1.0], [0.5, 0.9], repeats=2, seed=0)
     assert seen == [(n_train, m - n_train)] * 4
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_sweep_artifacts_do_not_depend_on_the_block_size(block, monkeypatch, tmp_path):
+    # 2 x 3 cells x 2 repeats = 12 scenarios, so blocks of 5 split cells
+    from advreg.cli import main
+    from advreg.synthetic import dataset_to_csv
+
+    csv_path = tmp_path / "synth.csv"
+    dataset_to_csv(make_synthetic(m=60, d=3, mu=2.0, sigma=1.0, r2=0.6, seed=29), csv_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": str(csv_path), "label": "label", "train_fraction": 0.6, "seed": 4,
+        "n": 3, "lambda_grid": [0.5, 1.0], "beta_grid": [0.2, 0.5, 0.8], "repeats": 2,
+        "defender_estimates": {"lambda": 1.0, "beta": 0.5,
+                               "target": {"kind": "constant", "value_range": [0.0, 3.0]}},
+        "actual": {"lambda": 1.0, "beta": 0.5, "target": {"delta_scale": 1.0}},
+    }), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+
+    def sweep():
+        assert main(["sweep", "--config", str(cfg_path), "--quiet", "--out", str(out)]) == 0
+        return out.read_bytes(), (tmp_path / "grid.csv.meta.json").read_bytes()
+
+    default = sweep()
+    monkeypatch.setattr(evaluate_mod, "SWEEP_BLOCK", block)
+    assert sweep() == default
+
+
+def test_block_raises_the_error_the_first_scenario_raises_alone():
+    # the second scenario's lasso CV fails (more folds than rows), but the
+    # first fails before it alone: its lasso fits, then mlsg meets a
+    # duplicated column
+    from advreg.exceptions import SingularDesign
+
+    train, test = small_data(seed=10, m=40)
+    train.X[:, 1] = train.X[:, 0]
+    too_many_folds = small_config(fit=FitConfig(cv_folds=train.m + 1))
+    with pytest.raises(SingularDesign):
+        run_scenario(train, test, small_config())
+    with pytest.raises(ValueError, match="cv_folds"):
+        run_scenario(train, test, too_many_folds)
+    rows = lambda: (train, test)  # noqa: E731
+    with pytest.raises(SingularDesign):
+        evaluate_mod._run_block([(rows, small_config()), (rows, too_many_folds)])
 
 
 def test_sweep_rejects_empty_grid_and_bad_repeats():
