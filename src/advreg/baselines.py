@@ -16,7 +16,11 @@ cross-validation factors each fold once instead of refitting per alpha:
   (Hastie, Tibshirani & Friedman, ESL 3.4), `linalg.shifted_solve`. An
   alpha with lam_min + alpha <= PIVOT_RTOL * (lam_max + alpha) raises
   SingularDesign. OLS is this path at alpha = 0, so `fit_ols` and
-  `fit_ridge(X, y, 0)` are one computation.
+  `fit_ridge(X, y, 0)` are one computation. Ridge CV decomposes its fold
+  Grams as one stack; a sweep block stacks every fold Gram of its scenarios
+  with their training X^T X, and reads its ridge and OLS fits off that one
+  `sym_eig` call (`evaluate`), as `_cv_choice` and `linalg.shifted_solve`
+  would have them.
 * lasso: the LARS-lasso homotopy (Osborne, Presnell & Turlach 2000;
   Efron, Hastie, Johnstone & Tibshirani 2004). With t = alpha / 2 (the
   quadratic term has no 1/2) the optimality conditions read
@@ -424,7 +428,7 @@ def cross_validate(X, y, method, cfg=None, seed=0):
 
     Rows are shuffled once with the given seed and cut into contiguous
     folds (the first m mod k folds get the extra row). Each fold fits every
-    alpha from one regularization path; the lasso folds run as one stack.
+    alpha from one regularization path; the folds run as one stack.
     The score of an alpha is the mean over folds of
     ||X_val theta - y_val||^2 / |fold|; ties go to the larger alpha.
 
@@ -439,7 +443,7 @@ def cross_validate(X, y, method, cfg=None, seed=0):
     folds = _folds(len(y), cfg, seed)
     G, b = _fold_systems(X, y, folds)
     if method == "ridge":
-        thetas = [shifted_solve(Gf, bf, grid) for Gf, bf in zip(G, b)]
+        thetas = shifted_solve(G, b, grid)
     else:
         thetas = _lasso_paths(G, b, np.tile(grid, (len(folds), 1)))[0]
     return _cv_choice(X, y, folds, thetas, grid)

@@ -258,10 +258,14 @@ def split_train_test(dataset, fraction, seed):
 
 def split_rows(dataset, n_train, seed):
     """Seeded shuffle, then the first n_train rows go to train."""
+    return split_by(dataset, n_train, np.random.default_rng(seed).permutation(dataset.m))
+
+
+def split_by(dataset, n_train, perm):
+    """(train, test): rows perm[:n_train] and perm[n_train:] of dataset."""
     m = dataset.m
     if n_train < 2 or m - n_train < 2:
         raise TooFewRows(f"split {n_train}/{m - n_train} leaves a side too small")
-    perm = np.random.default_rng(seed).permutation(m)
     tr, te = perm[:n_train], perm[n_train:]
     mk = lambda idx: Dataset(
         X=dataset.X[idx],

@@ -26,7 +26,9 @@ Newton started from zero climbs monotonically to the root.
 
 The solver refuses X^T X by `linalg.nonsingular` (SingularDesign), even
 where kappa > 0 would let the equilibrium exist, so mlsg answers where
-OLS does.
+OLS does, and a non-finite X^T X or X^T y (NonFinite, naming X or y).
+`_from_spectrum` solves from a given spectrum (lam, V, b): a sweep block
+passes each mlsg fit its slice of one stacked `sym_eig` call (`evaluate`).
 """
 
 from dataclasses import dataclass
@@ -109,24 +111,38 @@ def solve_equilibrium(X, y, params):
     """Exact equilibrium from one eigendecomposition of X^T X, with no
     ball when ``params.theta_radius`` is None. Raises SingularDesign when
     lam_min(X^T X) <= PIVOT_RTOL * lam_max(X^T X), even where kappa > 0
-    would make the shifted system solvable, and NonFinite when the quartic
-    coefficient overflows.
+    would make the shifted system solvable, and NonFinite when X^T X, X^T y
+    or the quartic coefficient is not finite.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    lam, V = sym_eig(X.T @ X)
+    G, b = _finite_system(X.T @ X, X.T @ y)
+    lam, V = sym_eig(G)
+    return _from_spectrum(X, y, params, lam, V, V.T @ b)
+
+
+def _finite_system(G, b):
+    """(G, b) = (X^T X, X^T y); NonFinite naming X or y unless finite."""
+    for name, v in (("X", G), ("y", b)):
+        if not np.isfinite(v).all():
+            raise NonFinite(f"X^T {name} is not finite: {name} has non-finite or huge entries")
+    return G, b
+
+
+def _from_spectrum(X, y, params, lam, V, b):
+    """`solve_equilibrium` given X^T X = V diag(lam) V^T and b = V^T X^T y."""
     if not nonsingular(lam):
         raise SingularDesign("X^T X is not numerically positive definite")
     kappa = _kappa(params, y)
     if not np.isfinite(kappa):
         raise NonFinite("quartic coefficient overflowed")
-    b = V.T @ (X.T @ y)
     b2 = b * b
 
     def sq_norm_at(shift):
         """||theta||^2 at a diagonal shift, and its derivative in the shift."""
-        w = b2 / (lam + shift) ** 2
-        return float(np.sum(w)), -2.0 * float(np.sum(w / (lam + shift)))
+        den = lam + shift
+        w = b2 / den**2
+        return float(w.sum()), -2.0 * float((w / den).sum())
 
     def interior(s):
         v, dv = sq_norm_at(0.5 * kappa * s)

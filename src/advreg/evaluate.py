@@ -11,10 +11,13 @@ command shares.
 
 Sweeps repeat scenarios over a lambda x beta grid with fresh seeded
 train/test splits per repeat. Each (cell, repeat) derives its own RNG seed
-from (base seed, cell indices, repeat). The scenarios run in blocks of
-SWEEP_BLOCK in that order: the lasso CV folds of a block run as one stacked
-homotopy and its deployed lasso fits as another (`lasso_cv_fits`), then each
-scenario finishes in turn. `run_scenario` is the block of one.
+from (base seed, cell indices, repeat) and draws its split once. The
+scenarios run in blocks of SWEEP_BLOCK in that order, in stages: the lasso CV
+folds of a block run as one stacked homotopy and its deployed lasso fits as
+another (`lasso_cv_fits`); every ridge CV fold Gram and training X^T X of the
+block goes through one stacked `sym_eig` call, and ridge, OLS and mlsg read
+their fits off those spectra (`_spectra`); then each scenario finishes in
+turn. `run_scenario` and `fit_model` run the block of one.
 """
 
 # unused here; perfbench's tracer reads and rebinds this name when installed
@@ -24,7 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .baselines import FitConfig, cross_validate, fit_lasso, fit_ols, fit_ridge, lasso_cv_fits
+from .baselines import FitConfig, fit_lasso, lasso_cv_fits
+from .baselines import _check_alpha, _check_xy, _cv_choice, _fold_systems, _folds
 from .data import (
     ConstantTarget,
     TargetSpec,
@@ -33,9 +37,9 @@ from .data import (
     fit_standardizer,
     apply_standardizer,
     label_stats,
-    split_rows,
+    split_by,
 )
-from .equilibrium import solve_equilibrium
+from .equilibrium import _finite_system, _from_spectrum
 from .exceptions import ConfigError, DimensionMismatch
 from .game import (
     GameParams,
@@ -43,6 +47,7 @@ from .game import (
     sq_norm,
     symmetric_attacked_predictions,
 )
+from .linalg import _solve_spectrum, _spectrum
 
 
 def derive_seed(base, *parts):
@@ -79,60 +84,29 @@ def draw_target(y, target, seed, stream):
     return build_target(y, target, sigma), sigma, drawn
 
 
-def _fit_mlsg(X, y, *, setting, n, theta_radius, seed, **_):
-    z_hat, sigma, drawn = draw_target(y, setting.target, seed, STREAM_DEFENDER_TARGET)
-    params = GameParams(
-        n=n, beta=setting.beta, lam=setting.lam, z=z_hat, theta_radius=theta_radius
-    )
-    sol = solve_equilibrium(X, y, params)
-    return sol.theta_star, {
-        "solver": sol.solver,
-        "iterations": sol.iterations,
-        "s_star": sol.s_star,
-        "grad_norm": sol.grad_norm,
-        "on_boundary": sol.on_boundary,
-        "converged": sol.converged,
-        "sigma": sigma,
-        "drawn_value": drawn,
-    }
+def _got(result):
+    """result, or raise it if it is the exception a stage recorded."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _fit_ols(X, y, **_):
-    return fit_ols(X, y), {}
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raises, for `_got` to raise later."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def _lasso_fit(fit):
     """(theta, diagnostics) of one of `lasso_cv_fits`'s results, or raise it."""
-    if isinstance(fit, Exception):
-        raise fit
-    theta, alpha, errs, knots = fit
+    theta, alpha, errs, knots = _got(fit)
     return theta, {"cv_errors": [float(e) for e in errs], "alpha": alpha, "solver": "path",
                    "path_knots": knots}
 
 
-def _fit_penalized(method, X, y, *, fit, seed, alpha, **_):
-    if method == "lasso" and alpha is None:
-        cv = (lambda: (X, y), fit, derive_seed(seed, STREAM_CV_LASSO))
-        return _lasso_fit(lasso_cv_fits([cv])[0])
-    diagnostics = {}
-    if alpha is None:
-        alpha, errs = cross_validate(X, y, method, fit, seed=derive_seed(seed, STREAM_CV_RIDGE))
-        diagnostics["cv_errors"] = [float(e) for e in errs]
-    diagnostics["alpha"] = float(alpha)
-    if method == "ridge":
-        return fit_ridge(X, y, alpha), diagnostics
-    theta, info = fit_lasso(X, y, alpha, return_info=True)
-    diagnostics.update(info)
-    return theta, diagnostics
-
-
-_FITTERS = {
-    "lasso": partial(_fit_penalized, "lasso"),
-    "mlsg": _fit_mlsg,
-    "ols": _fit_ols,
-    "ridge": partial(_fit_penalized, "ridge"),
-}
-KNOWN_ALGORITHMS = tuple(sorted(_FITTERS))
+KNOWN_ALGORITHMS = ("lasso", "mlsg", "ols", "ridge")
 
 
 def fit_model(algorithm, X, y, *, setting, n, theta_radius, fit, seed, alpha=None):
@@ -141,16 +115,94 @@ def fit_model(algorithm, X, y, *, setting, n, theta_radius, fit, seed, alpha=Non
     `mlsg` plays the equilibrium against `setting`, the defender's view of
     the game. Ridge and lasso cross-validate on the seed's CV stream unless
     `alpha` is given. X and y are fit as row-major copies, so the result
-    does not depend on their memory layout.
+    does not depend on their memory layout. The fits run the sweep's stages
+    as a block of one.
     """
-    if algorithm not in _FITTERS:
+    if algorithm not in KNOWN_ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; known: {KNOWN_ALGORITHMS}")
     X = np.ascontiguousarray(X, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
-    return _FITTERS[algorithm](
-        X, y, setting=setting, n=n, theta_radius=theta_radius, fit=fit, seed=seed,
-        alpha=alpha,
-    )
+    if algorithm == "lasso" and alpha is None:
+        cv = (lambda: (X, y), fit, derive_seed(seed, STREAM_CV_LASSO))
+        return _lasso_fit(lasso_cv_fits([cv])[0])
+    if algorithm == "lasso":
+        diagnostics = {"alpha": float(alpha)}
+        theta, info = fit_lasso(X, y, alpha, return_info=True)
+        return theta, {**diagnostics, **info}
+    cfg = ScenarioConfig(n, setting, setting, (algorithm,), seed, theta_radius=theta_radius,
+                         fit=fit)
+    return _spectral_fit(algorithm, X, y, cfg, _spectra([(X, y, cfg, alpha)])[0])
+
+
+def _spectra(problems):
+    """Per problem (X, y, cfg, alpha), what its mlsg, ols and ridge fits need:
+    {"target": the defender's, drawn if mlsg is fit; algo: its `_prep`; "eig":
+    (lam, V, c) of ridge's CV fold Grams, then X^T X}, an entry the exception
+    its step raised. One `sym_eig` call decomposes all the problems' Grams; if
+    it raises, so does this, unless there is one problem."""
+    out, systems, spans = [], [], []
+    for X, y, cfg, alpha in problems:
+        est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
+        sp = {"target": None}
+        if "mlsg" in cfg.algorithms:
+            sp["target"] = _attempt(draw_target, y, est.target, cfg.seed, STREAM_DEFENDER_TARGET)
+        system, grams = _attempt(lambda: (X.T @ X, X.T @ y)), []
+        for algo in sorted({"mlsg", "ols", "ridge"}.intersection(cfg.algorithms)):
+            sp[algo] = _attempt(_prep, algo, X, y, cfg, alpha, sp["target"], system, grams)
+        if any(not isinstance(sp[a], Exception) for a in sp if a != "target"):
+            grams.append(system)
+            spans.append((sp, len(systems), len(systems) + len(grams)))
+            systems += grams
+        out.append(sp)
+    if spans:
+        eig = _attempt(lambda: _spectrum(*map(np.array, zip(*systems))))
+        if isinstance(eig, Exception) and len(out) > 1:
+            raise eig
+        for sp, lo, hi in spans:
+            sp["eig"] = eig if isinstance(eig, Exception) else [a[lo:hi] for a in eig]
+    return out
+
+
+def _prep(algo, X, y, cfg, alpha, target, system, grams):
+    """What algo's fit needs besides the spectra, checked in the order the fit
+    alone checks it: (params, sigma, drawn) for mlsg, (folds, alpha) for ols and
+    ridge, folds None unless ridge cross-validates and adds its folds to grams."""
+    if algo == "mlsg":
+        est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
+        z, sigma, drawn = _got(target)
+        params = GameParams(n=cfg.n, beta=est.beta, lam=est.lam, z=z,
+                            theta_radius=cfg.theta_radius)
+        _finite_system(*_got(system))
+        return params, sigma, drawn
+    X, y = _check_xy(X, y)
+    if algo == "ols" or alpha is not None:
+        return None, _check_alpha(0.0 if algo == "ols" else alpha)
+    folds = _folds(len(y), cfg.fit, derive_seed(cfg.seed, STREAM_CV_RIDGE))
+    grams += zip(*_fold_systems(X, y, folds))
+    return folds, None
+
+
+def _spectral_fit(algo, X, y, cfg, sp):
+    """(theta, diagnostics) of mlsg, ols or ridge on (X, y), from `_spectra`."""
+    prep = _got(sp[algo])
+    lam, V, c = _got(sp["eig"])
+    if algo == "mlsg":
+        params, sigma, drawn = prep
+        sol = _from_spectrum(X, y, params, lam[-1], V[-1], c[-1])
+        return sol.theta_star, {
+            "solver": sol.solver, "iterations": sol.iterations, "s_star": sol.s_star,
+            "grad_norm": sol.grad_norm, "on_boundary": sol.on_boundary,
+            "converged": sol.converged, "sigma": sigma, "drawn_value": drawn}
+    folds, alpha = prep
+    diagnostics = {}
+    if folds is not None:
+        grid = cfg.fit.cv_alpha_grid
+        alpha, errs = _cv_choice(X, y, folds, _solve_spectrum(lam[:-1], V[:-1], c[:-1], grid),
+                                 grid)
+        diagnostics["cv_errors"] = [float(e) for e in errs]
+    if algo == "ridge":
+        diagnostics["alpha"] = float(alpha)
+    return _solve_spectrum(lam[-1], V[-1], c[-1], np.array([alpha]))[0], diagnostics
 
 
 @dataclass(eq=False)
@@ -287,7 +339,7 @@ def run_scenario(train, test, cfg):
     return _run_block([(lambda: (train, test), cfg)])[0]
 
 
-SWEEP_BLOCK = 12  # scenarios per block; bounds what a block's lasso stacks hold
+SWEEP_BLOCK = 12  # scenarios per block; bounds what a block's stacks hold
 
 
 def _features(rows, cfg):
@@ -301,35 +353,40 @@ def _features(rows, cfg):
     return train, test, train.X, test.X
 
 
-def _lasso_rows(rows, cfg):
+def _train_xy(rows, cfg):
     train, _, X_tr, _ = _features(rows, cfg)
     return X_tr, train.y
 
 
 def _run_block(scenarios):
-    """EvalReports of scenarios (rows, cfg), rows() -> (train, test): one
-    `lasso_cv_fits` call for all their lassos, then each finishes in turn. If
-    it raises, the scenarios run as blocks of one, so the error comes where
-    the scenario alone raises it."""
-    lasso = [(partial(_lasso_rows, rows, cfg), cfg.fit, derive_seed(cfg.seed, STREAM_CV_LASSO))
+    """EvalReports of scenarios (rows, cfg), rows() -> (train, test), in
+    stages: one `lasso_cv_fits` call for all their lassos, one `_spectra` call
+    for all their mlsg, ols and ridge fits, then each scenario finishes in
+    turn. The stages hold Grams, not rows: each calls rows() again. If a stage
+    raises, the scenarios run as blocks of one, so the error comes where the
+    scenario alone raises it."""
+    lasso = [(partial(_train_xy, rows, cfg), cfg.fit, derive_seed(cfg.seed, STREAM_CV_LASSO))
              for rows, cfg in scenarios if "lasso" in cfg.algorithms]
-    try:
-        lassos = iter(lasso_cv_fits(lasso))
-    except Exception as exc:  # raised at its place among the scenario's fits
-        if len(scenarios) > 1:
-            return [report for one in scenarios for report in _run_block([one])]
-        lassos = iter([exc])
-    return [_finish(rows, cfg, next(lassos) if "lasso" in cfg.algorithms else None)
-            for rows, cfg in scenarios]
+    spectral = ((*_train_xy(rows, cfg), cfg, None) for rows, cfg in scenarios)
+    stages = []
+    for stage, problems in ((lasso_cv_fits, lasso), (_spectra, spectral)):
+        try:
+            stages.append(iter(stage(problems)))
+        except Exception as exc:  # raised at its place among the scenario's fits
+            if len(scenarios) > 1:
+                return [report for one in scenarios for report in _run_block([one])]
+            stages.append(iter([exc]))
+    lassos, spectra = stages
+    return [_finish(rows, cfg, next(lassos) if "lasso" in cfg.algorithms else None,
+                    next(spectra)) for rows, cfg in scenarios]
 
 
-def _finish(rows, cfg, lasso):
-    """run_scenario's report, the lasso taken from its `lasso_cv_fits` result."""
+def _finish(rows, cfg, lasso, sp):
+    """run_scenario's report from its `lasso_cv_fits` result and `_spectra` entry."""
     train, test, X_tr, X_te = _features(rows, cfg)
     est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
-    _, est_sigma, est_drawn = draw_target(
-        train.y, est.target, cfg.seed, STREAM_DEFENDER_TARGET
-    )
+    target = sp["target"] or draw_target(train.y, est.target, cfg.seed, STREAM_DEFENDER_TARGET)
+    _, est_sigma, est_drawn = _got(target)
     z_test, act_sigma, act_drawn = draw_target(
         test.y, cfg.actual.target, cfg.seed, STREAM_ACTUAL_TARGET
     )
@@ -340,10 +397,7 @@ def _finish(rows, cfg, lasso):
         if algo == "lasso":
             theta, diagnostics[algo] = _lasso_fit(lasso)
         else:
-            theta, diagnostics[algo] = fit_model(
-                algo, X_tr, train.y, setting=est, n=cfg.n, theta_radius=cfg.theta_radius,
-                fit=cfg.fit, seed=cfg.seed,
-            )
+            theta, diagnostics[algo] = _spectral_fit(algo, X_tr, train.y, cfg, sp)
         pred_att = symmetric_attacked_predictions(theta, X_te, z_test, cfg.actual.lam, cfg.n)
         exp, clean, att = expected_rmse(X_te @ theta, pred_att, test.y, cfg.actual.beta)
         results[algo] = {
@@ -419,7 +473,8 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed):
                 cfg.actual, lam=lambda_grid[i], beta=beta_grid[j]))
             if (i, j, r) == (0, 0, 0):
                 scenario = cell_cfg.as_dict()
-            block.append((partial(split_rows, full, train.m, s), cell_cfg))
+            perm = np.random.default_rng(s).permutation(full.m)  # split_rows's shuffle, once
+            block.append((partial(split_by, full, train.m, perm), cell_cfg))
         for (i, j, _), report in zip(flat[start:], _run_block(block)):
             runs.setdefault((i, j), []).append(
                 {algo: {k: report.results[algo][k] for k in _RMSE_KEYS} for algo in algos})

@@ -8,6 +8,9 @@ own threshold (PIVOT_RTOL) and symmetry check.
 `nonsingular` is the library's one rule for when (X^T X + shift I) x = X^T y
 has a solution; `shifted_solve` solves it from one eigendecomposition for
 least squares (shift 0) and ridge regression.
+`sym_eig`, `nonsingular` and `shifted_solve` also take stacks (..., d, d),
+as `rank_one_inverse_update` does: one LAPACK call for the whole stack, each
+slice equal to the 2-D call bit for bit. A sweep block stacks its Grams so.
 """
 
 import numpy as np
@@ -22,10 +25,11 @@ SYMMETRY_RTOL = 1e-10
 
 def _require_square_symmetric(A, name="A"):
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
-    scale = np.max(np.abs(A)) if A.size else 0.0
-    if scale > 0 and np.max(np.abs(A - A.T)) > SYMMETRY_RTOL * scale:
+    ax = (-2, -1)  # slice by slice; a NaN slice compares False, and eigh refuses it
+    if A.size and (np.abs(A - np.swapaxes(A, -1, -2)).max(ax)
+                   > SYMMETRY_RTOL * np.abs(A).max(ax)).any():
         raise ValueError(f"{name} is not symmetric to within {SYMMETRY_RTOL:g} relative")
     return A
 
@@ -106,35 +110,51 @@ def sym_eig(A):
     """Eigen-decomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as orthonormal columns.
+    descending order and eigenvectors as orthonormal columns; a stack
+    (..., d, d) gives (..., d) and (..., d, d).
 
     Raises NoConvergence if LAPACK reports that the decomposition did not
     converge.
     """
     A = _require_square_symmetric(A)
-    if A.shape[0] == 0:
+    if A.shape[-1] == 0:
         raise DimensionMismatch("cannot decompose an empty matrix")
     try:
         vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    return vals[::-1], vecs[:, ::-1]
+    return vals[..., ::-1], vecs[..., ::-1]
 
 
 def nonsingular(lam, shift=0.0):
     """True where lam_min + shift > PIVOT_RTOL * (lam_max + shift), for the
-    descending eigenvalues lam of `sym_eig` and a shift or array of shifts."""
-    return lam[-1] + shift > PIVOT_RTOL * (lam[0] + shift)
+    descending eigenvalues lam (..., d) of `sym_eig` and a shift or array of
+    shifts broadcast against lam's stack shape (...)."""
+    return lam[..., -1] + shift > PIVOT_RTOL * (lam[..., 0] + shift)
+
+
+def _spectrum(G, b):
+    """(lam, V, c): `sym_eig(G)` and c = V^T b, slice by slice on stacks."""
+    lam, V = sym_eig(G)
+    return lam, V, (np.swapaxes(V, -1, -2) @ b[..., None])[..., 0]
+
+
+def _solve_spectrum(lam, V, c, shifts):
+    """`shifted_solve` from its spectrum: x = V diag(1 / (lam + shift)) c,
+    one row per shift (..., n, d). Raises SingularDesign, naming the first
+    shift that fails `nonsingular`."""
+    ok = nonsingular(lam[..., None, :], shifts)
+    if not ok.all():
+        bad = np.broadcast_to(shifts, ok.shape)[~ok][0]
+        raise SingularDesign(f"X^T X + shift I is singular at shift={bad:g}")
+    return (c[..., None, :] / (lam[..., None, :] + shifts[:, None])) @ np.swapaxes(V, -1, -2)
 
 
 def shifted_solve(G, b, shifts):
     """Solutions x of (G + shift I) x = b, one row per shift, from one
     eigendecomposition G = V diag(lam) V^T: x = V diag(1 / (lam + shift)) V^T b.
+    A stack G (..., d, d) with b (..., d) gives (..., n, d).
 
     Raises SingularDesign when some shift fails `nonsingular`.
     """
-    lam, V = sym_eig(G)
-    ok = nonsingular(lam, shifts)
-    if not np.all(ok):
-        raise SingularDesign(f"X^T X + shift I is singular at shift={shifts[~ok][0]:g}")
-    return (V.T @ b / (lam + shifts[:, None])) @ V.T
+    return _solve_spectrum(*_spectrum(G, b), shifts)

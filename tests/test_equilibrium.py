@@ -22,7 +22,7 @@ from advreg.equilibrium import (
     equilibrium_objective,
     solve_equilibrium,
 )
-from advreg.exceptions import SingularDesign
+from advreg.exceptions import NonFinite, SingularDesign
 from advreg.game import GameParams
 from oracles import project_to_ball, solve_equilibrium_pgd
 
@@ -215,6 +215,25 @@ def test_no_radius_solves_no_least_squares(monkeypatch):
     X, y, p = random_instance(np.random.default_rng(10))
     sol = solve_equilibrium(X, y, replace(p, theta_radius=None))
     assert not sol.on_boundary
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_solver_refuses_non_finite_data_naming_it(bad):
+    # a non-finite X^T X names X, a non-finite X^T y names y; 1e200 squares
+    # past the largest double, so X^T X (or X^T y) overflows though X (or y)
+    # is finite
+    X, y, p = random_instance(np.random.default_rng(13))
+    for name in ("X", "y"):
+        Xb, yb = X.copy(), y.copy()
+        if name == "X":
+            Xb[1, 0] = bad
+        else:
+            yb[2] = bad
+            Xb[2] = 1e110  # so that a huge y overflows X^T y
+        # numpy warns as X^T X or X^T y overflows; the solver then refuses them
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFinite, match=rf"X\^T {name} is not finite: {name} has"):
+            solve_equilibrium(Xb, yb, p)
 
 
 def test_equilibrium_never_longer_than_least_squares():

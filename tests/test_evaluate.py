@@ -20,6 +20,7 @@ from advreg.data import (
     split_train_test,
 )
 from advreg.baselines import FitConfig
+from advreg.exceptions import NoConvergence
 from advreg.evaluate import (
     CSV_HEADER,
     ScenarioConfig,
@@ -353,6 +354,111 @@ def test_block_raises_the_error_the_first_scenario_raises_alone():
     rows = lambda: (train, test)  # noqa: E731
     with pytest.raises(SingularDesign):
         evaluate_mod._run_block([(rows, small_config()), (rows, too_many_folds)])
+
+
+def test_block_raises_the_error_its_third_scenario_raises_alone():
+    # the third of 12 scenarios trains on a duplicated column: its lasso
+    # fits, then mlsg refuses X^T X; the block raises that scenario's error
+    train, test = small_data(seed=11, m=40)
+    bad = train.X.copy()
+    bad[:, 1] = bad[:, 0]
+    dup = replace(train, X=bad)
+    cfgs = [small_config(seed=k) for k in range(12)]
+    scenarios = [(lambda k=k: (dup if k == 2 else train, test), cfg)
+                 for k, cfg in enumerate(cfgs)]
+    with pytest.raises(Exception) as alone:
+        run_scenario(dup, test, cfgs[2])
+    with pytest.raises(type(alone.value)) as block:
+        evaluate_mod._run_block(scenarios)
+    assert str(block.value) == str(alone.value) == "X^T X is not numerically positive definite"
+    del scenarios[2]
+    assert [r.results for r in evaluate_mod._run_block(scenarios)] == [
+        run_scenario(train, test, cfg).results for cfg in cfgs[:2] + cfgs[3:]]
+
+
+def test_a_block_whose_stack_raises_runs_as_blocks_of_one(monkeypatch):
+    # two finite rows of 1e200 make X^T X hold inf - inf = NaN, so the
+    # block's stacked eigendecomposition raises; each scenario then raises,
+    # or answers, as it does alone
+    train, test = small_data(seed=12, m=40)
+    huge = train.X.copy()
+    huge[:2] = [[1e200, 1e200, 1e200, 1e200], [1e200, -1e200, 1e200, -1e200]]
+    bad = replace(train, X=huge)
+    cfg = small_config(algorithms=("ols", "ridge"), standardize=False)
+    blocks = []
+    run_block = evaluate_mod._run_block
+    monkeypatch.setattr(evaluate_mod, "_run_block", lambda sc: blocks.append(len(sc)) or run_block(sc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence) as alone:
+            run_scenario(bad, test, cfg)
+        blocks.clear()
+        with pytest.raises(NoConvergence) as block:
+            evaluate_mod._run_block([(lambda: (train, test), cfg), (lambda: (bad, test), cfg)])
+    assert str(block.value) == str(alone.value)
+    assert blocks == [2, 1, 1]
+
+
+def test_sweep_draws_each_split_and_defender_target_once(monkeypatch):
+    # each scenario's seeded shuffle and its ranged defender target are drawn
+    # once, though three stages read its rows and two read its target
+    from advreg.data import ConstantTarget
+    from advreg.evaluate import STREAM_DEFENDER_TARGET
+
+    seeds = []
+    rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or rng(seed))
+    train, test = small_data(seed=14, m=50)
+    ranged = GameSetting(lam=1.0, beta=0.5, target=ConstantTarget(value_range=(0.0, 3.0)))
+    run_sweep(train, test, small_config(defender_estimates=ranged), [0.5, 1.0], [0.2, 0.8],
+              repeats=2, seed=7)
+    for i in range(2):
+        for j in range(2):
+            for r in range(2):
+                s = derive_seed(7, i, j, r)
+                assert seeds.count(s) == 1
+                assert seeds.count(derive_seed(s, STREAM_DEFENDER_TARGET)) == 1
+
+
+def test_sweep_decomposes_each_block_in_one_call(monkeypatch):
+    # 2 x 2 cells x 5 repeats = 20 scenarios: blocks of 12 and 8, each one
+    # sym_eig call on 3 ridge CV folds and the training X^T X per scenario
+    import advreg.linalg as linalg
+
+    train, test = small_data(seed=15, m=50)
+    stacks = []
+    sym_eig = linalg.sym_eig
+    monkeypatch.setattr(linalg, "sym_eig", lambda G: stacks.append(G.shape) or sym_eig(G))
+    run_sweep(train, test, small_config(), [0.5, 1.0], [0.2, 0.8], repeats=5, seed=2)
+    assert stacks == [(48, 4, 4), (32, 4, 4)]
+
+
+def test_block_fits_equal_the_library_fits_to_the_bit():
+    # criterion 6's scenarios: ridge, OLS and mlsg read off one stacked
+    # decomposition equal cross_validate with fit_ridge, fit_ols and
+    # solve_equilibrium, each on its own X^T X
+    from advreg.baselines import cross_validate, fit_ols, fit_ridge
+    from advreg.equilibrium import solve_equilibrium
+    from advreg.evaluate import STREAM_CV_RIDGE, STREAM_DEFENDER_TARGET, draw_target
+
+    train, test = split_train_test(load_bundled("wine_like"), 0.5, 0)
+    cfg = small_config(n=5, fit=FitConfig(), standardize=False)
+    full = concat_datasets(train, test)
+    scenarios = []
+    for r in range(12):
+        s = derive_seed(0, r % 4, r % 3, r)
+        scenarios.append((lambda s=s: split_rows(full, train.m, s), replace(cfg, seed=s)))
+    for (rows, c), report in zip(scenarios, evaluate_mod._run_block(scenarios)):
+        X, y = rows()[0].X, rows()[0].y
+        diag = report.metadata["diagnostics"]
+        alpha, errs = cross_validate(X, y, "ridge", c.fit, derive_seed(c.seed, STREAM_CV_RIDGE))
+        assert diag["ridge"] == {"cv_errors": list(errs), "alpha": alpha}
+        assert report.results["ridge"]["theta"] == list(fit_ridge(X, y, alpha))
+        assert report.results["ols"]["theta"] == list(fit_ols(X, y))
+        z = draw_target(y, c.defender_estimates.target, c.seed, STREAM_DEFENDER_TARGET)[0]
+        sol = solve_equilibrium(X, y, GameParams(n=5, beta=0.5, lam=1.0, z=z))
+        assert report.results["mlsg"]["theta"] == list(sol.theta_star)
+        assert (diag["mlsg"]["grad_norm"], diag["mlsg"]["iterations"]) == (
+            sol.grad_norm, sol.iterations)
 
 
 def test_sweep_rejects_empty_grid_and_bad_repeats():

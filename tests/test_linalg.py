@@ -210,3 +210,104 @@ def test_sym_eig_handles_tiny_off_diagonal_mass():
     vals, vecs = sym_eig(A)
     assert np.all(np.isfinite(vals))
     assert np.allclose(vecs @ np.diag(vals) @ vecs.T, A, atol=1e-6)
+
+
+# ---------------------------------------------------------------- stacks
+
+def random_grams(rng, k, d, max_cond=1e12):
+    """k symmetric positive semidefinite (d, d) Grams with condition numbers
+    spread log-uniformly up to max_cond, each exactly symmetric."""
+    Q = np.linalg.qr(rng.normal(size=(k, d, d)))[0]
+    spread = 10.0 ** (rng.uniform(0, np.log10(max_cond), size=(k, 1)) * np.linspace(0, 1, d))
+    G = (Q * (rng.uniform(0.1, 10.0, size=(k, 1)) / spread)[:, None, :]) @ np.swapaxes(Q, 1, 2)
+    return (G + np.swapaxes(G, 1, 2)) / 2
+
+
+def reference_shifted_solve(G, b, shifts):
+    # the 2-D arithmetic shifted_solve has always had, straight from eigh
+    vals, vecs = np.linalg.eigh(G)
+    lam, V = vals[::-1], vecs[:, ::-1]
+    return (V.T @ b / (lam + shifts[:, None])) @ V.T
+
+
+def assert_stack_equals_slices(G, b, shifts):
+    """sym_eig, nonsingular and shifted_solve on the stack G, b equal the 2-D
+    calls on each slice bit for bit; returns how many slices were solved."""
+    lam, V = sym_eig(G)
+    ok = nonsingular(lam)
+    rows = nonsingular(lam[:, None, :], shifts)
+    for i in range(len(G)):
+        lam_i, V_i = sym_eig(G[i])
+        assert np.array_equal(lam[i], lam_i) and np.array_equal(V[i], V_i)
+        assert ok[i] == nonsingular(lam_i)
+        assert np.array_equal(rows[i], nonsingular(lam_i, shifts))
+    solvable = rows.all(axis=1)
+    x = shifted_solve(G[solvable], b[solvable], shifts)
+    for x_i, G_i, b_i in zip(x, G[solvable], b[solvable]):
+        assert np.array_equal(x_i, shifted_solve(G_i, b_i, shifts))
+        assert np.array_equal(x_i, reference_shifted_solve(G_i, b_i, shifts))
+    return int(solvable.sum())
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 11, 13])
+def test_stacks_equal_each_slice_bit_for_bit_up_to_cond_1e12(d):
+    rng = np.random.default_rng(40 + d)
+    G = random_grams(rng, 200, d)
+    b = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+    assert assert_stack_equals_slices(G, b, np.logspace(-4.0, 2.0, 13)) == 200
+    # at shift 0 the stack keeps the slices the rule admits, and one is refused
+    G[7] = np.diag(np.r_[np.ones(d - 1), 0.0]) if d > 1 else np.zeros((1, 1))
+    assert 0 < assert_stack_equals_slices(G, b, np.zeros(1)) < 200
+
+
+def test_a_stack_refuses_a_non_symmetric_slice():
+    G = random_grams(np.random.default_rng(41), 6, 4)
+    sym_eig(G)
+    G[3, 0, 2] += 1e-6 * np.abs(G[3]).max()
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(G)
+    with pytest.raises(ValueError, match="not symmetric"):
+        shifted_solve(G, np.ones((6, 4)), np.ones(1))
+
+
+def test_a_stack_refuses_a_singular_slice_as_the_slice_alone():
+    rng = np.random.default_rng(42)
+    G, b = random_grams(rng, 5, 3, max_cond=10.0), rng.normal(size=(5, 3))
+    G[2] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]  # eigenvalues 2, 2, 0
+    G[4] = np.zeros((3, 3))
+    for shifts in (np.zeros(1), np.array([0.5, 0.0, 0.0])):
+        with pytest.raises(SingularDesign) as alone:
+            shifted_solve(G[2], b[2], shifts)
+        with pytest.raises(SingularDesign) as stacked:
+            shifted_solve(G, b, shifts)
+        assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) == "X^T X + shift I is singular at shift=0"
+
+
+def criterion6_systems(name):
+    """Every ridge CV fold system and training (X^T X, X^T y) that the
+    criterion-6 sweep (4 x 3 cells, 50 repeats, raw features) stacks."""
+    from advreg.baselines import FitConfig, _fold_systems, _folds
+    from advreg.data import concat_datasets, split_by, split_train_test
+    from advreg.evaluate import STREAM_CV_RIDGE, derive_seed
+    from advreg.synthetic import load_bundled
+
+    train, test = split_train_test(load_bundled(name), 0.5, 0)
+    full = concat_datasets(train, test)
+    G, b = [], []
+    for i, j, r in np.ndindex(4, 3, 50):
+        s = derive_seed(0, i, j, r)
+        tr = split_by(full, train.m, np.random.default_rng(s).permutation(full.m))[0]
+        X, y = tr.X, tr.y
+        Gf, bf = _fold_systems(X, y, _folds(len(y), FitConfig(), derive_seed(s, STREAM_CV_RIDGE)))
+        G += [*Gf, X.T @ X]
+        b += [*bf, X.T @ y]
+    return np.array(G), np.array(b)
+
+
+@pytest.mark.parametrize("name", ["wine_like", "housing_like"])
+def test_stacks_equal_each_slice_on_the_criterion_6_grams(name):
+    G, b = criterion6_systems(name)
+    assert G.shape[0] == 600 * 6
+    assert assert_stack_equals_slices(G, b, np.logspace(-4.0, 2.0, 13)) == 3600
+    assert assert_stack_equals_slices(G, b, np.zeros(1)) == 3600
