@@ -60,9 +60,11 @@ to the elementwise numpy form, because + - * / and comparisons on Python
 floats round as numpy's elementwise ufuncs do, and every product that sums
 stays in the same BLAS call.
 
-`_lasso_paths` runs a stack of paths in lockstep, one knot per path per
-step, each equal to `_lasso_path`'s bit for bit: `cross_validate` stacks its
-lasso folds, and `lasso_cv_fits` the folds of many problems, then their fits.
+`lasso_paths` is the homotopy on a stack of Gram systems: it runs the
+paths in lockstep, one knot per path per step, each equal to
+`_lasso_path`'s bit for bit. `cross_validate` stacks its lasso folds; a
+sweep block stacks every lasso CV fold of its scenarios in one call and
+their deployed fits in another (`evaluate`).
 """
 
 from dataclasses import dataclass, field
@@ -239,9 +241,10 @@ def _lasso_path(G, b, alphas):
     return np.array(thetas), knots
 
 
-def _lasso_paths(G, b, alphas):
-    """`_lasso_path` on a stack: G (k, d, d), b (k, d), alphas (k, n) give
-    thetas (k, n, d) and knots (k,), each slice equal to its result bit for bit."""
+def lasso_paths(G, b, alphas):
+    """Lasso homotopies on a stack of Gram systems: G (k, d, d) and b (k, d),
+    each an X^T X and X^T y, and alphas (k, n) give thetas (k, n, d) and
+    knots (k,), each slice equal to `_lasso_path`'s result bit for bit."""
     if len(b) == 1:  # nothing to run in lockstep with
         thetas, knots = _lasso_path(G[0], b[0], alphas[0])
         return thetas[None], np.array([knots])
@@ -445,36 +448,6 @@ def cross_validate(X, y, method, cfg=None, seed=0):
     if method == "ridge":
         thetas = shifted_solve(G, b, grid)
     else:
-        thetas = _lasso_paths(G, b, np.tile(grid, (len(folds), 1)))[0]
+        thetas = lasso_paths(G, b, np.tile(grid, (len(folds), 1)))[0]
     return _cv_choice(X, y, folds, thetas, grid)
 
-
-def lasso_cv_fits(problems):
-    """Per problem (xy, cfg, seed), with xy() -> (X, y), the (theta, alpha,
-    cv_errors, knots) of cross_validate(X, y, "lasso", cfg, seed) and
-    fit_lasso(X, y, alpha). All fold paths run as one stack and all fits as
-    another, so the problems share their column count and grid size; xy() is
-    called again to score the folds, so no rows are held while a stack runs.
-    """
-    if not problems:
-        return []
-    cv, fits = [], []
-    for xy, cfg, seed in problems:
-        X, y = _check_xy(*xy())
-        G, b = _fold_systems(X, y, _folds(len(y), cfg, seed))
-        cv.append((G, b, np.tile(cfg.cv_alpha_grid, (len(G), 1))))
-        fits.append([(X.T @ X)[None], (X.T @ y)[None]])
-    choices = []
-    for (xy, cfg, seed), (thetas, _), fit in zip(problems, _stack(cv), fits):
-        X, y = _check_xy(*xy())
-        choices.append(_cv_choice(X, y, _folds(len(y), cfg, seed), thetas, cfg.cv_alpha_grid))
-        fit.append(np.array([[choices[-1][0]]]))
-    return [(thetas[0, 0], *choice, int(knots[0]))
-            for choice, (thetas, knots) in zip(choices, _stack(fits))]
-
-
-def _stack(systems):
-    """`_lasso_paths` on systems [(G, b, alphas)] as one stack; (thetas, knots) of each."""
-    ends = np.cumsum([len(G) for G, _, _ in systems]).tolist()
-    thetas, knots = _lasso_paths(*(np.concatenate(part) for part in zip(*systems)))
-    return [(thetas[lo:hi], knots[lo:hi]) for lo, hi in zip([0] + ends, ends)]

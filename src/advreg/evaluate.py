@@ -12,12 +12,24 @@ command shares.
 Sweeps repeat scenarios over a lambda x beta grid with fresh seeded
 train/test splits per repeat. Each (cell, repeat) derives its own RNG seed
 from (base seed, cell indices, repeat) and draws its split once. The
-scenarios run in blocks of SWEEP_BLOCK in that order, in stages: the lasso CV
-folds of a block run as one stacked homotopy and its deployed lasso fits as
-another (`lasso_cv_fits`); every ridge CV fold Gram and training X^T X of the
-block goes through one stacked `sym_eig` call, and ridge, OLS and mlsg read
-their fits off those spectra (`_spectra`); then each scenario finishes in
-turn. `run_scenario` and `fit_model` run the block of one.
+scenarios run in blocks of SWEEP_BLOCK in that order. A block reads each
+scenario's rows in three passes and holds only its folds, Grams and
+targets between them:
+
+1. the fit stage `_fit`: a first pass draws both targets, runs every
+   algorithm's input checks in sorted order, draws each CV's folds and
+   builds the fold Grams and the training X^T X and X^T y;
+2. one `lasso_paths` call runs every lasso CV fold of the block, and one
+   `sym_eig` call decomposes every ridge CV fold Gram and training X^T X;
+3. a second pass scores the CV folds and reads ridge, OLS and mlsg off
+   those spectra, and one more `lasso_paths` call fits the lassos;
+4. `_score`, a third pass, attacks and scores every model.
+
+So every input check of a scenario runs before any of its solves. No code
+stores an error: `_run_block` catches one only to run a block of several
+scenarios again as blocks of one, so a sweep raises what its first failing
+scenario raises alone. `run_scenario` is the block of one, and `fit_model`
+runs the fit stage on one problem with no test set.
 """
 
 # unused here; perfbench's tracer reads and rebinds this name when installed
@@ -27,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .baselines import FitConfig, fit_lasso, lasso_cv_fits
+from .baselines import FitConfig, lasso_paths
 from .baselines import _check_alpha, _check_xy, _cv_choice, _fold_systems, _folds
 from .data import (
     ConstantTarget,
@@ -84,28 +96,6 @@ def draw_target(y, target, seed, stream):
     return build_target(y, target, sigma), sigma, drawn
 
 
-def _got(result):
-    """result, or raise it if it is the exception a stage recorded."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the exception it raises, for `_got` to raise later."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
-def _lasso_fit(fit):
-    """(theta, diagnostics) of one of `lasso_cv_fits`'s results, or raise it."""
-    theta, alpha, errs, knots = _got(fit)
-    return theta, {"cv_errors": [float(e) for e in errs], "alpha": alpha, "solver": "path",
-                   "path_knots": knots}
-
-
 KNOWN_ALGORITHMS = ("lasso", "mlsg", "ols", "ridge")
 
 
@@ -115,94 +105,99 @@ def fit_model(algorithm, X, y, *, setting, n, theta_radius, fit, seed, alpha=Non
     `mlsg` plays the equilibrium against `setting`, the defender's view of
     the game. Ridge and lasso cross-validate on the seed's CV stream unless
     `alpha` is given. X and y are fit as row-major copies, so the result
-    does not depend on their memory layout. The fits run the sweep's stages
-    as a block of one.
+    does not depend on their memory layout. The fit is the sweep's fit
+    stage on one problem.
     """
     if algorithm not in KNOWN_ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; known: {KNOWN_ALGORITHMS}")
     X = np.ascontiguousarray(X, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
-    if algorithm == "lasso" and alpha is None:
-        cv = (lambda: (X, y), fit, derive_seed(seed, STREAM_CV_LASSO))
-        return _lasso_fit(lasso_cv_fits([cv])[0])
-    if algorithm == "lasso":
-        diagnostics = {"alpha": float(alpha)}
-        theta, info = fit_lasso(X, y, alpha, return_info=True)
-        return theta, {**diagnostics, **info}
     cfg = ScenarioConfig(n, setting, setting, (algorithm,), seed, theta_radius=theta_radius,
                          fit=fit)
-    return _spectral_fit(algorithm, X, y, cfg, _spectra([(X, y, cfg, alpha)])[0])
+    return _fit([(lambda: (X, y, None), cfg, alpha)])[0][0][algorithm]
 
 
-def _spectra(problems):
-    """Per problem (X, y, cfg, alpha), what its mlsg, ols and ridge fits need:
-    {"target": the defender's, drawn if mlsg is fit; algo: its `_prep`; "eig":
-    (lam, V, c) of ridge's CV fold Grams, then X^T X}, an entry the exception
-    its step raised. One `sym_eig` call decomposes all the problems' Grams; if
-    it raises, so does this, unless there is one problem."""
-    out, systems, spans = [], [], []
-    for X, y, cfg, alpha in problems:
+def _fit(problems):
+    """The fit stage. Per problem (rows, cfg, alpha), rows() -> (X, y,
+    y_test) with X and y row-major, returns the fits {algo: (theta,
+    diagnostics)} in sorted order, the defender's target and the actual
+    target, each `draw_target`'s (z, sigma, drawn) or None: the defender's
+    is drawn if mlsg is fit or y_test is given, the actual one if y_test is
+    given. A given alpha replaces ridge's and lasso's CV. rows() is called
+    twice; the module docstring gives the order of the work."""
+    held, lasso_cv, lasso_alphas, eig = [], [], [], []
+    for rows, cfg, alpha in problems:
+        X, y, y_test = rows()
         est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
-        sp = {"target": None}
-        if "mlsg" in cfg.algorithms:
-            sp["target"] = _attempt(draw_target, y, est.target, cfg.seed, STREAM_DEFENDER_TARGET)
-        system, grams = _attempt(lambda: (X.T @ X, X.T @ y)), []
-        for algo in sorted({"mlsg", "ols", "ridge"}.intersection(cfg.algorithms)):
-            sp[algo] = _attempt(_prep, algo, X, y, cfg, alpha, sp["target"], system, grams)
-        if any(not isinstance(sp[a], Exception) for a in sp if a != "target"):
-            grams.append(system)
-            spans.append((sp, len(systems), len(systems) + len(grams)))
-            systems += grams
-        out.append(sp)
-    if spans:
-        eig = _attempt(lambda: _spectrum(*map(np.array, zip(*systems))))
-        if isinstance(eig, Exception) and len(out) > 1:
-            raise eig
-        for sp, lo, hi in spans:
-            sp["eig"] = eig if isinstance(eig, Exception) else [a[lo:hi] for a in eig]
+        defender = actual = None
+        if "mlsg" in cfg.algorithms or y_test is not None:
+            defender = draw_target(y, est.target, cfg.seed, STREAM_DEFENDER_TARGET)
+        if y_test is not None:
+            actual = draw_target(y_test, cfg.actual.target, cfg.seed, STREAM_ACTUAL_TARGET)
+        plan, system = {}, None
+        for algo in sorted(cfg.algorithms):
+            if algo == "mlsg":
+                plan[algo] = GameParams(n=cfg.n, beta=est.beta, lam=est.lam, z=defender[0],
+                                        theta_radius=cfg.theta_radius)
+                system = _finite_system(X.T @ X, X.T @ y)
+                continue
+            X, y = _check_xy(X, y)
+            if algo == "ols" or alpha is not None:
+                plan[algo] = None, None, _check_alpha(0.0 if algo == "ols" else alpha)
+                continue
+            stack = lasso_cv if algo == "lasso" else eig
+            folds = _folds(len(y), cfg.fit, derive_seed(
+                cfg.seed, STREAM_CV_LASSO if algo == "lasso" else STREAM_CV_RIDGE))
+            plan[algo] = folds, slice(len(stack), len(stack) + len(folds)), None
+            stack += zip(*_fold_systems(X, y, folds))
+            if algo == "lasso":
+                lasso_alphas += [cfg.fit.cv_alpha_grid] * len(folds)
+        G, b = system or (X.T @ X, X.T @ y)
+        t = None  # the training X^T X's place in eig
+        if plan.keys() - {"lasso"}:
+            t = len(eig)
+            eig.append((G, b))
+        held.append((plan, t, G, b, defender, actual))
+
+    if lasso_cv:
+        lasso_thetas = lasso_paths(*map(np.array, zip(*lasso_cv)), np.array(lasso_alphas))[0]
+    if eig:
+        lam, V, c = _spectrum(*map(np.array, zip(*eig)))
+    out, lassos = [], []
+    for (rows, cfg, _), (plan, t, G, b, defender, actual) in zip(problems, held):
+        X, y, _ = rows()
+        fits = {}
+        for algo in sorted(cfg.algorithms):
+            if algo == "mlsg":
+                sol = _from_spectrum(X, y, plan[algo], lam[t], V[t], c[t])
+                fits[algo] = sol.theta_star, {
+                    "solver": sol.solver, "iterations": sol.iterations, "s_star": sol.s_star,
+                    "grad_norm": sol.grad_norm, "on_boundary": sol.on_boundary,
+                    "converged": sol.converged, "sigma": defender[1], "drawn_value": defender[2]}
+                continue
+            folds, at, alpha = plan[algo]
+            diagnostics = {}
+            if folds is not None:
+                grid = cfg.fit.cv_alpha_grid
+                thetas = (lasso_thetas[at] if algo == "lasso"
+                          else _solve_spectrum(lam[at], V[at], c[at], grid))
+                alpha, errs = _cv_choice(X, y, folds, thetas, grid)
+                diagnostics["cv_errors"] = [float(e) for e in errs]
+            if algo != "ols":
+                diagnostics["alpha"] = float(alpha)
+            if algo == "lasso":
+                fits[algo] = diagnostics
+                lassos.append((fits, G, b, alpha))
+            else:
+                fits[algo] = _solve_spectrum(lam[t], V[t], c[t], np.array([alpha]))[0], diagnostics
+        out.append((fits, defender, actual))
+
+    if lassos:
+        owners, G, b, alphas = zip(*lassos)
+        thetas, knots = lasso_paths(np.array(G), np.array(b), np.array(alphas)[:, None])
+        for fits, theta, k in zip(owners, thetas[:, 0], knots.tolist()):
+            fits["lasso"] = theta, {**fits["lasso"], "solver": "path", "path_knots": k}
     return out
-
-
-def _prep(algo, X, y, cfg, alpha, target, system, grams):
-    """What algo's fit needs besides the spectra, checked in the order the fit
-    alone checks it: (params, sigma, drawn) for mlsg, (folds, alpha) for ols and
-    ridge, folds None unless ridge cross-validates and adds its folds to grams."""
-    if algo == "mlsg":
-        est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
-        z, sigma, drawn = _got(target)
-        params = GameParams(n=cfg.n, beta=est.beta, lam=est.lam, z=z,
-                            theta_radius=cfg.theta_radius)
-        _finite_system(*_got(system))
-        return params, sigma, drawn
-    X, y = _check_xy(X, y)
-    if algo == "ols" or alpha is not None:
-        return None, _check_alpha(0.0 if algo == "ols" else alpha)
-    folds = _folds(len(y), cfg.fit, derive_seed(cfg.seed, STREAM_CV_RIDGE))
-    grams += zip(*_fold_systems(X, y, folds))
-    return folds, None
-
-
-def _spectral_fit(algo, X, y, cfg, sp):
-    """(theta, diagnostics) of mlsg, ols or ridge on (X, y), from `_spectra`."""
-    prep = _got(sp[algo])
-    lam, V, c = _got(sp["eig"])
-    if algo == "mlsg":
-        params, sigma, drawn = prep
-        sol = _from_spectrum(X, y, params, lam[-1], V[-1], c[-1])
-        return sol.theta_star, {
-            "solver": sol.solver, "iterations": sol.iterations, "s_star": sol.s_star,
-            "grad_norm": sol.grad_norm, "on_boundary": sol.on_boundary,
-            "converged": sol.converged, "sigma": sigma, "drawn_value": drawn}
-    folds, alpha = prep
-    diagnostics = {}
-    if folds is not None:
-        grid = cfg.fit.cv_alpha_grid
-        alpha, errs = _cv_choice(X, y, folds, _solve_spectrum(lam[:-1], V[:-1], c[:-1], grid),
-                                 grid)
-        diagnostics["cv_errors"] = [float(e) for e in errs]
-    if algo == "ridge":
-        diagnostics["alpha"] = float(alpha)
-    return _solve_spectrum(lam[-1], V[-1], c[-1], np.array([alpha]))[0], diagnostics
 
 
 @dataclass(eq=False)
@@ -353,51 +348,37 @@ def _features(rows, cfg):
     return train, test, train.X, test.X
 
 
-def _train_xy(rows, cfg):
-    train, _, X_tr, _ = _features(rows, cfg)
-    return X_tr, train.y
-
-
 def _run_block(scenarios):
-    """EvalReports of scenarios (rows, cfg), rows() -> (train, test), in
-    stages: one `lasso_cv_fits` call for all their lassos, one `_spectra` call
-    for all their mlsg, ols and ridge fits, then each scenario finishes in
-    turn. The stages hold Grams, not rows: each calls rows() again. If a stage
-    raises, the scenarios run as blocks of one, so the error comes where the
-    scenario alone raises it."""
-    lasso = [(partial(_train_xy, rows, cfg), cfg.fit, derive_seed(cfg.seed, STREAM_CV_LASSO))
-             for rows, cfg in scenarios if "lasso" in cfg.algorithms]
-    spectral = ((*_train_xy(rows, cfg), cfg, None) for rows, cfg in scenarios)
-    stages = []
-    for stage, problems in ((lasso_cv_fits, lasso), (_spectra, spectral)):
-        try:
-            stages.append(iter(stage(problems)))
-        except Exception as exc:  # raised at its place among the scenario's fits
-            if len(scenarios) > 1:
-                return [report for one in scenarios for report in _run_block([one])]
-            stages.append(iter([exc]))
-    lassos, spectra = stages
-    return [_finish(rows, cfg, next(lassos) if "lasso" in cfg.algorithms else None,
-                    next(spectra)) for rows, cfg in scenarios]
+    """EvalReports of scenarios (rows, cfg), rows() -> (train, test): one fit
+    stage for the block, then a third pass over the rows to score. If
+    anything raises, the scenarios run as blocks of one, so the error comes
+    where the scenario alone raises it."""
+    try:
+        fitted = _fit([(partial(_stage_rows, rows, cfg), cfg, None) for rows, cfg in scenarios])
+        return [_score(rows, cfg, *fit) for (rows, cfg), fit in zip(scenarios, fitted)]
+    except Exception:
+        if len(scenarios) == 1:
+            raise
+    return [report for one in scenarios for report in _run_block([one])]
 
 
-def _finish(rows, cfg, lasso, sp):
-    """run_scenario's report from its `lasso_cv_fits` result and `_spectra` entry."""
-    train, test, X_tr, X_te = _features(rows, cfg)
+def _stage_rows(rows, cfg):
+    """What the fit stage reads of a scenario: (X_tr, y_tr, y_te)."""
+    train, test, X_tr, _ = _features(rows, cfg)
+    return X_tr, train.y, test.y
+
+
+def _score(rows, cfg, fits, defender, actual):
+    """run_scenario's report from the fit stage's result for the scenario."""
+    train, test, _, X_te = _features(rows, cfg)
     est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
-    target = sp["target"] or draw_target(train.y, est.target, cfg.seed, STREAM_DEFENDER_TARGET)
-    _, est_sigma, est_drawn = _got(target)
-    z_test, act_sigma, act_drawn = draw_target(
-        test.y, cfg.actual.target, cfg.seed, STREAM_ACTUAL_TARGET
-    )
+    _, est_sigma, est_drawn = defender
+    z_test, act_sigma, act_drawn = actual
 
     results = {}
     diagnostics = {}
     for algo in sorted(cfg.algorithms):
-        if algo == "lasso":
-            theta, diagnostics[algo] = _lasso_fit(lasso)
-        else:
-            theta, diagnostics[algo] = _spectral_fit(algo, X_tr, train.y, cfg, sp)
+        theta, diagnostics[algo] = fits[algo]
         pred_att = symmetric_attacked_predictions(theta, X_te, z_test, cfg.actual.lam, cfg.n)
         exp, clean, att = expected_rmse(X_te @ theta, pred_att, test.y, cfg.actual.beta)
         results[algo] = {

@@ -15,12 +15,11 @@ import advreg.baselines as baselines
 from advreg.baselines import (
     FitConfig,
     _lasso_path,
-    _lasso_paths,
     cross_validate,
     fit_lasso,
     fit_ols,
     fit_ridge,
-    lasso_cv_fits,
+    lasso_paths,
 )
 from advreg.data import apply_standardizer, fit_standardizer, split_train_test
 from advreg.exceptions import MaxSweepsExceeded, NonFinite, SingularDesign
@@ -493,7 +492,7 @@ LONG_GRID = np.concatenate([GRID_WITH_ZERO, 2.0 * np.logspace(-12, 0, 13)])
 def assert_stack_equals_paths(systems, alphas=LONG_GRID):
     G, b = (np.array(part) for part in zip(*systems))
     A = np.tile(alphas, (len(b), 1))
-    thetas, knots = _lasso_paths(G, b, A)
+    thetas, knots = lasso_paths(G, b, A)
     for q in range(len(b)):
         ref, ref_knots = _lasso_path(G[q], b[q], A[q])
         assert thetas[q].tobytes() == ref.tobytes(), q  # to the bit and the sign of zero
@@ -533,25 +532,6 @@ def test_lasso_paths_rerun_a_tie_and_a_spanned_join_and_stack_the_rest(monkeypat
     monkeypatch.setattr(baselines, "_lasso_path", spy)
     assert_stack_equals_paths(systems, GRID_WITH_ZERO)
     assert rerun == [5, 11]  # each once, in path order; the ten folds ran in the stack
-
-
-def test_lasso_cv_fits_equal_cross_validate_then_fit_lasso():
-    rng = np.random.default_rng(28)
-    problems = []
-    for n in range(6):
-        X = rng.normal(size=(30 + n, 4)) * 10.0 ** rng.uniform(-1, 1, 4)
-        y = X @ rng.normal(size=4) + rng.normal(size=X.shape[0])
-        problems.append((lambda X=X, y=y: (X, y), FitConfig(cv_folds=3 + n % 3), n))
-    for (xy, cfg, seed), fit in zip(problems, lasso_cv_fits(problems)):
-        theta, alpha, errors, knots = fit
-        ref_alpha, ref_errors = cross_validate(*xy(), "lasso", cfg, seed)
-        assert (alpha, errors.tobytes()) == (ref_alpha, ref_errors.tobytes())
-        ref, info = fit_lasso(*xy(), alpha, return_info=True)
-        assert (theta.tobytes(), knots) == (ref.tobytes(), info["path_knots"])
-    X = np.ones((6, 4))
-    X[1, 1] = np.nan
-    with pytest.raises(NonFinite):
-        lasso_cv_fits([*problems, (lambda: (X, np.ones(6)), FitConfig(), 0)])
 
 
 # ---------------------------------------------------------- cross_validate

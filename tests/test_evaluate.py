@@ -10,6 +10,7 @@ import pytest
 
 import advreg.evaluate as evaluate_mod
 from advreg.data import (
+    Dataset,
     TargetSpec,
     apply_standardizer,
     build_target,
@@ -398,25 +399,140 @@ def test_a_block_whose_stack_raises_runs_as_blocks_of_one(monkeypatch):
     assert blocks == [2, 1, 1]
 
 
-def test_sweep_draws_each_split_and_defender_target_once(monkeypatch):
-    # each scenario's seeded shuffle and its ranged defender target are drawn
-    # once, though three stages read its rows and two read its target
-    from advreg.data import ConstantTarget
-    from advreg.evaluate import STREAM_DEFENDER_TARGET
+# ------------------------------------------------------ error precedence
 
-    seeds = []
+ALGORITHM_SETS = (KNOWN_ALGORITHMS, ("mlsg",), ("ols",), ("ridge",), ("lasso",))
+
+
+def fault_case(faults, algorithms):
+    """(train, test, cfg) of a small scenario fitting algorithms, with faults."""
+    train, test = small_data(seed=16, m=40)
+    cfg = small_config(algorithms=algorithms)
+    for fault in faults:
+        if fault == "duplicated column":
+            train.X[:, 1] = train.X[:, 0]
+        elif fault == "cv_folds > rows":
+            cfg = replace(cfg, fit=FitConfig(cv_folds=train.m + 1,
+                                             cv_alpha_grid=SMALL_FIT.cv_alpha_grid))
+        elif fault == "defender mask out of range":
+            cfg = replace(cfg, defender_estimates=GameSetting(
+                lam=1.0, beta=0.5, target=TargetSpec(delta_scale=2.0, mask=[0, train.m])))
+        elif fault == "actual mask out of range":
+            cfg = replace(cfg, actual=GameSetting(
+                lam=1.0, beta=0.5, target=TargetSpec(delta_scale=2.0, mask=[test.m])))
+        elif fault == "NaN in X":
+            train.X[3, 2] = np.nan
+        elif fault == "inf in y":
+            train.y[4] = np.inf
+        elif fault == "n = 0":
+            cfg = replace(cfg, n=0)
+        elif fault == "two rows of 1e200":
+            train.X[:2] = [[1e200, 1e200, 1e200, 1e200], [1e200, -1e200, 1e200, -1e200]]
+            cfg = replace(cfg, standardize=False)
+        else:
+            assert fault == "fewer test columns"
+            test = Dataset(X=test.X[:, :-1], y=test.y)
+    return train, test, cfg
+
+
+def raised(fn, *args, **kwargs):
+    """(type name, message) of what fn raises, or None if it returns."""
+    try:
+        with np.errstate(all="ignore"):  # the library's checks, not numpy's warnings
+            fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def scenario_errors(faults, algorithms):
+    """What run_scenario raises with faults, and a block of two whose second
+    scenario has them."""
+    train, test, cfg = fault_case(faults, algorithms)
+    fine = fault_case((), algorithms)
+    block = [(lambda: fine[:2], fine[2]), (lambda: (train, test), cfg)]
+    return raised(run_scenario, train, test, cfg), raised(evaluate_mod._run_block, block)
+
+
+def fit_model_error(faults, algorithm):
+    """What fit_model raises on the training rows and defender's view of a
+    scenario with faults."""
+    train, _, cfg = fault_case(faults, (algorithm,))
+    return raised(fit_model, algorithm, train.X, train.y, setting=cfg.defender_estimates,
+                  n=cfg.n, theta_radius=cfg.theta_radius, fit=cfg.fit, seed=cfg.seed)
+
+
+SINGULAR = "SingularDesign", "X^T X is not numerically positive definite"
+SINGULAR_0 = "SingularDesign", "X^T X + shift I is singular at shift=0"
+FOLDS = "ValueError", "cv_folds must be in 2..20, got 21"
+MASK = "MaskOutOfRange", "mask indices must lie in [0, 20)"
+X_NAN = "NonFinite", "X contains non-finite entries"
+GRAM = "NonFinite", "X^T X is not finite: X has non-finite or huge entries"
+Y_INF = "NonFinite", "y contains non-finite entries"
+Z_INF = "NonFinite", "z contains non-finite entries"
+N_0 = "ValueError", "n must be >= 1, got 0"
+EIG = "NoConvergence", "eigendecomposition did not converge: Eigenvalues did not converge"
+COLUMNS = "DimensionMismatch", "train has 4 features, test has 3"
+# recorded before the fit stage ran every input check ahead of every solve:
+# fault -> what run_scenario and a block raise for each of ALGORITHM_SETS,
+# then what fit_model raises for mlsg, ols, ridge and lasso
+PINNED_ERRORS = {
+    "duplicated column": ((SINGULAR, SINGULAR, SINGULAR_0, None, None),
+                          (SINGULAR, SINGULAR_0, None, None)),
+    "cv_folds > rows": ((FOLDS, None, None, FOLDS, FOLDS), (None, None, FOLDS, FOLDS)),
+    "defender mask out of range": ((MASK,) * 5, (MASK, None, None, None)),
+    "actual mask out of range": ((MASK,) * 5, (None,) * 4),
+    "NaN in X": ((X_NAN, GRAM, X_NAN, X_NAN, X_NAN), (GRAM, X_NAN, X_NAN, X_NAN)),
+    "inf in y": ((Y_INF, Z_INF, Y_INF, Y_INF, Y_INF), (Z_INF, Y_INF, Y_INF, Y_INF)),
+    "n = 0": ((N_0,) * 5, (N_0, None, None, None)),
+    "two rows of 1e200": ((GRAM, GRAM, EIG, EIG, None), (GRAM, EIG, EIG, None)),
+    "fewer test columns": ((COLUMNS,) * 5, (None,) * 4),
+}
+
+
+@pytest.mark.parametrize("fault", PINNED_ERRORS)
+def test_a_single_fault_raises_the_recorded_error_by_every_route(fault):
+    scenario, fits = PINNED_ERRORS[fault]
+    for algorithms, want in zip(ALGORITHM_SETS, scenario):
+        assert scenario_errors((fault,), algorithms) == (want, want), algorithms
+    for (algorithm,), want in zip(ALGORITHM_SETS[1:], fits):
+        assert fit_model_error((fault,), algorithm) == want, algorithm
+
+
+def test_every_input_check_of_a_scenario_runs_before_any_of_its_solves():
+    # mlsg sorts before ridge and its solve refuses the duplicated column,
+    # but ridge's fold check runs first
+    faults = ("duplicated column", "cv_folds > rows")
+    assert scenario_errors(faults, ("mlsg", "ridge")) == (FOLDS, FOLDS)
+
+
+def test_sweep_draws_each_split_and_defender_target_once(monkeypatch):
+    # each scenario's seeded shuffle, its ranged targets and its two CV
+    # permutations are drawn once, and its rows are read in three passes
+    from collections import Counter
+
+    from advreg.data import ConstantTarget, split_by
+    from advreg.evaluate import (STREAM_ACTUAL_TARGET, STREAM_CV_LASSO, STREAM_CV_RIDGE,
+                                 STREAM_DEFENDER_TARGET)
+
+    seeds, reads = [], []
     rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or rng(seed))
+    monkeypatch.setattr(evaluate_mod, "split_by", lambda full, m, perm: (
+        reads.append(perm.tobytes()) or split_by(full, m, perm)))
     train, test = small_data(seed=14, m=50)
     ranged = GameSetting(lam=1.0, beta=0.5, target=ConstantTarget(value_range=(0.0, 3.0)))
-    run_sweep(train, test, small_config(defender_estimates=ranged), [0.5, 1.0], [0.2, 0.8],
-              repeats=2, seed=7)
+    run_sweep(train, test, small_config(defender_estimates=ranged, actual=ranged),
+              [0.5, 1.0], [0.2, 0.8], repeats=2, seed=7)
     for i in range(2):
         for j in range(2):
             for r in range(2):
                 s = derive_seed(7, i, j, r)
                 assert seeds.count(s) == 1
-                assert seeds.count(derive_seed(s, STREAM_DEFENDER_TARGET)) == 1
+                for stream in (STREAM_DEFENDER_TARGET, STREAM_ACTUAL_TARGET, STREAM_CV_RIDGE,
+                               STREAM_CV_LASSO):
+                    assert seeds.count(derive_seed(s, stream)) == 1, stream
+    assert sorted(Counter(reads).values()) == [3] * 8
 
 
 def test_sweep_decomposes_each_block_in_one_call(monkeypatch):
@@ -434,11 +550,13 @@ def test_sweep_decomposes_each_block_in_one_call(monkeypatch):
 
 def test_block_fits_equal_the_library_fits_to_the_bit():
     # criterion 6's scenarios: ridge, OLS and mlsg read off one stacked
-    # decomposition equal cross_validate with fit_ridge, fit_ols and
-    # solve_equilibrium, each on its own X^T X
-    from advreg.baselines import cross_validate, fit_ols, fit_ridge
+    # decomposition, and the lassos of two stacked homotopies, equal
+    # cross_validate with fit_ridge, fit_ols, solve_equilibrium and
+    # fit_lasso, each on its own X^T X
+    from advreg.baselines import cross_validate, fit_lasso, fit_ols, fit_ridge
     from advreg.equilibrium import solve_equilibrium
-    from advreg.evaluate import STREAM_CV_RIDGE, STREAM_DEFENDER_TARGET, draw_target
+    from advreg.evaluate import (STREAM_CV_LASSO, STREAM_CV_RIDGE, STREAM_DEFENDER_TARGET,
+                                 draw_target)
 
     train, test = split_train_test(load_bundled("wine_like"), 0.5, 0)
     cfg = small_config(n=5, fit=FitConfig(), standardize=False)
@@ -459,6 +577,35 @@ def test_block_fits_equal_the_library_fits_to_the_bit():
         assert report.results["mlsg"]["theta"] == list(sol.theta_star)
         assert (diag["mlsg"]["grad_norm"], diag["mlsg"]["iterations"]) == (
             sol.grad_norm, sol.iterations)
+        alpha, errs = cross_validate(X, y, "lasso", c.fit, derive_seed(c.seed, STREAM_CV_LASSO))
+        theta, info = fit_lasso(X, y, alpha, return_info=True)
+        assert diag["lasso"] == {"cv_errors": list(errs), "alpha": alpha, **info}
+        assert report.results["lasso"]["theta"] == list(theta)
+
+
+def test_fit_model_lasso_equals_cross_validate_then_fit_lasso():
+    # mixed fold counts and column scales; a non-finite design is refused
+    from advreg.baselines import cross_validate, fit_lasso
+    from advreg.evaluate import STREAM_CV_LASSO
+    from advreg.exceptions import NonFinite
+
+    rng = np.random.default_rng(28)
+    setting = GameSetting(lam=1.0, beta=0.5)
+    for n in range(6):
+        X = rng.normal(size=(30 + n, 4)) * 10.0 ** rng.uniform(-1, 1, 4)
+        y = X @ rng.normal(size=4) + rng.normal(size=X.shape[0])
+        fit = FitConfig(cv_folds=3 + n % 3)
+        theta, diag = fit_model("lasso", X, y, setting=setting, n=1, theta_radius=None, fit=fit,
+                                seed=n)
+        alpha, errors = cross_validate(X, y, "lasso", fit, derive_seed(n, STREAM_CV_LASSO))
+        assert (diag["alpha"], diag["cv_errors"]) == (alpha, list(errors))
+        ref, info = fit_lasso(X, y, alpha, return_info=True)
+        assert (theta.tobytes(), diag["path_knots"]) == (ref.tobytes(), info["path_knots"])
+    X = np.ones((6, 4))
+    X[1, 1] = np.nan
+    with pytest.raises(NonFinite):
+        fit_model("lasso", X, np.ones(6), setting=setting, n=1, theta_radius=None,
+                  fit=FitConfig(), seed=0)
 
 
 def test_sweep_rejects_empty_grid_and_bad_repeats():
