@@ -19,8 +19,8 @@ cross-validation factors each fold once instead of refitting per alpha:
   `fit_ridge(X, y, 0)` are one computation. Ridge CV decomposes its fold
   Grams as one stack; a sweep block stacks every fold Gram of its scenarios
   with their training X^T X, and reads its ridge and OLS fits off that one
-  `sym_eig` call (`evaluate`), as `_cv_choice` and `linalg.shifted_solve`
-  would have them.
+  `sym_eig` call (`evaluate`), as `cross_validate` and
+  `linalg.shifted_solve` would have them.
 * lasso: the LARS-lasso homotopy (Osborne, Presnell & Turlach 2000;
   Efron, Hastie, Johnstone & Tibshirani 2004). With t = alpha / 2 (the
   quadratic term has no 1/2) the optimality conditions read
@@ -63,8 +63,11 @@ stays in the same BLAS call.
 `lasso_paths` is the homotopy on a stack of Gram systems: it runs the
 paths in lockstep, one knot per path per step, each equal to
 `_lasso_path`'s bit for bit. `cross_validate` stacks its lasso folds; a
-sweep block stacks every lasso CV fold of its scenarios in one call and
-their deployed fits in another (`evaluate`).
+sweep block stacks every lasso CV fold of its scenarios and their deployed
+paths in one call (`evaluate`). k-fold CV (ESL 7.10) sums each fold's
+training system from the other folds' Gram blocks and scores it by a
+quadratic form in its own block, or from residuals where rounding could
+decide the choice (`_fold_blocks`, `_cv_score`).
 """
 
 from dataclasses import dataclass, field
@@ -140,8 +143,9 @@ def fit_ridge(X, y, alpha):
 def _lasso_path(G, b, alphas):
     """Lasso coefficients (one row per alpha) along one homotopy.
 
-    Returns (thetas, knots), knots counting the knots passed. Raises
-    NoConvergence when the knots at one t return to a state they left.
+    Returns (thetas, knots), knots[i] counting the knots passed when alphas[i]
+    was read. Raises NoConvergence when the knots at one t return to a state
+    they left.
     """
     d = b.size
     halves = 0.5 * alphas
@@ -153,6 +157,7 @@ def _lasso_path(G, b, alphas):
     order, halves = np.argsort(-halves, kind="stable").tolist(), halves.tolist()
     pending = [k for k in order if halves[k] < t]
     thetas = [[0.0] * d for _ in halves]
+    counts = [0] * len(halves)
     j = int(np.argmax(np.where(live, np.abs(b), -1.0)))
     live = live.tolist()
     active, signs = [j], [float(np.sign(b[j]))]
@@ -203,7 +208,8 @@ def _lasso_path(G, b, alphas):
                     leave, i = s, n
         t_next = max(join, leave, 0.0)
         while pending and halves[pending[0]] >= t_next:
-            half, row = halves[pending[0]], thetas[pending.pop(0)]
+            q = pending.pop(0)
+            half, row, counts[q] = halves[q], thetas[q], knots
             for col, sn, un, wn in zip(active, signs, u, w):
                 x = un - half * wn  # at its own knot it may round past zero
                 row[col] = 0.0 if sn * x < 0.0 else x
@@ -238,16 +244,19 @@ def _lasso_path(G, b, alphas):
             signs.append(1.0 if join_up else -1.0)
         knots += 1
         A = None
-    return np.array(thetas), knots
+    for q in pending:  # no column stayed active
+        counts[q] = knots
+    return np.array(thetas), np.array(counts)
 
 
 def lasso_paths(G, b, alphas):
     """Lasso homotopies on a stack of Gram systems: G (k, d, d) and b (k, d),
     each an X^T X and X^T y, and alphas (k, n) give thetas (k, n, d) and
-    knots (k,), each slice equal to `_lasso_path`'s result bit for bit."""
+    knots (k, n), the knots each path passed when it read each alpha; each
+    path's slices equal `_lasso_path`'s result bit for bit."""
     if len(b) == 1:  # nothing to run in lockstep with
         thetas, knots = _lasso_path(G[0], b[0], alphas[0])
-        return thetas[None], np.array([knots])
+        return thetas[None], knots[None]
     thetas, knots, rerun = _lockstep(G, b, alphas)
     for path in rerun:
         thetas[path], knots[path] = _lasso_path(G[path], b[path], alphas[path])
@@ -256,9 +265,9 @@ def lasso_paths(G, b, alphas):
 
 def _lockstep(G, b, alphas):
     """The homotopies of a stack, one knot per path per step, as masked array
-    operations. Returns (thetas, knots, rerun); the paths in rerun met a knot
-    that ties their t (a tied start, a rejoin the bars refuse, a cycle) or a
-    spanned joining column, and are left to `_lasso_path` and its tie rules.
+    operations. Returns (thetas, knots per alpha, rerun); the paths in rerun
+    met a knot that ties their t (a tied start, a rejoin the bars refuse, a
+    cycle) or a spanned joining column, and are left to `_lasso_path`.
     Active columns, signs and H are kept in join order and zero-padded, so a
     padded product sums `_lasso_path`'s terms in its order (a zero term
     changes no BLAS sum); h = H g, whose BLAS kernel groups terms by length,
@@ -286,6 +295,7 @@ def _lockstep(G, b, alphas):
     free[rows, :, j] = False
     bar = np.zeros((k, 2, d), dtype=bool)  # the column that just left, on its side
     knots = np.zeros(k, dtype=int)
+    read_at = np.zeros(alphas.shape, dtype=int)  # knots passed when each alpha was read
     thetas = np.zeros((k, alphas.shape[1], e))  # column d takes the padding
     rerun = []
     flip = np.array([[1.0], [-1.0]])
@@ -323,6 +333,7 @@ def _lockstep(G, b, alphas):
             at = act[ri]  # flat positions in thetas
             at += ((ri * alphas.shape[1] + ai) * e)[:, None]
             thetas.put(at, x)
+            read_at[ri, ai] = knots[ri]
             pending &= ~read
         on = pending.any(axis=1)
         tied = on & (t_next == t)
@@ -348,7 +359,9 @@ def _lockstep(G, b, alphas):
             free[lv, :, col] = True
             bar[lv, side, col] = True
             na[lv] -= 1
-            pending[lv[na[lv] == 0]] = on[lv[na[lv] == 0]] = False  # none left active
+            gone = lv[na[lv] == 0]  # none left active
+            read_at[gone] = np.where(pending[gone], knots[gone, None], read_at[gone])
+            pending[gone] = on[gone] = False
         if jn.size:
             nj, col = na[jn], j[jn]
             up = c[jn, 0, col] >= c[jn, 1, col]
@@ -372,7 +385,7 @@ def _lockstep(G, b, alphas):
             S[jn, nj, 0], S[jn, nj, 1] = 1.0, np.where(up, 1.0, -1.0)
             free[jn, :, col] = False
             na[jn] += 1
-    return np.ascontiguousarray(thetas[:, :, :d]), knots, sorted(rerun)
+    return np.ascontiguousarray(thetas[:, :, :d]), read_at, sorted(rerun)
 
 
 def fit_lasso(X, y, alpha, *, return_info=False):
@@ -385,7 +398,7 @@ def fit_lasso(X, y, alpha, *, return_info=False):
     alpha = _check_alpha(alpha)
     thetas, knots = _lasso_path(X.T @ X, X.T @ y, np.array([alpha]))
     if return_info:
-        return thetas[0], {"solver": "path", "path_knots": knots}
+        return thetas[0], {"solver": "path", "path_knots": int(knots[0])}
     return thetas[0]
 
 
@@ -396,6 +409,17 @@ def _folds(m, cfg, seed):
     if k < 2 or k > m:
         raise ValueError(f"cv_folds must be in 2..{m}, got {k}")
     return np.array_split(np.random.default_rng(seed).permutation(m), k)
+
+
+def _fold_blocks(X, y, folds):
+    """(G, b, blocks): each fold's block [X_f y_f]^T [X_f y_f], and each
+    fold's training X^T X and X^T y summed from the other folds' blocks in
+    fold order (the full Gram less a block would cancel)."""
+    d, ends = X.shape[1], np.cumsum([f.size for f in folds])
+    Z = np.column_stack((X, y))[np.concatenate(folds)]
+    blocks = np.array([Z[e - f.size:e].T @ Z[e - f.size:e] for f, e in zip(folds, ends)])
+    rest = np.where(~np.eye(len(folds), dtype=bool)[:, :, None, None], blocks, 0.0).sum(axis=1)
+    return rest[:, :d, :d], rest[:, :d, d], blocks
 
 
 def _fold_systems(X, y, folds):
@@ -409,6 +433,18 @@ def _fold_systems(X, y, folds):
     return G, b
 
 
+def _fold_fits(method, G, b, grid):
+    """Every alpha's fit on each fold's training system, (k, n, d)."""
+    if method == "ridge":
+        return shifted_solve(G, b, grid)
+    return lasso_paths(G, b, np.tile(grid, (len(b), 1)))[0]
+
+
+def _pick(errors, grid):
+    """The index of the least error, ties to the larger alpha, then the first."""
+    return max(range(grid.size), key=lambda i: (-errors[i], grid[i]))
+
+
 def _cv_choice(X, y, folds, thetas, grid):
     """(alpha, errors): each alpha's mean held-out error over the folds, and
     the alpha with the least, ties to the larger alpha."""
@@ -417,13 +453,30 @@ def _cv_choice(X, y, folds, thetas, grid):
         R = X[val] @ theta.T - y[val][:, None]
         errors += np.sum(R * R, axis=0) / val.size
     errors /= len(folds)
-    best_idx = 0
-    for i in range(grid.size):
-        if errors[i] < errors[best_idx] or (
-            errors[i] == errors[best_idx] and grid[i] > grid[best_idx]
-        ):
-            best_idx = i
-    return float(grid[best_idx]), errors
+    return float(grid[_pick(errors, grid)]), errors
+
+
+def _cv_score(X, y, folds, method, grid, blocks, thetas):
+    """`_cv_choice`'s (alpha, errors) for the fits `thetas` on `_fold_blocks`'
+    systems, each held-out error th^T P th - 2 th^T c + yy off its fold's block.
+
+    Summed Grams move theta and the form cancels, so an error is good to its
+    margin n eps (th^T P th + 2 |th^T c| + yy), n the fold's training rows. If
+    another alpha's error is within its margin plus the best's, rounding could
+    decide, and the CV runs again as `_cv_choice` on gathered fold systems.
+    """
+    d, sizes = X.shape[1], np.array([[f.size] for f in folds])
+    P, c, yy = blocks[:, :d, :d], blocks[:, :d, d:], blocks[:, d:, d]
+    quad, lin = np.sum((thetas @ P) * thetas, axis=2), (thetas @ c)[:, :, 0]
+    errors = np.sum((quad - 2.0 * lin + yy) / sizes, axis=0) / len(folds)
+    terms = (len(y) - sizes) * np.finfo(float).eps * (np.abs(quad) + 2.0 * np.abs(lin) + yy)
+    margins = np.sum(terms / sizes, axis=0) / len(folds)
+    best = _pick(errors, grid)
+    apart = np.abs(errors - errors[best]) > margins + margins[best]  # NaN is not apart
+    apart[best] = np.isfinite(errors[best])
+    if apart.all():
+        return float(grid[best]), errors
+    return _cv_choice(X, y, folds, _fold_fits(method, *_fold_systems(X, y, folds), grid), grid)
 
 
 def cross_validate(X, y, method, cfg=None, seed=0):
@@ -431,9 +484,11 @@ def cross_validate(X, y, method, cfg=None, seed=0):
 
     Rows are shuffled once with the given seed and cut into contiguous
     folds (the first m mod k folds get the extra row). Each fold fits every
-    alpha from one regularization path; the folds run as one stack.
-    The score of an alpha is the mean over folds of
-    ||X_val theta - y_val||^2 / |fold|; ties go to the larger alpha.
+    alpha from one regularization path on the sum of the other folds' Gram
+    blocks; the folds run as one stack. The score of an alpha is the mean
+    over folds of ||X_val theta - y_val||^2 / |fold|, a quadratic form in the
+    held-out block, or from residuals where rounding could decide the
+    choice (`_cv_score`); ties go to the larger alpha.
 
     Returns (alpha_best, cv_errors) with cv_errors aligned to
     cfg.cv_alpha_grid.
@@ -444,10 +499,5 @@ def cross_validate(X, y, method, cfg=None, seed=0):
         raise ValueError(f"method must be 'ridge' or 'lasso', got {method!r}")
     grid = cfg.cv_alpha_grid
     folds = _folds(len(y), cfg, seed)
-    G, b = _fold_systems(X, y, folds)
-    if method == "ridge":
-        thetas = shifted_solve(G, b, grid)
-    else:
-        thetas = lasso_paths(G, b, np.tile(grid, (len(folds), 1)))[0]
-    return _cv_choice(X, y, folds, thetas, grid)
-
+    G, b, blocks = _fold_blocks(X, y, folds)
+    return _cv_score(X, y, folds, method, grid, blocks, _fold_fits(method, G, b, grid))

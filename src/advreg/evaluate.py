@@ -18,11 +18,12 @@ targets between them:
 
 1. the fit stage `_fit`: a first pass draws both targets, runs every
    algorithm's input checks in sorted order, draws each CV's folds and
-   builds the fold Grams and the training X^T X and X^T y;
-2. one `lasso_paths` call runs every lasso CV fold of the block, and one
-   `sym_eig` call decomposes every ridge CV fold Gram and training X^T X;
-3. a second pass scores the CV folds and reads ridge, OLS and mlsg off
-   those spectra, and one more `lasso_paths` call fits the lassos;
+   builds its fold blocks and Grams and the training X^T X and X^T y;
+2. one `lasso_paths` call runs every lasso CV fold and deployed lasso of
+   the block, and one `sym_eig` call decomposes every ridge CV fold Gram
+   and training X^T X;
+3. a second pass scores the CV folds and reads each lasso off its path,
+   and ridge, OLS and mlsg off the spectra, at the chosen alphas;
 4. `_score`, a third pass, attacks and scores every model.
 
 So every input check of a scenario runs before any of its solves. No code
@@ -40,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .baselines import FitConfig, lasso_paths
-from .baselines import _check_alpha, _check_xy, _cv_choice, _fold_systems, _folds
+from .baselines import _check_alpha, _check_xy, _cv_score, _fold_blocks, _folds
 from .data import (
     ConstantTarget,
     TargetSpec,
@@ -125,7 +126,7 @@ def _fit(problems):
     is drawn if mlsg is fit or y_test is given, the actual one if y_test is
     given. A given alpha replaces ridge's and lasso's CV. rows() is called
     twice; the module docstring gives the order of the work."""
-    held, lasso_cv, lasso_alphas, eig = [], [], [], []
+    held, lasso, lasso_alphas, eig = [], [], [], []
     for rows, cfg, alpha in problems:
         X, y, y_test = rows()
         est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
@@ -139,32 +140,37 @@ def _fit(problems):
             if algo == "mlsg":
                 plan[algo] = GameParams(n=cfg.n, beta=est.beta, lam=est.lam, z=defender[0],
                                         theta_radius=cfg.theta_radius)
-                system = _finite_system(X.T @ X, X.T @ y)
+                system = system or _finite_system(X.T @ X, X.T @ y)
                 continue
             X, y = _check_xy(X, y)
-            if algo == "ols" or alpha is not None:
-                plan[algo] = None, None, _check_alpha(0.0 if algo == "ols" else alpha)
-                continue
-            stack = lasso_cv if algo == "lasso" else eig
-            folds = _folds(len(y), cfg.fit, derive_seed(
-                cfg.seed, STREAM_CV_LASSO if algo == "lasso" else STREAM_CV_RIDGE))
-            plan[algo] = folds, slice(len(stack), len(stack) + len(folds)), None
-            stack += zip(*_fold_systems(X, y, folds))
-            if algo == "lasso":
-                lasso_alphas += [cfg.fit.cv_alpha_grid] * len(folds)
-        G, b = system or (X.T @ X, X.T @ y)
+            if algo == "lasso":  # sorts first: no system yet
+                system = _finite_system(X.T @ X, X.T @ y)
+            stack = lasso if algo == "lasso" else eig
+            start, grid, folds, blocks = len(stack), cfg.fit.cv_alpha_grid, None, None
+            if algo == "ols" or alpha is not None:  # the grid's width, for the lasso stack
+                grid = np.full(grid.size, _check_alpha(0.0 if algo == "ols" else alpha))
+            else:
+                folds = _folds(len(y), cfg.fit, derive_seed(
+                    cfg.seed, STREAM_CV_LASSO if algo == "lasso" else STREAM_CV_RIDGE))
+                G, b, blocks = _fold_blocks(X, y, folds)
+                stack += zip(G, b)
+            if algo == "lasso":  # the deployed path joins its CV folds' stack
+                stack.append(system)
+                lasso_alphas += [grid] * (len(stack) - start)
+            plan[algo] = folds, blocks, slice(start, len(stack)), grid
         t = None  # the training X^T X's place in eig
         if plan.keys() - {"lasso"}:
             t = len(eig)
-            eig.append((G, b))
-        held.append((plan, t, G, b, defender, actual))
+            eig.append(system or (X.T @ X, X.T @ y))
+        held.append((plan, t, defender, actual))
 
-    if lasso_cv:
-        lasso_thetas = lasso_paths(*map(np.array, zip(*lasso_cv)), np.array(lasso_alphas))[0]
+    if lasso:
+        lasso_thetas, lasso_knots = lasso_paths(*map(np.array, zip(*lasso)),
+                                                np.array(lasso_alphas))
     if eig:
         lam, V, c = _spectrum(*map(np.array, zip(*eig)))
-    out, lassos = [], []
-    for (rows, cfg, _), (plan, t, G, b, defender, actual) in zip(problems, held):
+    out = []
+    for (rows, cfg, _), (plan, t, defender, actual) in zip(problems, held):
         X, y, _ = rows()
         fits = {}
         for algo in sorted(cfg.algorithms):
@@ -175,28 +181,22 @@ def _fit(problems):
                     "grad_norm": sol.grad_norm, "on_boundary": sol.on_boundary,
                     "converged": sol.converged, "sigma": defender[1], "drawn_value": defender[2]}
                 continue
-            folds, at, alpha = plan[algo]
-            diagnostics = {}
+            folds, blocks, at, grid = plan[algo]
+            alpha, diagnostics = grid[0], {}
             if folds is not None:
-                grid = cfg.fit.cv_alpha_grid
-                thetas = (lasso_thetas[at] if algo == "lasso"
+                thetas = (lasso_thetas[at][:-1] if algo == "lasso"
                           else _solve_spectrum(lam[at], V[at], c[at], grid))
-                alpha, errs = _cv_choice(X, y, folds, thetas, grid)
+                alpha, errs = _cv_score(X, y, folds, algo, grid, blocks, thetas)
                 diagnostics["cv_errors"] = [float(e) for e in errs]
             if algo != "ols":
                 diagnostics["alpha"] = float(alpha)
             if algo == "lasso":
-                fits[algo] = diagnostics
-                lassos.append((fits, G, b, alpha))
+                i = at.stop - 1, int(np.argmax(grid == alpha))  # the deployed path's read
+                fits[algo] = lasso_thetas[i], {
+                    **diagnostics, "solver": "path", "path_knots": int(lasso_knots[i])}
             else:
                 fits[algo] = _solve_spectrum(lam[t], V[t], c[t], np.array([alpha]))[0], diagnostics
         out.append((fits, defender, actual))
-
-    if lassos:
-        owners, G, b, alphas = zip(*lassos)
-        thetas, knots = lasso_paths(np.array(G), np.array(b), np.array(alphas)[:, None])
-        for fits, theta, k in zip(owners, thetas[:, 0], knots.tolist()):
-            fits["lasso"] = theta, {**fits["lasso"], "solver": "path", "path_knots": k}
     return out
 
 

@@ -5,10 +5,13 @@ These run the package end to end at full scale (1000-trial certificates,
 Each criterion prints one `criterion N: PASS/FAIL` line with its measurements.
 """
 
+import hashlib
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from advreg.baselines import fit_ols
 from advreg.cli import main
@@ -136,17 +139,36 @@ def _benchmark_scenario(name, attack_target):
     return train, test, scen
 
 
+CRITERION_5_ATTACKS = {
+    "wine_like": TargetSpec(delta_scale=5.0, clip_max=10.0),
+    "housing_like": TargetSpec(delta_scale=2.0),
+}
+
+
+def _criterion_5_sweep(name, repeats, standardize=False):
+    train, test, scen = _benchmark_scenario(name, CRITERION_5_ATTACKS[name])
+    return run_sweep(train, test, replace(scen, standardize=standardize), [1.0],
+                     [0.4, 0.6, 0.8, 1.0], repeats, 0)
+
+
+def _criterion_6_sweep(repeats, standardize=False):
+    train, test, _ = _benchmark_scenario("wine_like",
+                                         TargetSpec(delta_scale=5.0, clip_max=10.0))
+    defender = GameSetting(lam=0.5, beta=0.8,
+                           target=ConstantTarget(value_range=(0.0, 5 * 0.81)))
+    actual = GameSetting(lam=1.0, beta=0.5,
+                         target=TargetSpec(delta_scale=5.0, clip_max=10.0))
+    scen = ScenarioConfig(n=5, defender_estimates=defender, actual=actual, seed=0,
+                          defender_knows_actual=False, standardize=standardize)
+    return run_sweep(train, test, scen, [0.1, 0.5, 1.0, 2.0], [0.2, 0.5, 0.8], repeats, 0)
+
+
 def test_criterion_5_mlsg_beats_baselines_under_attack():
-    attacks = {
-        "wine_like": TargetSpec(delta_scale=5.0, clip_max=10.0),
-        "housing_like": TargetSpec(delta_scale=2.0),
-    }
     t0 = time.perf_counter()
     ok = True
     lines = []
-    for name, target in attacks.items():
-        train, test, scen = _benchmark_scenario(name, target)
-        grid = run_sweep(train, test, scen, [1.0], [0.4, 0.6, 0.8, 1.0], 50, 0)
+    for name in CRITERION_5_ATTACKS:
+        grid = _criterion_5_sweep(name, 50)
         for j, beta in enumerate(grid.beta_values):
             cell = grid.cells[0][j]
             mlsg = cell["mlsg"]["rmse_expected"]
@@ -160,16 +182,8 @@ def test_criterion_5_mlsg_beats_baselines_under_attack():
 
 
 def test_criterion_6_robust_to_estimate_mismatch():
-    train, test, _ = _benchmark_scenario("wine_like",
-                                         TargetSpec(delta_scale=5.0, clip_max=10.0))
-    defender = GameSetting(lam=0.5, beta=0.8,
-                           target=ConstantTarget(value_range=(0.0, 5 * 0.81)))
-    actual = GameSetting(lam=1.0, beta=0.5,
-                         target=TargetSpec(delta_scale=5.0, clip_max=10.0))
-    scen = ScenarioConfig(n=5, defender_estimates=defender, actual=actual, seed=0,
-                          defender_knows_actual=False, standardize=False)
     t0 = time.perf_counter()
-    grid = run_sweep(train, test, scen, [0.1, 0.5, 1.0, 2.0], [0.2, 0.5, 0.8], 50, 0)
+    grid = _criterion_6_sweep(50)
     elapsed = time.perf_counter() - t0
     hits = 0
     for i in range(len(grid.lambda_values)):
@@ -181,6 +195,33 @@ def test_criterion_6_robust_to_estimate_mismatch():
     ok = hits >= 10 and elapsed < 600.0
     _report(6, ok, f"mismatched defender estimates: within 5% of the best baseline "
                    f"in {hits}/12 cells, {elapsed:.0f}s")
+
+
+# SHA-256 of the criterion-5 and criterion-6 grids (`SweepGrid.as_dict()` as
+# JSON) at 10 repeats, raw and standardized, recorded with numpy 2.4.6 and
+# its bundled OpenBLAS. A change that moves a cell by rounding updates them
+# and says so.
+PINNED_GRIDS = {
+    (False, "wine_like"): "a3694a7ebd3ced0b64e1bf9089c959180d95597d46b324695cd1ccaa7903b951",
+    (False, "housing_like"): "ac96fdb6f6003d57d4cce1cc5dae595478cf81124d8cc6134bf8d7e2a2bc5c17",
+    (False, "criterion 6"): "8ed64d41b99eaa914f929ecd1551f7eaa40c494704dbfb78263d03f8bae19ce6",
+    (True, "wine_like"): "23b71676e7867031581ee70ec93f87423b7b3e6ec9cc0e9221a7a3c5a6ff39cb",
+    (True, "housing_like"): "47e7db9078e1dcde44bd1efa52c75ea4b5cca180ff86eb03ef557956280aebf3",
+    (True, "criterion 6"): "39bacb8c3a8edc2b3ecf95fcd853788d6f0438de4ed8574189910a319f02b7ea",
+}
+
+
+def acceptance_grid_digests(standardize, repeats=10):
+    grids = {name: _criterion_5_sweep(name, repeats, standardize) for name in CRITERION_5_ATTACKS}
+    grids["criterion 6"] = _criterion_6_sweep(repeats, standardize)
+    return {(standardize, name): hashlib.sha256(json.dumps(grid.as_dict()).encode()).hexdigest()
+            for name, grid in grids.items()}
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_acceptance_grids_are_pinned_to_the_bit(standardize):
+    digests = acceptance_grid_digests(standardize)
+    assert digests == {key: v for key, v in PINNED_GRIDS.items() if key[0] == standardize}
 
 
 def test_criterion_7_robust_correspondence():

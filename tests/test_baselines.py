@@ -489,14 +489,21 @@ def padded_systems(designs, d=11):
 LONG_GRID = np.concatenate([GRID_WITH_ZERO, 2.0 * np.logspace(-12, 0, 13)])
 
 
-def assert_stack_equals_paths(systems, alphas=LONG_GRID):
+def assert_stack_equals_paths(systems, alphas=LONG_GRID, alone=False):
+    """lasso_paths on the stack equals `_lasso_path` on each system, theta and
+    knots per alpha, to the bit; with alone, each alpha also equals the path
+    run to that alpha alone."""
     G, b = (np.array(part) for part in zip(*systems))
     A = np.tile(alphas, (len(b), 1))
     thetas, knots = lasso_paths(G, b, A)
     for q in range(len(b)):
         ref, ref_knots = _lasso_path(G[q], b[q], A[q])
         assert thetas[q].tobytes() == ref.tobytes(), q  # to the bit and the sign of zero
-        assert knots[q] == ref_knots, q
+        assert knots[q].tolist() == ref_knots.tolist(), q
+        for i in range(len(alphas)) if alone else ():
+            one, one_knots = _lasso_path(G[q], b[q], A[q, i:i + 1])
+            assert one.tobytes() == ref[i:i + 1].tobytes(), (q, i)
+            assert one_knots.tolist() == [ref_knots[i]], (q, i)
 
 
 def test_lasso_paths_equal_lasso_path_on_every_design():
@@ -512,7 +519,9 @@ def test_lasso_paths_equal_lasso_path_on_every_design():
         assert_stack_equals_paths(systems)
 
 
-def test_lasso_paths_rerun_a_tie_and_a_spanned_join_and_stack_the_rest(monkeypatch):
+def rerun_stack():
+    """Ten wine_like fold systems with a tie and a spanned join among them,
+    padded to 11 columns: paths 5 and 11 rerun alone."""
     tie = np.array(DEGENERATE_KNOTS["six-way-tie"][0], dtype=float), np.array(
         DEGENERATE_KNOTS["six-way-tie"][1], dtype=float)
     rng = np.random.default_rng(20)
@@ -521,8 +530,12 @@ def test_lasso_paths_rerun_a_tie_and_a_spanned_join_and_stack_the_rest(monkeypat
     # column, and its fifth column to join lies in the span of four
     assert np.sum(np.abs(tie[0].T @ tie[1]) == np.max(np.abs(tie[0].T @ tie[1]))) == 6
     assert np.sum(np.abs(wide[0].T @ wide[1]) == np.max(np.abs(wide[0].T @ wide[1]))) == 1
-    systems = [*wine_fold_systems(2), *padded_systems([tie]), *wine_fold_systems(3),
-               *padded_systems([wide])]
+    return [*wine_fold_systems(2), *padded_systems([tie]), *wine_fold_systems(3),
+            *padded_systems([wide])]
+
+
+def test_lasso_paths_rerun_a_tie_and_a_spanned_join_and_stack_the_rest(monkeypatch):
+    systems = rerun_stack()
     rerun = []
 
     def spy(G, b, alphas):
@@ -532,6 +545,21 @@ def test_lasso_paths_rerun_a_tie_and_a_spanned_join_and_stack_the_rest(monkeypat
     monkeypatch.setattr(baselines, "_lasso_path", spy)
     assert_stack_equals_paths(systems, GRID_WITH_ZERO)
     assert rerun == [5, 11]  # each once, in path order; the ten folds ran in the stack
+
+
+def test_each_alpha_of_a_stacked_path_equals_the_path_run_to_it_alone():
+    # the fit stage reads each deployed lasso off a path run to the whole
+    # grid, at the chosen alpha; its theta and knots must be those of the
+    # path run to that alpha alone, whether the path runs in the stack, in a
+    # stack of one or is rerun alone
+    designs = [(np.array(X, dtype=float), np.array(y, dtype=float))
+               for X, y in DEGENERATE_KNOTS.values()]
+    designs += [(np.column_stack([X, X[:, 0]]), y)
+                for X, y in (long_path_design(6, scale) for scale in (0.2, 0.1))]
+    assert_stack_equals_paths(padded_systems(designs, 7), alone=True)
+    for X, y in designs:
+        assert_stack_equals_paths([(X.T @ X, X.T @ y)], alone=True)
+    assert_stack_equals_paths(rerun_stack(), GRID_WITH_ZERO, alone=True)
 
 
 # ---------------------------------------------------------- cross_validate
@@ -654,6 +682,91 @@ def test_fit_config_as_dict_round_trip():
     assert again.as_dict() == d
 
 
+# ---------------------------------------------------------------- CV guard
+
+def residual_cv(X, y, method, cfg, seed):
+    """(alpha, errors, margins) of a CV the residual way: gathered fold
+    systems, their fits, held-out residuals; and each alpha's rounding margin
+    on the quadratic-form route, n eps (|X_f th|^2 + 2 |y_f . X_f th| +
+    |y_f|^2) over the fold's n training rows, averaged like the errors."""
+    folds = baselines._folds(len(y), cfg, seed)
+    thetas = baselines._fold_fits(method, *baselines._fold_systems(X, y, folds),
+                                  cfg.cv_alpha_grid)
+    alpha, errors = baselines._cv_choice(X, y, folds, thetas, cfg.cv_alpha_grid)
+    margins = 0.0
+    for val, theta in zip(folds, thetas):
+        pred = X[val] @ theta.T
+        terms = np.sum(pred * pred, axis=0) + 2.0 * np.abs(y[val] @ pred) + y[val] @ y[val]
+        margins += (len(y) - val.size) * np.finfo(float).eps * terms / val.size
+    return alpha, errors, margins / len(folds)
+
+
+def bundled_split(name, seed, standardized):
+    train, _ = split_train_test(load_bundled(name), 0.5, seed)
+    X = apply_standardizer(fit_standardizer(train.X), train.X) if standardized else train.X
+    return X, train.y
+
+
+@pytest.mark.parametrize("name", ["wine_like", "housing_like"])
+@pytest.mark.parametrize("standardized", [False, True])
+def test_cv_choices_equal_the_residual_route_within_the_margin(name, standardized):
+    cfg = FitConfig()
+    for seed in range(8):
+        X, y = bundled_split(name, seed, standardized)
+        for method in ("ridge", "lasso"):
+            alpha, errors = cross_validate(X, y, method, cfg, seed)
+            ref_alpha, ref_errors, margins = residual_cv(X, y, method, cfg, seed)
+            assert alpha == ref_alpha, (seed, method)
+            assert np.all(np.abs(errors - ref_errors) <= margins), (seed, method)
+
+
+# noise-free half splits (y = X theta exactly) on which the quadratic form's
+# choice differs from the residual route's; recorded with numpy 2.4.6's
+# bundled OpenBLAS: (dataset, split and CV seed, method)
+NOISE_FREE_MISPICKS = (("housing_like", 32, "ridge"), ("housing_like", 37, "lasso"),
+                       ("wine_like", 106, "ridge"), ("wine_like", 155, "lasso"))
+
+
+def test_cv_guard_reruns_noise_free_cvs_whose_quadratic_form_cancels(monkeypatch):
+    # every held-out error is rounding next to |y_f|^2, so the quadratic form
+    # cancels: each CV lands within the margin and reruns on gathered rows,
+    # and reports the residual route's choice and errors
+    cfg = FitConfig()
+    grid = cfg.cv_alpha_grid
+    reruns, mispicks = [], 0
+    fold_systems = baselines._fold_systems
+    for name, seed, method in NOISE_FREE_MISPICKS:
+        X, _ = bundled_split(name, seed, False)
+        y = X @ np.random.default_rng(seed).normal(size=X.shape[1])
+        folds = baselines._folds(len(y), cfg, seed)
+        G, b, blocks = baselines._fold_blocks(X, y, folds)
+        thetas, d = baselines._fold_fits(method, G, b, grid), X.shape[1]
+        quad = np.sum((thetas @ blocks[:, :d, :d]) * thetas, axis=2)
+        errors = quad - 2.0 * (thetas @ blocks[:, :d, d:])[:, :, 0] + blocks[:, d:, d]
+        unguarded = grid[baselines._pick(np.sum(errors / [[f.size] for f in folds], axis=0), grid)]
+        ref_alpha, ref_errors, _ = residual_cv(X, y, method, cfg, seed)
+        mispicks += bool(unguarded != ref_alpha)
+        monkeypatch.setattr(baselines, "_fold_systems",
+                            lambda *a: reruns.append(seed) or fold_systems(*a))
+        alpha, errors = cross_validate(X, y, method, cfg, seed)
+        monkeypatch.setattr(baselines, "_fold_systems", fold_systems)
+        assert (alpha, errors.tobytes()) == (ref_alpha, ref_errors.tobytes()), (name, seed)
+    assert reruns == [seed for _, seed, _ in NOISE_FREE_MISPICKS]
+    assert mispicks > 0  # without the guard, some choice would change
+
+
+def test_cv_exact_tie_of_zero_fits_goes_to_the_larger_alpha():
+    # alphas above 2 max |X^T y| of every fold fit theta = 0, so they score
+    # each fold's |y_f|^2 / |f| on either route, equal to the bit
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(40, 5))
+    y = rng.normal(size=40)  # labels independent of features: theta = 0 is best
+    cfg = FitConfig(cv_alpha_grid=[1e-3, 1e6, 1e7, 1e5], cv_folds=5)
+    alpha, errors = cross_validate(X, y, "lasso", cfg, seed=1)
+    assert alpha == 1e7
+    assert errors[1] == errors[2] == errors[3] < errors[0]
+
+
 # ------------------------------------------------------------- pinned bits
 
 # cross_validate and fit_lasso on three seeded wine_like half splits, raw and
@@ -663,17 +776,17 @@ def test_fit_config_as_dict_round_trip():
 PINNED_WINE_FITS = {
     (0, False): {
         "ridge": ("0x1.94c583ada5b53p+1", (
-            "0x1.dc97a7c1aeb10p-2 0x1.dc979fd7b5e1ap-2 0x1.dc9786d227a8dp-2 "
-            "0x1.dc9737bd4ec4ep-2 0x1.dc963e1a56f08p-2 0x1.dc932d139554dp-2 "
-            "0x1.dc89a614ce765p-2 0x1.dc6d29e7c0cd8p-2 0x1.dc21edbd93496p-2 "
-            "0x1.dba27c36a1ca3p-2 0x1.dc0ea21a020d0p-2 0x1.e06f8494d1585p-2 "
-            "0x1.e8a91d2bd83e3p-2")),
+            "0x1.dc97a7c1b051ep-2 0x1.dc979fd7b77dap-2 0x1.dc9786d229446p-2 "
+            "0x1.dc9737bd50635p-2 0x1.dc963e1a5890ap-2 0x1.dc932d1396e80p-2 "
+            "0x1.dc89a614d00d6p-2 0x1.dc6d29e7c254ap-2 0x1.dc21edbd94abdp-2 "
+            "0x1.dba27c36a2c8bp-2 0x1.dc0ea21a027c8p-2 0x1.e06f8494d172ep-2 "
+            "0x1.e8a91d2bd83d3p-2")),
         "lasso": ("0x1.94c583ada5b53p+1", (
-            "0x1.dc97a8479feb6p-2 0x1.dc97a17f33af2p-2 0x1.dc978c0cac356p-2 "
-            "0x1.dc97483f5027dp-2 0x1.dc96720ab4828p-2 0x1.dc93ceb3f3022p-2 "
-            "0x1.dc8b8b7a44d52p-2 0x1.dc723662b4a22p-2 0x1.dc2a1119db12dp-2 "
-            "0x1.db8ccc7948eb5p-2 0x1.dd768546fb516p-2 0x1.eb204e7f08886p-2 "
-            "0x1.f965365f4786ap-2")),
+            "0x1.dc97a8479ff2bp-2 0x1.dc97a17f33b2ap-2 0x1.dc978c0cac318p-2 "
+            "0x1.dc97483f50293p-2 0x1.dc96720ab485ap-2 0x1.dc93ceb3f2fdep-2 "
+            "0x1.dc8b8b7a44d23p-2 0x1.dc723662b4a63p-2 0x1.dc2a1119db136p-2 "
+            "0x1.db8ccc7948eeap-2 0x1.dd768546fb503p-2 0x1.eb204e7f088bdp-2 "
+            "0x1.f965365f47823p-2")),
         "knots": 12,
         "theta": (
             "0x1.b2024c562ffe6p-8 0x1.24c774cb87a77p-1 0x1.44a863ea26099p-1 "
@@ -683,17 +796,17 @@ PINNED_WINE_FITS = {
     },
     (0, True): {
         "ridge": ("0x1.9000000000000p+6", (
-            "0x1.0f3ac24c1a035p+5 0x1.0f3ac1b581865p+5 0x1.0f3abfd9484cdp+5 "
-            "0x1.0f3ab9f7594a5p+5 0x1.0f3aa75d57ba2p+5 0x1.0f3a6c8c4c72bp+5 "
-            "0x1.0f39b29f26e1ep+5 0x1.0f37675998bc8p+5 0x1.0f302cfedb745p+5 "
-            "0x1.0f19946123d5cp+5 0x1.0ed49fd6ffca3p+5 0x1.0e10a406da104p+5 "
-            "0x1.0c41bae7f306fp+5")),
+            "0x1.0f3ac24c1a035p+5 0x1.0f3ac1b581866p+5 0x1.0f3abfd9484cdp+5 "
+            "0x1.0f3ab9f7594a6p+5 0x1.0f3aa75d57ba2p+5 0x1.0f3a6c8c4c72ap+5 "
+            "0x1.0f39b29f26e1ep+5 0x1.0f37675998bc6p+5 0x1.0f302cfedb746p+5 "
+            "0x1.0f19946123d5cp+5 0x1.0ed49fd6ffca4p+5 0x1.0e10a406da103p+5 "
+            "0x1.0c41bae7f306ep+5")),
         "lasso": ("0x1.9000000000000p+6", (
-            "0x1.0f3ac204a7cf2p+5 0x1.0f3ac0d392cf6p+5 0x1.0f3abd0ed21acp+5 "
-            "0x1.0f3ab12404929p+5 0x1.0f3a8b74aa17ap+5 0x1.0f3a144a60862p+5 "
-            "0x1.0f389b82413c2p+5 0x1.0f33f48980b02p+5 0x1.0f2543857f1f2p+5 "
-            "0x1.0ef67350e090ap+5 0x1.0e63286fd711ep+5 0x1.0ccfb761f0d9ep+5 "
-            "0x1.0961c5606b00bp+5")),
+            "0x1.0f3ac204a7cf2p+5 0x1.0f3ac0d392cf6p+5 0x1.0f3abd0ed21adp+5 "
+            "0x1.0f3ab1240492ap+5 0x1.0f3a8b74aa17ap+5 0x1.0f3a144a60864p+5 "
+            "0x1.0f389b82413c2p+5 0x1.0f33f48980b01p+5 0x1.0f2543857f1f3p+5 "
+            "0x1.0ef67350e090ap+5 0x1.0e63286fd711dp+5 0x1.0ccfb761f0d9ep+5 "
+            "0x1.0961c5606b00cp+5")),
         "knots": 5,
         "theta": (
             "0x1.a6c52c1e18c19p-4 0x1.ec029982bcafep-4 0x1.3ce8400143493p-3 "
@@ -703,17 +816,17 @@ PINNED_WINE_FITS = {
     },
     (1, False): {
         "ridge": ("0x1.0000000000000p+0", (
-            "0x1.c054b7115fc0dp-2 0x1.c054b54390d63p-2 0x1.c054af9024052p-2 "
-            "0x1.c0549d92704bbp-2 0x1.c054650bdd08bp-2 0x1.c053b5f379a80p-2 "
-            "0x1.c051b05704795p-2 0x1.c04ca66726c9ep-2 0x1.c048b5518bddap-2 "
-            "0x1.c08fb6b84bc4ap-2 0x1.c29ec552900e5p-2 0x1.c8a1727ede0d2p-2 "
-            "0x1.d04194a63f780p-2")),
+            "0x1.c054b711603b2p-2 0x1.c054b5439146bp-2 0x1.c054af902475ep-2 "
+            "0x1.c0549d9270c40p-2 0x1.c054650bdd826p-2 0x1.c053b5f37a1f0p-2 "
+            "0x1.c051b05704f1ap-2 0x1.c04ca6672743dp-2 0x1.c048b5518c546p-2 "
+            "0x1.c08fb6b84c39dp-2 0x1.c29ec55290588p-2 0x1.c8a1727ede212p-2 "
+            "0x1.d04194a63f79bp-2")),
         "lasso": ("0x1.0000000000000p+0", (
-            "0x1.c054b6dd81f86p-2 0x1.c054b49f827adp-2 0x1.c054ad88fe3d0p-2 "
-            "0x1.c05497253ba43p-2 0x1.c054509644438p-2 0x1.c05373e6a8c02p-2 "
-            "0x1.c050d26cef86dp-2 0x1.c04b0622f4726p-2 0x1.c049a95aa0583p-2 "
-            "0x1.c064764360146p-2 0x1.c375c7387c7dap-2 0x1.d6ad69b59204ap-2 "
-            "0x1.d98592d0372d0p-2")),
+            "0x1.c054b6dd81f4dp-2 0x1.c054b49f82713p-2 0x1.c054ad88fe2aap-2 "
+            "0x1.c05497253b9a8p-2 0x1.c054509644356p-2 0x1.c05373e6a8b76p-2 "
+            "0x1.c050d26cef802p-2 0x1.c04b0622f4582p-2 0x1.c049a95aa0470p-2 "
+            "0x1.c0647643600d8p-2 0x1.c375c7387c906p-2 0x1.d6ad69b5923cep-2 "
+            "0x1.d98592d037216p-2")),
         "knots": 10,
         "theta": (
             "0x1.c2edca7e8ecd2p-7 0x1.5c2aabde38f78p-1 0x1.1c8975cc86971p-1 "
@@ -723,17 +836,17 @@ PINNED_WINE_FITS = {
     },
     (1, True): {
         "ridge": ("0x1.9000000000000p+6", (
-            "0x1.0967741b5ec30p+5 0x1.096773c292b85p+5 0x1.096772a9c5f73p+5 "
-            "0x1.09676f31d127bp+5 0x1.09676439f5b45p+5 0x1.0967418bce7a6p+5 "
-            "0x1.0966d3eb5365ep+5 0x1.096579aa8ab0bp+5 0x1.096136dff678ep+5 "
-            "0x1.0953e67aaca3ep+5 0x1.092b5494f56b6p+5 0x1.08b87e2639ebap+5 "
-            "0x1.07abc7b92566bp+5")),
+            "0x1.0967741b5ec30p+5 0x1.096773c292b84p+5 0x1.096772a9c5f72p+5 "
+            "0x1.09676f31d127ap+5 0x1.09676439f5b45p+5 0x1.0967418bce7a6p+5 "
+            "0x1.0966d3eb5365dp+5 0x1.096579aa8ab0bp+5 0x1.096136dff678bp+5 "
+            "0x1.0953e67aaca3ep+5 0x1.092b5494f56b8p+5 0x1.08b87e2639ebap+5 "
+            "0x1.07abc7b92566ap+5")),
         "lasso": ("0x1.9000000000000p+6", (
-            "0x1.096773db71e8fp+5 0x1.096772f86c83ep+5 0x1.0967702a85760p+5 "
-            "0x1.0967674c53401p+5 0x1.09674b4172092p+5 0x1.0966f294f13a1p+5 "
-            "0x1.0965da36ba204p+5 0x1.0962640b84766p+5 0x1.095753d23b69ep+5 "
-            "0x1.0933cf3ae0f00p+5 0x1.08c7f4fe2bb2bp+5 0x1.079de6ec01ad8p+5 "
-            "0x1.05e3856b18162p+5")),
+            "0x1.096773db71e8fp+5 0x1.096772f86c840p+5 0x1.0967702a85761p+5 "
+            "0x1.0967674c533fep+5 0x1.09674b4172091p+5 0x1.0966f294f139fp+5 "
+            "0x1.0965da36ba204p+5 0x1.0962640b84765p+5 0x1.095753d23b69ep+5 "
+            "0x1.0933cf3ae0f00p+5 0x1.08c7f4fe2bb2bp+5 0x1.079de6ec01ad6p+5 "
+            "0x1.05e3856b18160p+5")),
         "knots": 4,
         "theta": (
             "0x1.46351ce480dbep-3 0x1.055fd3c94c2d6p-3 0x1.fda6745a0e237p-4 "
@@ -743,17 +856,17 @@ PINNED_WINE_FITS = {
     },
     (2, False): {
         "ridge": ("0x1.0000000000000p+0", (
-            "0x1.cf87441ff0eb8p-2 0x1.cf873ebe950d6p-2 0x1.cf872dbccca1ep-2 "
-            "0x1.cf86f80700deep-2 0x1.cf864ee2d10cdp-2 0x1.cf843f0851f13p-2 "
-            "0x1.cf7dff00ffa8ep-2 0x1.cf6cd0ec9b180p-2 0x1.cf4d0186083f2p-2 "
-            "0x1.cf7e52e794843p-2 0x1.d2010b8a8294dp-2 0x1.d90b5bc9763eap-2 "
-            "0x1.e16f74ebe46e2p-2")),
+            "0x1.cf87441ff27eep-2 0x1.cf873ebe9695ap-2 0x1.cf872dbcce31ep-2 "
+            "0x1.cf86f8070262ep-2 0x1.cf864ee2d295bp-2 0x1.cf843f085376ep-2 "
+            "0x1.cf7dff01012abp-2 0x1.cf6cd0ec9c77ap-2 0x1.cf4d0186095e3p-2 "
+            "0x1.cf7e52e79511ep-2 0x1.d2010b8a829fap-2 0x1.d90b5bc9762d3p-2 "
+            "0x1.e16f74ebe4613p-2")),
         "lasso": ("0x1.94c583ada5b53p+1", (
-            "0x1.cf87434ebe282p-2 0x1.cf873c28e2e42p-2 0x1.cf87258ee2643p-2 "
-            "0x1.cf86de1b10495p-2 0x1.cf85fc5a7cc6dp-2 0x1.cf833476b6880p-2 "
-            "0x1.cf7a7d494785dp-2 0x1.cf5fb5d6d2073p-2 0x1.cf1df96e1b0c5p-2 "
-            "0x1.ceaca41188f88p-2 0x1.d07b00af53f5ap-2 0x1.eabb089480593p-2 "
-            "0x1.ebb87c8d9ee4bp-2")),
+            "0x1.cf87434ebdf6ep-2 0x1.cf873c28e2b3dp-2 0x1.cf87258ee229ap-2 "
+            "0x1.cf86de1b10100p-2 0x1.cf85fc5a7c92ap-2 0x1.cf833476b6523p-2 "
+            "0x1.cf7a7d49474eep-2 0x1.cf5fb5d6d1cf2p-2 0x1.cf1df96e1aebbp-2 "
+            "0x1.ceaca41188d1dp-2 0x1.d07b00af53d62p-2 0x1.eabb08948063ep-2 "
+            "0x1.ebb87c8d9ee4ep-2")),
         "knots": 14,
         "theta": (
             "0x1.6773255825b0ap-7 0x1.c118f0277650cp-1 0x1.c4d1499d400cbp-2 "
@@ -764,16 +877,16 @@ PINNED_WINE_FITS = {
     (2, True): {
         "ridge": ("0x1.9000000000000p+6", (
             "0x1.09bd39729f1fap+5 0x1.09bd392ea6d0ep+5 0x1.09bd3857b6696p+5 "
-            "0x1.09bd35b005f92p+5 0x1.09bd2d4abc533p+5 0x1.09bd12bedfd93p+5 "
-            "0x1.09bcbed44d903p+5 0x1.09bbb5c4a18d5p+5 0x1.09b8729cbb826p+5 "
-            "0x1.09ae3fa2326ebp+5 0x1.098f1f247d021p+5 0x1.0936a5915c4dfp+5 "
+            "0x1.09bd35b005f92p+5 0x1.09bd2d4abc533p+5 0x1.09bd12bedfd95p+5 "
+            "0x1.09bcbed44d903p+5 0x1.09bbb5c4a18d6p+5 0x1.09b8729cbb825p+5 "
+            "0x1.09ae3fa2326ebp+5 0x1.098f1f247d01fp+5 0x1.0936a5915c4dfp+5 "
             "0x1.0865f0760c0e2p+5")),
         "lasso": ("0x1.9000000000000p+6", (
-            "0x1.09bd393624f10p+5 0x1.09bd386f67dc2p+5 0x1.09bd35faf0a48p+5 "
-            "0x1.09bd2e3790ff2p+5 0x1.09bd15ab08800p+5 0x1.09bcc80a88c87p+5 "
-            "0x1.09bbd667f0952p+5 0x1.09b8f63764768p+5 0x1.09afe11a4c1dap+5 "
-            "0x1.09934b3e47747p+5 0x1.093a5c6337189p+5 0x1.0858968b32cf8p+5 "
-            "0x1.06e8116fde9aap+5")),
+            "0x1.09bd393624f0ep+5 0x1.09bd386f67dc0p+5 0x1.09bd35faf0a47p+5 "
+            "0x1.09bd2e3790ff2p+5 0x1.09bd15ab08802p+5 0x1.09bcc80a88c87p+5 "
+            "0x1.09bbd667f0951p+5 0x1.09b8f63764767p+5 0x1.09afe11a4c1dap+5 "
+            "0x1.09934b3e47746p+5 0x1.093a5c6337188p+5 0x1.0858968b32cf7p+5 "
+            "0x1.06e8116fde9a9p+5")),
         "knots": 5,
         "theta": (
             "0x1.23d22412676c6p-3 0x1.6490ce522dc9dp-3 0x1.6753b342f9419p-4 "

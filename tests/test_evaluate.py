@@ -485,7 +485,7 @@ PINNED_ERRORS = {
     "NaN in X": ((X_NAN, GRAM, X_NAN, X_NAN, X_NAN), (GRAM, X_NAN, X_NAN, X_NAN)),
     "inf in y": ((Y_INF, Z_INF, Y_INF, Y_INF, Y_INF), (Z_INF, Y_INF, Y_INF, Y_INF)),
     "n = 0": ((N_0,) * 5, (N_0, None, None, None)),
-    "two rows of 1e200": ((GRAM, GRAM, EIG, EIG, None), (GRAM, EIG, EIG, None)),
+    "two rows of 1e200": ((GRAM, GRAM, EIG, EIG, GRAM), (GRAM, EIG, EIG, GRAM)),
     "fewer test columns": ((COLUMNS,) * 5, (None,) * 4),
 }
 
@@ -548,9 +548,30 @@ def test_sweep_decomposes_each_block_in_one_call(monkeypatch):
     assert stacks == [(48, 4, 4), (32, 4, 4)]
 
 
+def test_a_block_and_fit_model_make_one_lasso_paths_call(monkeypatch):
+    # every lasso CV fold and deployed lasso path of a block runs in one
+    # stack, and so does fit_model's lasso, with or without alpha
+    import advreg.baselines as baselines
+
+    stacks = []
+    lasso_paths = baselines.lasso_paths
+    spy = lambda G, b, alphas: stacks.append(alphas.shape) or lasso_paths(G, b, alphas)
+    monkeypatch.setattr(baselines, "lasso_paths", spy)
+    monkeypatch.setattr(evaluate_mod, "lasso_paths", spy)
+    train, test = small_data(seed=15, m=50)
+    # 20 scenarios in blocks of 12 and 8: 3 CV folds and the deployed path each
+    run_sweep(train, test, small_config(), [0.5, 1.0], [0.2, 0.8], repeats=5, seed=2)
+    assert stacks == [(48, 3), (32, 3)]
+    stacks.clear()
+    for alpha in (None, 0.5):
+        fit_model("lasso", train.X, train.y, setting=GameSetting(lam=1.0, beta=0.5), n=1,
+                  theta_radius=None, fit=SMALL_FIT, seed=0, alpha=alpha)
+    assert stacks == [(4, 3), (1, 3)]
+
+
 def test_block_fits_equal_the_library_fits_to_the_bit():
     # criterion 6's scenarios: ridge, OLS and mlsg read off one stacked
-    # decomposition, and the lassos of two stacked homotopies, equal
+    # decomposition, and the lassos off one stacked homotopy, equal
     # cross_validate with fit_ridge, fit_ols, solve_equilibrium and
     # fit_lasso, each on its own X^T X
     from advreg.baselines import cross_validate, fit_lasso, fit_ols, fit_ridge
