@@ -435,14 +435,14 @@ def _same_preprocessing(a, b):
             and all(a.get(k) == b.get(k) for k in keys))
 
 
-def _attacked_rows(path, ds, X_out):
+def _attacked_rows(path, ds, X_out, label):
     """The test file's header, and its rows as one float table with the
-    manipulated feature values."""
+    manipulated feature values; the labels sit in the column `load_csv`
+    read them from."""
     with open(path, newline="", encoding="utf-8") as f:
         header = [c.strip() for c in next(csv.reader(f))]
-    col = {name: X_out[:, j] for j, name in enumerate(ds.feature_names)}
-    col[ds.label_name] = ds.y
-    return header, np.column_stack([col[name] for name in header])
+    at = label if isinstance(label, int) else header.index(label)
+    return header, np.insert(X_out, at, ds.y, axis=1)
 
 
 def cmd_attack(args):
@@ -476,7 +476,7 @@ def cmd_attack(args):
     shift = float(np.sqrt(np.sum((X_att - X) ** 2)))
     X_out = invert_standardizer(std, X_att) if std is not None else X_att
 
-    header, rows = _attacked_rows(r["test"], ds, X_out)
+    header, rows = _attacked_rows(r["test"], ds, X_out, r["label"])
     write_csv(args.out, header, rows)
     _say(args, f"wrote {args.out}")
 

@@ -1,4 +1,6 @@
-"""CSV loading, splitting, standardization, and attack-target vectors.
+"""CSV loading (by numpy's C reader where it provably parses as the csv
+module and `float` do, row by row; see `load_csv`), splitting,
+standardization, and attack-target vectors.
 
 Conventions baked in here and recorded in run metadata:
 
@@ -181,9 +183,17 @@ def load_csv(path, label):
     cell (`float` alone keeps U+001C..U+001F), and all must be finite. The
     first violation in row-major order (a row's cell count, then its cells
     left to right) raises ParseError with the 1-based file line and column.
+    Data rows take numpy's C reader (`_read_table`) where that provably gives
+    this row-by-row parse (`_parse_rows`) to the bit; any other file (a quote
+    in the header line, a blank first data line, invalid UTF-8) goes row by row.
     """
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError:  # raised where the row-by-row reader meets it
+            f.seek(0)
+            lines = f
+        reader = csv.reader(lines)
         header = [c.strip() for c in next(reader, [])]
         if not any(header):
             raise EmptyFile(f"{path}: no header row")
@@ -199,18 +209,22 @@ def load_csv(path, label):
                 raise MissingLabelColumn(f"label column {label!r} not in header {header}")
             label_idx = header.index(label)
         width = len(header)
-        try:
-            values = _parse_rows(itertools.chain([first], reader), width)
-        except ValueError:
-            # a second pass, row by row, finds the first violation
-            f.seek(0)
-            rows = csv.reader(f)
-            next(rows)
-            for line, row in enumerate(rows, start=2):  # header is file line 1
-                error = _row_error(line, row, width)
-                if error is not None:
-                    raise error from None
-            raise
+        # one header line, and a data line first, so numpy never warns of no data
+        fast = first and lines is not f and '"' not in lines[0]
+        values = _read_table(lines[1:], width) if fast else None
+        if values is None:
+            try:
+                values = _parse_rows(itertools.chain([first], reader), width)
+            except ValueError:
+                # a second pass, row by row, finds the first violation
+                f.seek(0)
+                rows = csv.reader(f)
+                next(rows)
+                for line, row in enumerate(rows, start=2):  # header is file line 1
+                    error = _row_error(line, row, width)
+                    if error is not None:
+                        raise error from None
+                raise
     keep = [j for j in range(width) if j != label_idx]
     return Dataset(
         X=values[:, keep],
@@ -218,6 +232,22 @@ def load_csv(path, label):
         feature_names=[header[j] for j in keep],
         label_name=header[label_idx],
     )
+
+
+def _read_table(lines, width):
+    """The data lines by numpy's C reader as a (lines, width) float array, or
+    None where it might differ from `_parse_rows`. Both parse a cell by
+    `PyOS_string_to_double` of its whitespace-stripped text; numpy refuses
+    `1_000`, non-ASCII digits and quotes, so one row per line (no blank line
+    skipped) is the csv records, cell by cell. Non-finite values, which
+    `_row_error` locates, and lines over the csv field limit, which the csv
+    module refuses, fall back too."""
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    ok = values.shape == (len(lines), width) and max(map(len, lines)) <= csv.field_size_limit()
+    return values if ok and np.isfinite(values).all() else None
 
 
 def _parse_rows(rows, width):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, driven in-process through main(argv)."""
 
+import csv
 import hashlib
 import json
 import os
@@ -426,6 +427,37 @@ def test_attack_writes_the_bytes_of_a_per_cell_reference_writer(tmp_path):
     for i in range(ds.m):
         lines.append(",".join(repr(float(columns[name][i])) for name in header))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("header", ["a,a,y", "y,a,y"])
+def test_attack_keeps_every_column_in_its_place_under_repeated_names(header, tmp_path):
+    # the label is the first column named y; each feature column, named y
+    # or not, holds its own attacked values
+    names = header.split(",")
+    table = np.random.default_rng(7).normal(size=(12, 3))
+    data = tmp_path / "data.csv"
+    write_csv(str(data), names, table)
+    model_out = tmp_path / "model.json"
+    assert run_cli("train", "--dataset", str(data), "--label", "y", "--algorithm", "ridge",
+                   "--alpha", "1", "--quiet", "--out", str(model_out)) == 0
+    out = tmp_path / "attacked.csv"
+    assert run_cli("attack", "--model", str(model_out), "--test", str(data),
+                   "--delta-scale", "2", "--quiet", "--out", str(out)) == 0
+
+    model = read_json(model_out)
+    prep = model["preprocessing"]
+    std = Standardizer(means=np.array(prep["means"]), stds=np.array(prep["stds"]))
+    at = names.index("y")
+    X, y = np.delete(table, at, axis=1), table[:, at]
+    z, _, _ = draw_target(y, TargetSpec(delta_scale=2.0), 0, STREAM_ACTUAL_TARGET)
+    params = GameParams(n=1, beta=1.0, lam=1.0, z=z)
+    X_att = attacker_best_response([model["theta"]], apply_standardizer(std, X), params)
+    with open(out, newline="", encoding="utf-8") as f:
+        written, *rows = csv.reader(f)
+    attacked = np.array(rows, dtype=float)
+    assert written == names
+    assert np.array_equal(attacked[:, at], y)
+    assert np.array_equal(np.delete(attacked, at, axis=1), invert_standardizer(std, X_att))
 
 
 def test_attack_rejects_wrong_test_columns(tmp_path):

@@ -3,10 +3,14 @@ targets.  File-level cases run against temp CSVs; the bundled datasets
 pin the label statistics the benchmark scenarios rely on."""
 
 import csv
+import decimal
+import itertools
+import math
 
 import numpy as np
 import pytest
 
+import advreg.data as data_mod
 from advreg.data import (
     ConstantTarget,
     Dataset,
@@ -148,6 +152,186 @@ def test_load_csv_bundled_files_match_a_per_cell_reference():
         assert ds.X.tobytes() == np.delete(table, label, axis=1).tobytes()
         assert ds.y.tobytes() == table[:, label].tobytes()
         assert ds.feature_names == header[:label] + header[label + 1:]
+
+
+def reference_load_csv(path, label):
+    """A per-cell reference for load_csv: the csv module's records in file
+    order, `float` of each stripped cell, the first bad record raising."""
+    with open(path, newline="", encoding="utf-8") as f:
+        records = csv.reader(f)
+        header = [c.strip() for c in next(records, [])]
+        if not any(header):
+            raise EmptyFile(f"{path}: no header row")
+        first = next(records, None)
+        if first is None:
+            raise EmptyFile(f"{path}: no data rows")
+        width, table = len(header), []
+        for line, row in enumerate(itertools.chain([first], records), start=2):
+            if len(row) != width:
+                raise ParseError(line, min(len(row), width) + 1,
+                                 f"expected {width} cells, got {len(row)}")
+            table.append([])
+            for col, cell in enumerate(row, start=1):
+                try:
+                    value = float(cell.strip())
+                except ValueError:
+                    raise ParseError(line, col, f"cannot parse {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(line, col, f"non-finite value {cell!r}")
+                table[-1].append(value)
+    table = np.array(table)
+    return Dataset(X=np.delete(table, label, axis=1), y=table[:, label],
+                   feature_names=header[:label] + header[label + 1:],
+                   label_name=header[label])
+
+
+def outcome(load, path, label=0):
+    """What a load gives: the arrays' bytes and names, or the error's type,
+    message and place."""
+    try:
+        ds = load(path, label)
+    except (ValueError, csv.Error, EmptyFile, ParseError, TooFewRows) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return (ds.X.shape, ds.X.dtype, ds.X.tobytes(), ds.y.tobytes(),
+            ds.feature_names, ds.label_name)
+
+
+LONG_CELL = "0" * 140_000 + "1"  # over the csv module's default field limit
+# files where numpy's reader and the row-by-row parse could part, each with
+# its first header cell as the label
+CRAFTED = {
+    "plain": "a,b\n1,2\n3,4\n",
+    "no final newline": "a,b\n1,2\n3,4",
+    "padded cells": "a,b\n 1 ,\t2\t\n3 ,  4\n",
+    "one column": "y\n1\n2\n",
+    "blank line in the middle": "a,b\n1,2\n\n3,4\n",
+    "blank line at the end": "a,b\n1,2\n3,4\n\n",
+    "blank first data line": "a,b\n\n1,2\n3,4\n",
+    "only a blank data line": "a,b\n\n",
+    "blank line of spaces": "a,b\n1,2\n   \n3,4\n",
+    "CRLF": "a,b\r\n1,2\r\n3,4\r\n",
+    "CRLF with a blank CRLF line": "a,b\r\n1,2\r\n\r\n3,4\r\n",
+    "lone CR": "a,b\n1,2\r3,4\n",
+    "CR only": "a,b\r1,2\r3,4\r",
+    "lone CR then spaces": "a,b\n1,2\r  \n3,4\n",
+    "quoted header over two lines": '"a\nb",c\n1,2\n3,4\n',
+    "quoted header cell": '"a",b\n1,2\n3,4\n',
+    "quoted cells": 'a,b\n"1",2\n3,"4"\n',
+    "quoted cell with a comma": 'a,b\n"1,5",2\n3,4\n',
+    "underscore digits": "a,b\n1_000,2\n3,4\n",
+    "Arabic-Indic digits": "a,b\n\u0661\u0662,2\n3,4\n",
+    "NUL": "a,b\n1\x00,2\n3,4\n",
+    "separators U+001C..U+001F": "a,b\n\x1c1\x1d,\x1e2\x1f\n3,4\n",
+    "NBSP": "a,b\n\xa01\xa0,2\n3,4\n",
+    "U+2028": "a,b\n1\u2028,2\n3,\u20284\n",
+    "vertical tab inside a cell": "a,b\n1\x0b5,2\n3,4\n",
+    "trailing comma": "a,b\n1,2,\n3,4\n",
+    "short row": "a,b\n1,2\n3\n",
+    "inf": "a,b\n1,inf\n3,4\n",
+    "1e500": "a,b\n1,1e500\n3,4\n",
+    "nan": "a,b\n1,2\n-nan,4\n",
+    "hex": "a,b\n0x10,2\n3,4\n",
+    "one data row": "a,b\n1,2\n",
+    "empty": "",
+    "blank header line": "\n1,2\n3,4\n",
+    "field over the csv limit": f"a,b\n1,2\n{LONG_CELL},4\n",
+}
+# the files above that the row-by-row route must parse
+GUARDED = {
+    "blank line in the middle", "blank line at the end", "blank first data line",
+    "only a blank data line", "CRLF with a blank CRLF line", "quoted header over two lines",
+    "quoted header cell", "quoted cells", "quoted cell with a comma", "underscore digits",
+    "Arabic-Indic digits", "NUL", "vertical tab inside a cell", "trailing comma",
+    "short row", "inf", "1e500", "nan", "hex", "blank line of spaces",
+    "lone CR then spaces", "field over the csv limit",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_load_csv_equals_a_per_cell_reference_on_crafted_files(case, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(CRAFTED[case].encode("utf-8"))
+    assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+
+
+def count_row_by_row_parses(monkeypatch):
+    calls = []
+    parse = data_mod._parse_rows
+    monkeypatch.setattr(data_mod, "_parse_rows", lambda *a: calls.append(1) or parse(*a))
+    return calls
+
+
+def fuzz_cell(rng):
+    """A numeric cell: a short or long decimal, a double's shortest repr, a
+    decimal near or on the halfway point between two doubles, a subnormal
+    or a number near overflow or underflow, often padded with whitespace."""
+    kind = rng.integers(7)
+    if kind == 0:
+        text = str(rng.integers(-10**6, 10**6))
+    elif kind == 1:
+        digits = "".join(map(str, rng.integers(0, 10, size=rng.integers(17, 40))))
+        point = rng.integers(len(digits) + 1)
+        text = f"{digits[:point]}.{digits[point:]}e{rng.integers(-30, 30)}"
+    elif kind == 2:
+        text = repr(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+    elif kind in (3, 4):
+        x = float(rng.standard_normal() * 10.0 ** rng.integers(-20, 20))
+        half = (decimal.Decimal(x) + decimal.Decimal(np.nextafter(x, np.inf))) / 2
+        nudge = decimal.Decimal(f"1e{half.adjusted() - 40}") * int(rng.integers(-1, 2))
+        text = str(half + nudge if kind == 4 else half)
+    elif kind == 5:
+        text = repr(float(rng.integers(1, 2**52)) * 5e-324)
+    else:
+        text = rng.choice(["1.7976931348623157e308", "1.7976931348623158e308",
+                           "2.2250738585072011e-308", "2.4703282292062328e-324",
+                           "2.4703282292062327e-324", "1e-400", "-0", "+.5", "5.",
+                           "000123.4500", "1E5", ".5e-3"])
+    pad = ["", "", " ", "\t", " \t "]
+    return f"{rng.choice(pad)}{text}{rng.choice(pad)}"
+
+
+def test_load_csv_equals_a_per_cell_reference_on_fuzzed_numbers(tmp_path, monkeypatch):
+    rng = np.random.default_rng(20180606)
+    path = tmp_path / "fuzz.csv"
+    calls = count_row_by_row_parses(monkeypatch)
+    for _ in range(20):
+        width = int(rng.integers(1, 8))
+        lines = [",".join(f"c{j}" for j in range(width))]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 2000  # the halfway points exactly
+            lines += [",".join(fuzz_cell(rng) for _ in range(width)) for _ in range(150)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+    assert calls == []  # every fuzzed file took numpy's reader
+
+
+def test_load_csv_equals_a_per_cell_reference_on_invalid_utf8(tmp_path):
+    # the decode error surfaces where the row-by-row reader meets it: after
+    # a bad cell in an earlier chunk of the file, and in its own words
+    path = tmp_path / "data.csv"
+    rows = b"1,2\n" * 4000
+    for text in (b"a,b\n" + rows + b"\xff,2\n", b"a,b\n1,x\n" + rows + b"\xff,2\n",
+                 b"a,b\n1,nan\n" + rows + b"\xff,2\n", b"\n" + rows + b"\xff,2\n"):
+        path.write_bytes(text)
+        assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+
+
+def test_load_csv_reads_the_bundled_files_without_the_row_by_row_parse(monkeypatch):
+    calls = count_row_by_row_parses(monkeypatch)
+    for name in BUNDLED:
+        load_bundled(name)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_load_csv_parses_row_by_row_only_where_the_routes_could_differ(
+        case, tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(CRAFTED[case].encode("utf-8"))
+    calls = count_row_by_row_parses(monkeypatch)
+    outcome(load_csv, path)
+    header_fails = case in ("empty", "blank header line")
+    assert len(calls) == (case in GUARDED and not header_fails)
 
 
 def test_dataset_requires_two_rows():
