@@ -39,32 +39,25 @@ never joins. The Schur complement 1 - g^T H g of a joining column (g its
 unit-scaled Gram column) is its new squared Cholesky pivot, its squared
 distance from the active span against its own squared norm. When that is
 not above PIVOT_RTOL the column is spanned: it is marked and stays out, and
-the segment stands. This is exact: x_j = X_A c has correlation t c^T s, at
-most t where it tried to join, so theta_j = 0 stays optimal until a leave
-shrinks the span and clears the marks. A column within
-sqrt(PIVOT_RTOL) = 1e-6 of the span, relative to its norm, counts as
+the segment stands; the attempt is no knot. This is exact: x_j = X_A c has
+correlation t c^T s, at most t where it tried to join, so theta_j = 0 stays
+optimal until a leave shrinks the span and clears the marks. A column
+within sqrt(PIVOT_RTOL) = 1e-6 of the span, relative to its norm, counts as
 spanned; its condition then holds to about 1e-6 ||x_j|| ||y - X theta||. At
-tied knots a column that left at t may not rejoin on its side while the set
-it left is active at t (its correlation moves inward or along the bound).
-Bars only accumulate at one t, so the knots there end unless the state
-after a leave recurs, and then NoConvergence is raised instead of a cycle.
+tied knots (the next knot at the current t, as at a tied start) a column
+that left at t may not rejoin on its side while the set it left is active
+at t (its correlation moves inward or along the bound). Bars only
+accumulate at one t, so the knots there end unless the state after a leave
+recurs, and then NoConvergence is raised instead of a cycle.
 
-Only the matrix algebra of a knot runs in numpy: the segment U = D H D
-[b_A, s], the correlations G[:, A] U, and the join and leave updates of H.
-The O(d) rest runs on Python floats, read off the segment once: each free
-column's join time and side, each active coefficient's leave time, the
-first maximum of each (the lowest index, as np.argmax takes), and the
-coefficients at every requested alpha. On small d this drops numpy's
-per-call overhead, which was most of a knot. The results are bit-identical
-to the elementwise numpy form, because + - * / and comparisons on Python
-floats round as numpy's elementwise ufuncs do, and every product that sums
-stays in the same BLAS call.
-
-`lasso_paths` is the homotopy on a stack of Gram systems: it runs the
-paths in lockstep, one knot per path per step, each equal to
-`_lasso_path`'s bit for bit. `cross_validate` stacks its lasso folds; a
-sweep block stacks every lasso CV fold of its scenarios and their deployed
-paths in one call (`evaluate`). k-fold CV (ESL 7.10) sums each fold's
+`lasso_paths` runs the homotopies of a stack of Gram systems in lockstep,
+one knot per path per step, as masked array operations, and `fit_lasso` is
+its stack of one. The spanned columns are a mask. Where t moves, only the
+column that left at the knot before is barred, a mask for one step; ties
+are rare, so each path inside one keeps its bars and the states after its
+leaves as Python sets. `cross_validate` stacks its lasso folds; a sweep
+block stacks every lasso CV fold of its scenarios and their deployed paths
+in one call (`evaluate`). k-fold CV (ESL 7.10) sums each fold's
 training system from the other folds' Gram blocks and scores it by a
 quadratic form in its own block, or from residuals where rounding could
 decide the choice (`_fold_blocks`, `_cv_score`).
@@ -140,138 +133,17 @@ def fit_ridge(X, y, alpha):
     return shifted_solve(X.T @ X, X.T @ y, np.array([alpha]))[0]
 
 
-def _lasso_path(G, b, alphas):
-    """Lasso coefficients (one row per alpha) along one homotopy.
-
-    Returns (thetas, knots), knots[i] counting the knots passed when alphas[i]
-    was read. Raises NoConvergence when the knots at one t return to a state
-    they left.
-    """
-    d = b.size
-    halves = 0.5 * alphas
-    live = np.diag(G) > 0.0
-    r = 1.0 / np.sqrt(np.where(live, np.diag(G), 1.0))
-    unit = G * r[:, None] * r  # unit diagonal on live columns
-    t = float(np.max(np.abs(b[live]), initial=0.0))
-    # alphas at or above 2 max|X^T y| keep theta = 0
-    order, halves = np.argsort(-halves, kind="stable").tolist(), halves.tolist()
-    pending = [k for k in order if halves[k] < t]
-    thetas = [[0.0] * d for _ in halves]
-    counts = [0] * len(halves)
-    j = int(np.argmax(np.where(live, np.abs(b), -1.0)))
-    live = live.tolist()
-    active, signs = [j], [float(np.sign(b[j]))]
-    H = np.ones((1, 1))  # inverse of unit[A, A], updated at each knot
-    spanned = set()  # free columns in the span of the active columns
-    # each column that left at the current t, with the set it left and its
-    # side: it may not rejoin on that side while that set is active
-    barred = set()
-    seen = set()  # (active, signs, bars) after each leave at the current t
-    knots = 0
-    A = None  # the current segment's active columns; None once the set changes
-    while pending and active:
-        if A is None:
-            A = np.array(active)
-            rA = r[A, None]
-            rhs = np.empty((A.size, 2))
-            rhs[:, 0], rhs[:, 1] = b[A], signs
-            U = rA * (H @ (rA * rhs))
-            GU = G[:, A] @ U
-            # theta_A(s) = u - s w, correlations X^T (y - X theta(s)) = p + s a
-            u, w = U.T.tolist()
-            p, a = (b - GU[:, 0]).tolist(), GU[:, 1].tolist()
-            free = [k for k in range(d) if live[k] and k not in active]
-        # largest s < t where a free correlation reaches +s or -s, or an
-        # active coefficient reaches zero; clipped at t against rounding,
-        # ties to the lowest index
-        key = frozenset(active)
-        bars = {(col, side > 0.0) for S, col, side in barred if S == key}
-        join, j, join_up = -np.inf, 0, True
-        for k in free:
-            if k in spanned:
-                continue
-            pk, ak = p[k], a[k]
-            up = pk / (1.0 - ak) if ak < 1.0 and (k, True) not in bars else -np.inf
-            down = -pk / (1.0 + ak) if ak > -1.0 and (k, False) not in bars else -np.inf
-            s = up if up >= down else down
-            if s > t:
-                s = t
-            if s > join:
-                join, j, join_up = s, k, up >= down
-        leave, i = -np.inf, 0
-        for n, (sn, un, wn) in enumerate(zip(signs, u, w)):
-            if sn * wn < 0.0:
-                s = un / wn
-                if s > t:
-                    s = t
-                if s > leave:
-                    leave, i = s, n
-        t_next = max(join, leave, 0.0)
-        while pending and halves[pending[0]] >= t_next:
-            q = pending.pop(0)
-            half, row, counts[q] = halves[q], thetas[q], knots
-            for col, sn, un, wn in zip(active, signs, u, w):
-                x = un - half * wn  # at its own knot it may round past zero
-                row[col] = 0.0 if sn * x < 0.0 else x
-        if not pending:
-            break
-        if t_next < t:
-            barred, seen = set(), set()
-        t = t_next
-        if leave >= join:
-            col, side = active.pop(i), signs.pop(i)
-            q = np.delete(H[:, i], i)
-            H = np.delete(np.delete(H, i, 0), i, 1) - np.outer(q, q) / H[i, i]
-            barred.add((frozenset(active), col, side))
-            spanned.clear()
-            # the path goes on as a function of this state; bars only grow
-            state = (tuple(active), tuple(signs), len(barred))
-            if state in seen:
-                raise NoConvergence(f"lasso path cycles at alpha={2.0 * t:g}: tied columns")
-            seen.add(state)
-        else:
-            g = unit[A, j]
-            h = H @ g
-            schur = 1.0 - g @ h  # x_j's squared pivot, against its own norm
-            if not schur > PIVOT_RTOL:
-                spanned.add(j)  # stays out; the segment is unchanged
-                continue
-            v = np.concatenate((h, [-1.0]))  # H' = [[H, 0], [0, 0]] + v v^T / schur
-            bordered = np.outer(v, v) / schur
-            bordered[:-1, :-1] += H
-            H = bordered
-            active.append(j)
-            signs.append(1.0 if join_up else -1.0)
-        knots += 1
-        A = None
-    for q in pending:  # no column stayed active
-        counts[q] = knots
-    return np.array(thetas), np.array(counts)
-
-
 def lasso_paths(G, b, alphas):
     """Lasso homotopies on a stack of Gram systems: G (k, d, d) and b (k, d),
     each an X^T X and X^T y, and alphas (k, n) give thetas (k, n, d) and
-    knots (k, n), the knots each path passed when it read each alpha; each
-    path's slices equal `_lasso_path`'s result bit for bit."""
-    if len(b) == 1:  # nothing to run in lockstep with
-        thetas, knots = _lasso_path(G[0], b[0], alphas[0])
-        return thetas[None], knots[None]
-    thetas, knots, rerun = _lockstep(G, b, alphas)
-    for path in rerun:
-        thetas[path], knots[path] = _lasso_path(G[path], b[path], alphas[path])
-    return thetas, knots
+    knots (k, n), the knots each path passed when it read each alpha.
 
-
-def _lockstep(G, b, alphas):
-    """The homotopies of a stack, one knot per path per step, as masked array
-    operations. Returns (thetas, knots per alpha, rerun); the paths in rerun
-    met a knot that ties their t (a tied start, a rejoin the bars refuse, a
-    cycle) or a spanned joining column, and are left to `_lasso_path`.
-    Active columns, signs and H are kept in join order and zero-padded, so a
-    padded product sums `_lasso_path`'s terms in its order (a zero term
-    changes no BLAS sum); h = H g, whose BLAS kernel groups terms by length,
-    runs unpadded, one stack per active-set size.
+    The paths run in lockstep, one knot per path per step, as masked array
+    operations. Active columns, signs and H are kept in join order and
+    zero-padded, so a padded product sums an unpadded path's terms in its
+    order (a zero term changes no BLAS sum); h = H g, whose BLAS kernel
+    groups terms by length, runs unpadded, one stack per active-set size.
+    Raises NoConvergence when the knots at one t return to a state they left.
     """
     k, d = b.shape
     e = d + 1  # position d pads: act d, signs and H zero
@@ -281,6 +153,7 @@ def _lockstep(G, b, alphas):
     rb = np.stack((r * b, r), axis=2)  # per column: r b, r
     halves = 0.5 * alphas
     t = np.max(np.where(live, np.abs(b), 0.0), axis=1)
+    # alphas at or above 2 max|X^T y| keep theta = 0
     pending = halves < t[:, None]
     j = np.argmax(np.where(live, np.abs(b), -1.0), axis=1)
     rows = np.arange(k)
@@ -288,30 +161,48 @@ def _lockstep(G, b, alphas):
     act[:, 0] = j
     S = np.zeros((k, e, 2))  # 1 and the sign; 0 and 0 on the pad
     S[:, 0, 0], S[:, 0, 1] = 1.0, np.sign(b[rows, j])
-    H = np.zeros((k, e, e))
+    H = np.zeros((k, e, e))  # inverse of the unit-scaled active Gram
     H[:, 0, 0] = 1.0
     na = np.ones(k, dtype=int)
     free = np.repeat(live[:, None], 2, axis=1)  # may join going up, going down
     free[rows, :, j] = False
-    bar = np.zeros((k, 2, d), dtype=bool)  # the column that just left, on its side
+    spanned = np.zeros((k, d), dtype=bool)  # free columns in the span of the active ones
+    bar = np.zeros((k, 2, d), dtype=bool)  # may not join at this step, on that side
+    # per path whose last step kept its t: each column that left at t, with
+    # the set it left and its side, and the states after those leaves
+    ties = {}
     knots = np.zeros(k, dtype=int)
     read_at = np.zeros(alphas.shape, dtype=int)  # knots passed when each alpha was read
     thetas = np.zeros((k, alphas.shape[1], e))  # column d takes the padding
-    rerun = []
     flip = np.array([[1.0], [-1.0]])
     on = pending.any(axis=1)  # a finished path rides along, masked out
+
+    def left_at_tie(path, col, side):
+        """col may not rejoin the path on its side while the set it left is
+        active at this t; the path goes on as a function of its state after
+        the leave, and bars only grow, so a state that recurs is a cycle."""
+        barred, seen = ties[path]
+        A = act[path, :na[path]].tolist()
+        barred.add((frozenset(A), col, side))
+        state = (tuple(A), tuple(S[path, :len(A), 1].tolist()), len(barred))
+        if state in seen:
+            raise NoConvergence(f"lasso path cycles at alpha={2.0 * t[path]:g}: tied columns")
+        seen.add(state)
+
     while on.any():
         # the pad reads a real column, which only ever meets zeros
         col_of = (rows[:, None], np.minimum(act, d - 1))
         C = rb[col_of]
         U = C[:, :, 1:] * (H @ (C * S))  # r_A * (H @ [r_A b_A, r_A s])
         GU = G[rows[:, None], :, col_of[1]].transpose(0, 2, 1) @ U  # G[:, A] @ U
+        # theta_A(s) = u - s w, correlations X^T (y - X theta(s)) = p + s a
         u, w, sgn = U[:, :, 0], U[:, :, 1], S[:, :, 1]
         p, a = b - GU[:, :, 0], GU[:, :, 1]
-        # join times going up, p / (1 - a), and down, -p / (1 + a)
+        # the largest s < t where a free correlation reaches +s (p / (1 - a))
+        # or -s (-p / (1 + a)), or an active coefficient reaches zero;
+        # clipped at t against rounding, ties to the lowest index
         den = 1.0 - a[:, None] * flip
-        ok = free & ~bar & (den > 0.0)
-        bar[:] = False
+        ok = free & ~bar & ~spanned[:, None] & (den > 0.0)
         c = np.full((k, 2, d), -np.inf)
         np.divide(p[:, None] * flip, den, out=c, where=ok)
         s = np.minimum(np.maximum(c[:, 0], c[:, 1]), t[:, None])
@@ -336,10 +227,14 @@ def _lockstep(G, b, alphas):
             read_at[ri, ai] = knots[ri]
             pending &= ~read
         on = pending.any(axis=1)
-        tied = on & (t_next == t)
-        if tied.any():
-            rerun += np.flatnonzero(tied).tolist()
-            pending[tied] = on[tied] = False
+        tied = np.flatnonzero(on & (t_next == t)).tolist()
+        ties = {path: ties.get(path) for path in tied}  # where t moved, the bars lapse
+        for path in tied:
+            if ties[path] is None:  # t moved at the step before: a leave there bars
+                ties[path] = set(), set()
+                for side, col in np.argwhere(bar[path]).tolist():
+                    left_at_tie(path, col, side)
+        bar[:] = False
         t[:] = t_next
         knots += on
         lv = on & (leave >= join)
@@ -358,14 +253,19 @@ def _lockstep(G, b, alphas):
             S[lv] = S[lv[:, None], order]
             free[lv, :, col] = True
             bar[lv, side, col] = True
+            spanned[lv] = False  # the span shrank
             na[lv] -= 1
+            if ties:
+                for path, cp, sp in zip(lv.tolist(), col.tolist(), side.tolist()):
+                    if path in ties:
+                        left_at_tie(path, cp, sp)
             gone = lv[na[lv] == 0]  # none left active
             read_at[gone] = np.where(pending[gone], knots[gone, None], read_at[gone])
             pending[gone] = on[gone] = False
         if jn.size:
             nj, col = na[jn], j[jn]
             up = c[jn, 0, col] >= c[jn, 1, col]
-            joins = np.zeros(jn.size, dtype=bool)  # False: spanned, rerun
+            joins = np.zeros(jn.size, dtype=bool)  # False: spanned
             for n in sorted(set(nj.tolist())):
                 z = np.flatnonzero(nj == n)
                 row, A, cz = jn[z, None], act[jn[z], :n], col[z, None]
@@ -378,14 +278,20 @@ def _lockstep(G, b, alphas):
                 v = v[:, :, None] * v[:, None, :] / schur[keep, None, None]
                 H[jn[z[keep]], :n + 1, :n + 1] += v
             if not joins.all():
-                rerun += jn[~joins].tolist()
-                pending[jn[~joins]] = on[jn[~joins]] = False
+                # a spanned column stays out and the segment stands: no knot
+                spanned[jn[~joins], col[~joins]] = True
+                knots[jn[~joins]] -= 1
                 jn, nj, col, up = jn[joins], nj[joins], col[joins], up[joins]
             act[jn, nj] = col
             S[jn, nj, 0], S[jn, nj, 1] = 1.0, np.where(up, 1.0, -1.0)
             free[jn, :, col] = False
             na[jn] += 1
-    return np.ascontiguousarray(thetas[:, :, :d]), read_at, sorted(rerun)
+        for path, (barred, _) in ties.items():  # the bars of the set now active
+            key = frozenset(act[path, :na[path]].tolist())
+            for K, col, side in barred:
+                if K == key:
+                    bar[path, side, col] = True
+    return np.ascontiguousarray(thetas[:, :, :d]), read_at
 
 
 def fit_lasso(X, y, alpha, *, return_info=False):
@@ -396,10 +302,10 @@ def fit_lasso(X, y, alpha, *, return_info=False):
     """
     X, y = _check_xy(X, y)
     alpha = _check_alpha(alpha)
-    thetas, knots = _lasso_path(X.T @ X, X.T @ y, np.array([alpha]))
+    thetas, knots = lasso_paths((X.T @ X)[None], (X.T @ y)[None], np.array([[alpha]]))
     if return_info:
-        return thetas[0], {"solver": "path", "path_knots": int(knots[0])}
-    return thetas[0]
+        return thetas[0, 0], {"solver": "path", "path_knots": int(knots[0, 0])}
+    return thetas[0, 0]
 
 
 def _folds(m, cfg, seed):

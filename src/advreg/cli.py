@@ -453,7 +453,8 @@ def cmd_attack(args):
         if not _same_preprocessing(prep, model["preprocessing"]):
             raise ConfigError(f"model {path} was trained with different preprocessing")
     if r["label"] is None:
-        r["label"] = _typed("label", _label, prep.get("label_name"))
+        # a model names its label column; a name of digits is still a name
+        r["label"] = _typed("label", _string, prep.get("label_name"))
 
     ds = load_csv(r["test"], r["label"])
     if list(ds.feature_names) != prep["feature_names"]:

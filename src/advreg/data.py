@@ -182,7 +182,8 @@ def load_csv(path, label):
     (int). Each row is parsed whole: `float` of every `str.strip()`-ped
     cell (`float` alone keeps U+001C..U+001F), and all must be finite. The
     first violation in row-major order (a row's cell count, then its cells
-    left to right) raises ParseError with the 1-based file line and column.
+    left to right) raises ParseError with the 1-based file line its record
+    starts on (a quoted line break spans lines) and its column.
     Data rows take numpy's C reader (`_read_table`) where that provably gives
     this row-by-row parse (`_parse_rows`) to the bit; any other file (a quote
     in the header line, a blank first data line, invalid UTF-8) goes row by row.
@@ -220,10 +221,12 @@ def load_csv(path, label):
                 f.seek(0)
                 rows = csv.reader(f)
                 next(rows)
-                for line, row in enumerate(rows, start=2):  # header is file line 1
+                line = rows.line_num + 1  # a quoted line break spans lines: the record's first
+                for row in rows:
                     error = _row_error(line, row, width)
                     if error is not None:
                         raise error from None
+                    line = rows.line_num + 1
                 raise
     keep = [j for j in range(width) if j != label_idx]
     return Dataset(

@@ -24,7 +24,8 @@ class NonFinite(ArithmeticError):
 class ParseError(ValueError):
     """A CSV cell failed to parse as a finite real.
 
-    Carries 1-based ``row`` (file line, header = line 1) and ``col``.
+    Carries 1-based ``row`` (the file line its record starts on, header =
+    line 1) and ``col``.
     """
 
     def __init__(self, row, col, message):

@@ -14,7 +14,6 @@ import pytest
 import advreg.baselines as baselines
 from advreg.baselines import (
     FitConfig,
-    _lasso_path,
     cross_validate,
     fit_lasso,
     fit_ols,
@@ -25,7 +24,7 @@ from advreg.data import apply_standardizer, fit_standardizer, split_train_test
 from advreg.exceptions import MaxSweepsExceeded, NonFinite, SingularDesign
 from advreg.linalg import PIVOT_RTOL
 from advreg.synthetic import load_bundled
-from oracles import fit_lasso_cd
+from oracles import _lasso_path, fit_lasso_cd
 
 
 def lasso_kkt_gaps(X, y, alpha, theta):
@@ -329,6 +328,21 @@ DEGENERATE_KNOTS = {
          [-1, 1, 1, -1, -1], [-1, 1, -1, -1, 1], [1, -1, 1, 1, 1], [-1, -1, 1, -1, 1],
          [-1, 1, 1, 1, -1]],
         [-1, 0, -2, 1, -2, -1, -1, 2, 1]),
+    # at the tied start column 2 leaves, and column 1 then tries to join at
+    # the same t but is spanned; column 2's bar stands at the knot after
+    "bar-outlasts-a-spanned-join": (
+        [[1, 1, 1, 1, 0, 0], [-1, -1, 1, -1, -1, 1], [-1, -1, 1, 1, 1, 0],
+         [1, 1, -1, 1, 1, -1], [-1, -1, 1, -1, 1, 0]],
+        [0, -2, -2, -1, 1]),
+    # at the tied start columns 2 and 4 each join and leave; once columns 0
+    # and 1 are the active set again, both stay barred
+    "bars-accumulate-at-one-t": ([[-1, 1, 1, 0, 1], [0, 0, 1, 0, -1], [-1, 0, -1, 0, 1]], [1, 0, 0]),
+    # column 3 leaves at a knot that moves t, and column 4 then tries to join
+    # at that t but is spanned; column 3's bar stands at the knot after
+    "leave-then-spanned-tie": (
+        [[1, 1, 0, 1, 0, 0, 1], [1, 0, 0, -1, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1],
+         [0, -1, -1, -1, 1, -1, -1], [-1, 1, 0, -1, 0, -1, 1]],
+        [1, 1, 1, 1, 1]),
 }
 
 
@@ -511,17 +525,18 @@ def test_lasso_paths_equal_lasso_path_on_every_design():
     # one stack: every design padded to wine_like's 11 columns among wine folds
     assert_stack_equals_paths([*wine_fold_systems(0), *padded_systems(designs),
                                *wine_fold_systems(1)])
-    # and unpadded, one stack per column count
+    # and unpadded, one stack per column count and one stack per design
     by_d = {}
     for X, y in designs:
         by_d.setdefault(X.shape[1], []).append((X.T @ X, X.T @ y))
+        assert_stack_equals_paths([(X.T @ X, X.T @ y)])
     for systems in by_d.values():
         assert_stack_equals_paths(systems)
 
 
-def rerun_stack():
+def degenerate_stack():
     """Ten wine_like fold systems with a tie and a spanned join among them,
-    padded to 11 columns: paths 5 and 11 rerun alone."""
+    padded to 11 columns: paths 5 and 11."""
     tie = np.array(DEGENERATE_KNOTS["six-way-tie"][0], dtype=float), np.array(
         DEGENERATE_KNOTS["six-way-tie"][1], dtype=float)
     rng = np.random.default_rng(20)
@@ -534,24 +549,17 @@ def rerun_stack():
             *padded_systems([wide])]
 
 
-def test_lasso_paths_rerun_a_tie_and_a_spanned_join_and_stack_the_rest(monkeypatch):
-    systems = rerun_stack()
-    rerun = []
-
-    def spy(G, b, alphas):
-        rerun.append(next(q for q, (_, bq) in enumerate(systems) if np.array_equal(b, bq)))
-        return _lasso_path(G, b, alphas)
-
-    monkeypatch.setattr(baselines, "_lasso_path", spy)
-    assert_stack_equals_paths(systems, GRID_WITH_ZERO)
-    assert rerun == [5, 11]  # each once, in path order; the ten folds ran in the stack
+def test_lasso_paths_run_a_tie_and_a_spanned_join_inside_the_stack():
+    # the package keeps one homotopy: no single-path route to hand a path to
+    assert not hasattr(baselines, "_lasso_path")
+    assert_stack_equals_paths(degenerate_stack(), GRID_WITH_ZERO)
 
 
 def test_each_alpha_of_a_stacked_path_equals_the_path_run_to_it_alone():
     # the fit stage reads each deployed lasso off a path run to the whole
     # grid, at the chosen alpha; its theta and knots must be those of the
     # path run to that alpha alone, whether the path runs in the stack, in a
-    # stack of one or is rerun alone
+    # stack of one or among ordinary paths
     designs = [(np.array(X, dtype=float), np.array(y, dtype=float))
                for X, y in DEGENERATE_KNOTS.values()]
     designs += [(np.column_stack([X, X[:, 0]]), y)
@@ -559,7 +567,7 @@ def test_each_alpha_of_a_stacked_path_equals_the_path_run_to_it_alone():
     assert_stack_equals_paths(padded_systems(designs, 7), alone=True)
     for X, y in designs:
         assert_stack_equals_paths([(X.T @ X, X.T @ y)], alone=True)
-    assert_stack_equals_paths(rerun_stack(), GRID_WITH_ZERO, alone=True)
+    assert_stack_equals_paths(degenerate_stack(), GRID_WITH_ZERO, alone=True)
 
 
 # ---------------------------------------------------------- cross_validate

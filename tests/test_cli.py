@@ -460,6 +460,26 @@ def test_attack_keeps_every_column_in_its_place_under_repeated_names(header, tmp
     assert np.array_equal(np.delete(attacked, at, axis=1), invert_standardizer(std, X_att))
 
 
+def test_attack_reads_a_numeric_label_name_from_the_model_as_a_name(tmp_path):
+    # --label 1 picks the column named "0"; attack must find that column by
+    # its name, not read "0" as the index of column a
+    names = ["a", "0", "b"]
+    table = np.random.default_rng(8).normal(size=(12, 3))
+    data = tmp_path / "data.csv"
+    write_csv(str(data), names, table)
+    model_out = tmp_path / "model.json"
+    assert run_cli("train", "--dataset", str(data), "--label", "1", "--algorithm", "ridge",
+                   "--alpha", "1", "--quiet", "--out", str(model_out)) == 0
+    assert read_json(model_out)["preprocessing"]["label_name"] == "0"
+    out = tmp_path / "attacked.csv"
+    assert run_cli("attack", "--model", str(model_out), "--test", str(data),
+                   "--quiet", "--out", str(out)) == 0
+    with open(out, newline="", encoding="utf-8") as f:
+        written, *rows = csv.reader(f)
+    assert written == names
+    assert np.array_equal(np.array(rows, dtype=float)[:, 1], table[:, 1])
+
+
 def test_attack_rejects_wrong_test_columns(tmp_path):
     test_csv = tmp_path / "test.csv"
     test_csv.write_text("a,c,y\n1,2,10\n3,4,20\n", encoding="utf-8")

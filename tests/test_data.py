@@ -107,6 +107,16 @@ def test_load_csv_reports_the_first_bad_cell_of_a_row(tmp_path):
     assert str(err) == "row 3, column 2: cannot parse 'abc'"
 
 
+def test_load_csv_reports_the_file_line_a_record_starts_on(tmp_path):
+    # a quoted line break makes one record span two file lines
+    err = parse_error(tmp_path, '"a\nb",y\n1,2\n3,x\n')
+    assert (err.row, err.col) == (4, 2)
+    err = parse_error(tmp_path, 'a,y\n"1\n",2\n3,x\n')
+    assert (err.row, err.col) == (4, 2)
+    err = parse_error(tmp_path, 'a,y\n1,2\n"3\n",x\n')
+    assert (err.row, err.col) == (3, 2)
+
+
 def test_load_csv_reports_the_first_bad_row(tmp_path):
     bad_cell_first = "a,b,y\n1,2,3\nx,2,3\n1,2,3\n1,2\n"
     err = parse_error(tmp_path, bad_cell_first)
@@ -162,11 +172,12 @@ def reference_load_csv(path, label):
         header = [c.strip() for c in next(records, [])]
         if not any(header):
             raise EmptyFile(f"{path}: no header row")
+        line = records.line_num + 1  # the file line each record starts on
         first = next(records, None)
         if first is None:
             raise EmptyFile(f"{path}: no data rows")
         width, table = len(header), []
-        for line, row in enumerate(itertools.chain([first], records), start=2):
+        for row in itertools.chain([first], records):
             if len(row) != width:
                 raise ParseError(line, min(len(row), width) + 1,
                                  f"expected {width} cells, got {len(row)}")
@@ -179,6 +190,7 @@ def reference_load_csv(path, label):
                 if not math.isfinite(value):
                     raise ParseError(line, col, f"non-finite value {cell!r}")
                 table[-1].append(value)
+            line = records.line_num + 1
     table = np.array(table)
     return Dataset(X=np.delete(table, label, axis=1), y=table[:, label],
                    feature_names=header[:label] + header[label + 1:],
@@ -215,6 +227,8 @@ CRAFTED = {
     "CR only": "a,b\r1,2\r3,4\r",
     "lone CR then spaces": "a,b\n1,2\r  \n3,4\n",
     "quoted header over two lines": '"a\nb",c\n1,2\n3,4\n',
+    "quoted header over two lines, then a bad cell": '"a\nb",c\n1,2\n3,x\n',
+    "quoted line break, then a bad cell": 'a,b\n"1\n",2\n3,x\n',
     "quoted header cell": '"a",b\n1,2\n3,4\n',
     "quoted cells": 'a,b\n"1",2\n3,"4"\n',
     "quoted cell with a comma": 'a,b\n"1,5",2\n3,4\n',
@@ -244,6 +258,7 @@ GUARDED = {
     "Arabic-Indic digits", "NUL", "vertical tab inside a cell", "trailing comma",
     "short row", "inf", "1e500", "nan", "hex", "blank line of spaces",
     "lone CR then spaces", "field over the csv limit",
+    "quoted header over two lines, then a bad cell", "quoted line break, then a bad cell",
 }
 
 

@@ -1,7 +1,8 @@
 """The package's public surface ships exact solvers only.
 
-The iterative oracles the tests compare against live in `tests/oracles.py`;
-no public function of any `advreg` module takes an iteration cap, a
+The oracles the tests compare against live in `tests/oracles.py`: the
+iterative solvers and the single-path lasso homotopy, so the package keeps
+one homotopy. No public function of any `advreg` module takes an iteration cap, a
 tolerance or a starting point.
 """
 
@@ -12,7 +13,7 @@ import pkgutil
 import advreg
 
 ITERATION_KNOBS = {"max_iters", "max_sweeps", "tol", "theta0"}
-ORACLES = ("solve_equilibrium_pgd", "project_to_ball", "fit_lasso_cd")
+ORACLES = ("solve_equilibrium_pgd", "project_to_ball", "fit_lasso_cd", "_lasso_path")
 
 
 def modules():
