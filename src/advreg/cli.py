@@ -367,6 +367,9 @@ def cmd_train(args):
     setting = GameSetting(lam=r["lambda"], beta=r["beta"], target=r["target"])
 
     ds = load_csv(r["dataset"], r["label"])
+    if isinstance(r["label"], int) and ds.label_name in ds.feature_names[:r["label"]]:
+        raise ConfigError(f"label column {r['label']} is named {ds.label_name!r}, as column "
+                          f"{ds.feature_names.index(ds.label_name)} is: a model could not name it")
     if r["standardize"]:
         std = fit_standardizer(ds.X)
         X = apply_standardizer(std, ds.X)

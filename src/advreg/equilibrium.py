@@ -27,8 +27,10 @@ Newton started from zero climbs monotonically to the root.
 The solver refuses X^T X by `linalg.nonsingular` (SingularDesign), even
 where kappa > 0 would let the equilibrium exist, so mlsg answers where
 OLS does, and a non-finite X^T X or X^T y (NonFinite, naming X or y).
-`_from_spectrum` solves from a given spectrum (lam, V, b): a sweep block
-passes each mlsg fit its slice of one stacked `sym_eig` call (`evaluate`).
+`_from_spectrum` solves from a given spectrum (lam, V, b); `_from_spectra`
+runs the Newtons of a stack of them (a sweep block's mlsg fits, the
+fixed-point certificate) in lockstep, each row bit for bit as alone. A stack
+of one runs the scalar Newton, in about a third of a one-row lockstep's time.
 """
 
 from dataclasses import dataclass
@@ -45,6 +47,7 @@ class EquilibriumSolution:
     theta_star: np.ndarray
     s_star: float          # theta_star^T theta_star
     grad_norm: float       # ||gradient of f at theta_star||
+    gradient: np.ndarray   # the gradient of f at theta_star
     iterations: int
     solver: str            # "spectral"; the tests' PGD oracle reports "pgd"
     on_boundary: bool
@@ -73,8 +76,12 @@ def default_radius(X, y):
     SingularDesign when lam_min(X^T X) <= PIVOT_RTOL * lam_max(X^T X).
     """
     X = np.asarray(X, dtype=float)
-    theta = shifted_solve(X.T @ X, X.T @ np.asarray(y, dtype=float), np.zeros(1))[0]
-    return 10.0 * float(np.sqrt(theta @ theta))
+    return _radius(shifted_solve(X.T @ X, X.T @ np.asarray(y, dtype=float), np.zeros(1))[0])
+
+
+def _radius(theta_ls):
+    """`default_radius` given the least-squares fit theta_ls."""
+    return 10.0 * float(np.sqrt(theta_ls @ theta_ls))
 
 
 def _solution(theta, X, y, params, iters, solver, on_boundary, converged=True):
@@ -83,28 +90,12 @@ def _solution(theta, X, y, params, iters, solver, on_boundary, converged=True):
         theta_star=theta,
         s_star=sq_norm(theta),
         grad_norm=float(np.sqrt(grad @ grad)),
+        gradient=grad,
         iterations=iters,
         solver=solver,
         on_boundary=on_boundary,
         converged=converged,
     )
-
-
-def _newton_from_zero(g):
-    """Root of a convex, strictly decreasing g with g(0) >= 0.
-
-    `g(t)` returns ``(value, slope)``. A convex function lies above its
-    tangents, so every Newton step from the left lands at or before the
-    root and the iterates rise monotonically; the first step that fails to
-    rise marks the root to rounding. Returns ``(root, steps)``.
-    """
-    t, steps = 0.0, 0
-    while True:
-        value, slope = g(t)
-        nxt = t - value / slope
-        if not nxt > t:
-            return t, steps
-        t, steps = nxt, steps + 1
 
 
 def solve_equilibrium(X, y, params):
@@ -129,14 +120,21 @@ def _finite_system(G, b):
     return G, b
 
 
-def _from_spectrum(X, y, params, lam, V, b):
-    """`solve_equilibrium` given X^T X = V diag(lam) V^T and b = V^T X^T y."""
+def _checked_kappa(lam, y, params):
+    """kappa of a game whose X^T X has eigenvalues lam; raises as `_from_spectrum`."""
     if not nonsingular(lam):
         raise SingularDesign("X^T X is not numerically positive definite")
     kappa = _kappa(params, y)
     if not np.isfinite(kappa):
         raise NonFinite("quartic coefficient overflowed")
-    b2 = b * b
+    return kappa
+
+
+def _from_spectrum(X, y, params, lam, V, b):
+    """`solve_equilibrium` given X^T X = V diag(lam) V^T and b = V^T X^T y.
+    Newton runs in t at shift = base + scale t on the residual ||theta||^2 -
+    R^2 on a binding ball (t = mu) or ||theta||^2 - t inside it (t = s)."""
+    c, b2 = 0.5 * _checked_kappa(lam, y, params), b * b
 
     def sq_norm_at(shift):
         """||theta||^2 at a diagonal shift, and its derivative in the shift."""
@@ -144,23 +142,44 @@ def _from_spectrum(X, y, params, lam, V, b):
         w = b2 / den**2
         return float(w.sum()), -2.0 * float((w / den).sum())
 
-    def interior(s):
-        v, dv = sq_norm_at(0.5 * kappa * s)
-        return v - s, 0.5 * kappa * dv - 1.0
-
     r2 = None if params.theta_radius is None else params.theta_radius * params.theta_radius
-    on_boundary = r2 is not None and interior(r2)[0] > 0.0
-    if on_boundary:
-        base = 0.5 * kappa * r2
-
-        def binding(mu):
-            v, dv = sq_norm_at(base + mu)
-            return v - r2, dv
-
-        mu, steps = _newton_from_zero(binding)
-        shift = base + mu
-    else:
-        s, steps = _newton_from_zero(interior)
-        shift = 0.5 * kappa * s
-    theta = V @ (b / (lam + shift))
+    on_boundary = r2 is not None and sq_norm_at(c * r2)[0] - r2 > 0.0
+    base, scale, target = (c * r2, 1.0, r2) if on_boundary else (0.0, c, None)
+    t, steps = 0.0, 0
+    while True:  # a step that fails to rise marks the root to rounding
+        v, dv = sq_norm_at(base + scale * t)
+        nxt = t - (v - (t if target is None else target)) / (scale * dv - (target is None))
+        if not nxt > t:
+            break
+        t, steps = nxt, steps + 1
+    theta = V @ (b / (lam + (base + scale * t)))
     return _solution(theta, X, y, params, steps, "spectral", on_boundary)
+
+
+def _from_spectra(games, lam, V, b):
+    """`_from_spectrum` on each row: games (X, y, params), lam and b (k, d), V
+    k slices (d, d). Each row's Newton stops where it stops alone, and the
+    first failing row raises what it raises alone."""
+    if len(games) == 1:
+        return [_from_spectrum(*games[0], lam[0], V[0], b[0])]
+    c = 0.5 * np.array([_checked_kappa(row, y, p) for row, (_, y, p) in zip(lam, games)])
+    radii = [p.theta_radius for _, _, p in games]
+    r2, b2 = np.array([0.0 if r is None else r * r for r in radii]), b * b
+
+    def sq_norm_at(shift):
+        den = lam + shift[:, None]
+        w = b2 / den**2
+        return w.sum(-1), -2.0 * (w / den).sum(-1)
+
+    bind = np.array([r is not None for r in radii]) & (sq_norm_at(c * r2)[0] - r2 > 0.0)
+    base, scale, inner = np.where(bind, c * r2, 0.0), np.where(bind, 1.0, c), ~bind
+    t, steps, rising = np.zeros(len(games)), np.zeros(len(games), dtype=int), np.ones_like(bind)
+    while rising.any():
+        v, dv = sq_norm_at(base + scale * t)
+        nxt = t - (v - np.where(bind, r2, t)) / (scale * dv - inner)
+        rising &= nxt > t
+        t = np.where(rising, nxt, t)
+        steps += rising
+    q = b / (lam + (base + scale * t)[:, None])
+    return [_solution(Vk @ qk, X, y, p, int(n), "spectral", bool(on))
+            for Vk, qk, (X, y, p), n, on in zip(V, q, games, steps, bind)]

@@ -22,8 +22,10 @@ targets between them:
 2. one `lasso_paths` call runs every lasso CV fold and deployed lasso of
    the block, and one `sym_eig` call decomposes every ridge CV fold Gram
    and training X^T X;
-3. a second pass scores the CV folds and reads each lasso off its path,
-   and ridge, OLS and mlsg off the spectra, at the chosen alphas;
+3. a second pass reads every scenario's training rows, solves the block's
+   mlsg fits off the spectra in one lockstep (`_from_spectra`), then scores
+   the CV folds and reads each lasso off its path, and ridge and OLS off the
+   spectra, at the chosen alphas;
 4. `_score`, a third pass, attacks and scores every model.
 
 So every input check of a scenario runs before any of its solves. No code
@@ -52,7 +54,7 @@ from .data import (
     label_stats,
     split_by,
 )
-from .equilibrium import _finite_system, _from_spectrum
+from .equilibrium import _finite_system, _from_spectra
 from .exceptions import ConfigError, DimensionMismatch
 from .game import (
     GameParams,
@@ -169,13 +171,16 @@ def _fit(problems):
                                                 np.array(lasso_alphas))
     if eig:
         lam, V, c = _spectrum(*map(np.array, zip(*eig)))
+    data = [rows()[:2] for rows, _, _ in problems]
+    at = [t for plan, t, _, _ in held if "mlsg" in plan]
+    games = [(X, y, plan["mlsg"]) for (X, y), (plan, *_) in zip(data, held) if "mlsg" in plan]
+    mlsg = iter(_from_spectra(games, lam[at], [V[t] for t in at], c[at]) if at else ())
     out = []
-    for (rows, cfg, _), (plan, t, defender, actual) in zip(problems, held):
-        X, y, _ = rows()
+    for (_, cfg, _), (X, y), (plan, t, defender, actual) in zip(problems, data, held):
         fits = {}
         for algo in sorted(cfg.algorithms):
             if algo == "mlsg":
-                sol = _from_spectrum(X, y, plan[algo], lam[t], V[t], c[t])
+                sol = next(mlsg)
                 fits[algo] = sol.theta_star, {
                     "solver": sol.solver, "iterations": sol.iterations, "s_star": sol.s_star,
                     "grad_norm": sol.grad_norm, "on_boundary": sol.on_boundary,
@@ -445,7 +450,7 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed):
     algos = sorted(cfg.algorithms)
     flat = [(i, j, r) for i in range(len(lambda_grid)) for j in range(len(beta_grid))
             for r in range(repeats)]
-    runs = {}  # (i, j) -> each repeat's RMSEs per algorithm, in repeat order
+    runs = np.empty((len(lambda_grid), len(beta_grid), len(algos), len(_RMSE_KEYS), repeats))
     for start in range(0, len(flat), SWEEP_BLOCK):
         block = []
         for i, j, r in flat[start:start + SWEEP_BLOCK]:
@@ -456,12 +461,11 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed):
                 scenario = cell_cfg.as_dict()
             perm = np.random.default_rng(s).permutation(full.m)  # split_rows's shuffle, once
             block.append((partial(split_by, full, train.m, perm), cell_cfg))
-        for (i, j, _), report in zip(flat[start:], _run_block(block)):
-            runs.setdefault((i, j), []).append(
-                {algo: {k: report.results[algo][k] for k in _RMSE_KEYS} for algo in algos})
-    # canonical reduction order: repeat 0, 1, ...
-    cells = [[{algo: {k: float(np.mean([res[algo][k] for res in runs[i, j]])) for k in _RMSE_KEYS}
-               for algo in algos} for j in range(len(beta_grid))] for i in range(len(lambda_grid))]
+        for (i, j, r), report in zip(flat[start:], _run_block(block)):
+            runs[i, j, :, :, r] = [[report.results[algo][k] for k in _RMSE_KEYS] for algo in algos]
+    means = runs.mean(axis=-1).tolist()  # each cell's repeats are one row, reduced in repeat order
+    cells = [[{algo: dict(zip(_RMSE_KEYS, vals)) for algo, vals in zip(algos, cell)}
+              for cell in row] for row in means]
 
     metadata = {
         "base_seed": int(seed),

@@ -12,10 +12,13 @@ zero to every sum, a zero learner makes a rank-one update a no-op (a
 leave-one-out chain zeroes learner i instead of deleting it, so the updates
 run in the same order), and padded coordinates are masked out of every max
 and min. The library calls a check certifies stay per instance:
-`attacker_best_response`, `solve_equilibrium` with `equilibrium_gradient`,
-and `robust_inner_max` (which seeds its own generator per trial) with
-`robust_disturbance`. One driver applies the rules every check shares and
-builds its CheckReport: `trials` must be at least 1 (ValueError otherwise),
+`attacker_best_response` and `robust_inner_max` (which seeds its own
+generator per trial) with `robust_disturbance`. The fixed-point check runs
+the stacked solver of sweep blocks (`equilibrium._from_spectra`, which a
+test pins to `solve_equilibrium` bit for bit) on one stacked spectrum per
+feature count, and reads its `default_radius` balls off the same spectra.
+One driver applies the rules every check shares and builds its
+CheckReport: `trials` must be at least 1 (ValueError otherwise),
 a positive violation is a failure (negative = passed with that margin),
 worst_violation is the largest one seen, and at most five failing instances
 are kept, serialized for reproduction.
@@ -37,10 +40,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .equilibrium import default_radius, equilibrium_gradient, solve_equilibrium
+from .equilibrium import _from_spectra, _radius
 from .exceptions import DimensionMismatch, NotPositiveDefinite
 from .game import GameParams, attacker_best_response, sq_norm
-from .linalg import PIVOT_RTOL, _cholesky, rank_one_inverse_update, sym_eig
+from .linalg import (PIVOT_RTOL, _cholesky, _solve_spectrum, _spectrum, rank_one_inverse_update,
+                     sym_eig)
 
 ENVELOPE = dict(d_max=4, m_max=6, n_max=4, lam_lo=0.5, lam_hi=2.0)
 
@@ -313,12 +317,20 @@ def check_equilibrium_fixed_point(trials=1000, seed=0, directions=200):
 
     def evaluate(insts, S, extras, k0):
         games = [(inst["X"], inst["y"], _params(inst)) for inst in insts]
-        theta = [solve_equilibrium(*game).theta_star for game in games]
-        grad = [equilibrium_gradient(th, *game) for th, game in zip(theta, games)]
-        R = np.array([default_radius(X, y) for X, y, _ in games])
+        by_d = {}  # instance indices per feature count, each count one stacked spectrum
+        for k, (X, _, _) in enumerate(games):
+            by_d.setdefault(X.shape[1], []).append(k)
+        sols, R = [None] * len(games), np.empty(len(games))
+        for ks in by_d.values():
+            group = [games[k] for k in ks]
+            lam, V, c = _spectrum(np.array([X.T @ X for X, _, _ in group]),
+                                  np.array([X.T @ y for X, y, _ in group]))
+            lsq = _solve_spectrum(lam, V, c, np.zeros(1))[:, 0]  # default_radius's fits
+            for k, sol, theta_ls in zip(ks, _from_spectra(group, lam, V, c), lsq):
+                sols[k], R[k] = sol, _radius(theta_ls)
         dirs = _pad([e[0] for e in extras])
         radii = R[:, None] * np.array([e[1] for e in extras]) ** (1.0 / S.feats.sum(1)[:, None])
-        theta, grad = _pad(theta), _pad(grad)
+        theta, grad = _pad([s.theta_star for s in sols]), _pad([s.gradient for s in sols])
         # (eta - theta*)^T grad with eta = radius * dir / ||dir||, without an eta array
         values = radii * _mv(dirs, grad) / np.sqrt(np.einsum("kja,kja->kj", dirs, dirs))
         values -= np.sum(theta * grad, -1)[:, None]

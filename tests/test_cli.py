@@ -480,6 +480,21 @@ def test_attack_reads_a_numeric_label_name_from_the_model_as_a_name(tmp_path):
     assert np.array_equal(np.array(rows, dtype=float)[:, 1], table[:, 1])
 
 
+def test_train_refuses_a_label_index_whose_name_an_earlier_column_has(tmp_path, capsys):
+    # header 0,0,a with --label 1: the model would record "0", and attack
+    # would read that name as column 0 and attack the training labels
+    data = tmp_path / "data.csv"
+    write_csv(str(data), ["0", "0", "a"], np.random.default_rng(8).normal(size=(12, 3)))
+    model_out = tmp_path / "model.json"
+    args = ("--algorithm", "ridge", "--alpha", "1", "--quiet", "--out", str(model_out))
+    assert run_cli("train", "--dataset", str(data), "--label", "1", *args) == 2
+    assert "label column 1 is named '0', as column 0 is" in capsys.readouterr().err
+    assert not model_out.exists()
+    # the first column of the name is the one the name reads as
+    assert run_cli("train", "--dataset", str(data), "--label", "0", *args) == 0
+    assert read_json(model_out)["preprocessing"]["feature_names"] == ["0", "a"]
+
+
 def test_attack_rejects_wrong_test_columns(tmp_path):
     test_csv = tmp_path / "test.csv"
     test_csv.write_text("a,c,y\n1,2,10\n3,4,20\n", encoding="utf-8")

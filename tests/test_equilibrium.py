@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from advreg.baselines import fit_ols, fit_ridge
+import advreg.equilibrium as eq
 from advreg.equilibrium import (
+    _from_spectra,
+    _from_spectrum,
+    _radius,
     default_radius,
     equilibrium_gradient,
     equilibrium_objective,
@@ -24,6 +28,7 @@ from advreg.equilibrium import (
 )
 from advreg.exceptions import NonFinite, SingularDesign
 from advreg.game import GameParams
+from advreg.linalg import _spectrum
 from oracles import project_to_ball, solve_equilibrium_pgd
 
 CUBIC_X = np.array([[1.0]])
@@ -205,8 +210,6 @@ def test_solvers_agree_on_random_instances(rho):
 
 def test_no_radius_solves_no_least_squares(monkeypatch):
     # with no radius there is no ball, so nothing sizes one
-    import advreg.equilibrium as eq
-
     def refuse(*_):
         raise AssertionError("no least-squares solve expected")
 
@@ -322,3 +325,150 @@ def test_every_least_squares_solver_answers_or_refuses_together(design):
         assert np.array_equal(answers["ols"], answers["ridge0"])
         assert np.allclose(answers["mlsg_beta0"], answers["ols"], rtol=1e-10, atol=1e-12)
         assert np.allclose(answers["pgd"], answers["mlsg"], rtol=1e-5, atol=1e-8)
+
+
+# ------------------------------------------------------- stacked rows
+
+SOLUTION_FIELDS = ("s_star", "grad_norm", "iterations", "solver", "on_boundary", "converged")
+
+
+def same_solution(a, b):
+    return (a.theta_star.tobytes() == b.theta_star.tobytes()
+            and a.gradient.tobytes() == b.gradient.tobytes()
+            and all(getattr(a, f) == getattr(b, f) for f in SOLUTION_FIELDS)
+            and all(type(getattr(a, f)) is type(getattr(b, f)) for f in SOLUTION_FIELDS))
+
+
+def stacked_spectra(games):
+    """One `_spectrum` call on the games' X^T X and X^T y."""
+    return _spectrum(np.array([X.T @ X for X, _, _ in games]),
+                     np.array([X.T @ y for X, y, _ in games]))
+
+
+def assert_stacked_rows_equal_single_solves(games, lam, V, b):
+    """`_from_spectra` on a stack; every row must equal `_from_spectrum` on
+    its slice and `solve_equilibrium` on its game, bit for bit."""
+    sols = _from_spectra(games, lam, V, b)
+    assert len(sols) == len(games)
+    for k, ((X, y, p), sol) in enumerate(zip(games, sols)):
+        assert same_solution(sol, _from_spectrum(X, y, p, lam[k], V[k], b[k])), k
+        assert same_solution(sol, solve_equilibrium(X, y, p)), k
+    return sols
+
+
+def test_stacked_rows_equal_single_solves_on_the_criterion_5_and_6_blocks(monkeypatch):
+    import advreg.evaluate as evaluate
+    from test_acceptance import CRITERION_5_ATTACKS, _criterion_5_sweep, _criterion_6_sweep
+
+    stacks = []
+
+    def spy(games, lam, V, b):
+        stacks.append(len(games))
+        return assert_stacked_rows_equal_single_solves(games, lam, V, b)
+
+    monkeypatch.setattr(evaluate, "_from_spectra", spy)
+    for name in CRITERION_5_ATTACKS:
+        _criterion_5_sweep(name, 50)
+    _criterion_6_sweep(50)
+    assert stacks == ([12] * 16 + [8]) * 2 + [12] * 50
+
+
+def test_stacked_rows_equal_single_solves_on_the_fixed_point_instances(monkeypatch):
+    # the certificate's equilibria and balls, seeds 0-199 at 50 trials,
+    # against solve_equilibrium and default_radius on each instance
+    import advreg.verify as verify
+
+    games, radii = [], []
+
+    def spy(group, lam, V, b):
+        assert len({X.shape[1] for X, _, _ in group}) == 1
+        games.extend(group)
+        return assert_stacked_rows_equal_single_solves(group, lam, V, b)
+
+    def radius(theta_ls):
+        radii.append(_radius(theta_ls))
+        return radii[-1]
+
+    monkeypatch.setattr(verify, "_from_spectra", spy)
+    monkeypatch.setattr(verify, "_radius", radius)
+    for seed in range(200):
+        assert verify.check_equilibrium_fixed_point(trials=50, seed=seed).passed
+    assert len(games) == len(radii) == 200 * 50
+    for (X, y, _), R in zip(games, radii):
+        assert np.float64(R).tobytes() == np.float64(default_radius(X, y)).tobytes()
+
+
+def ball_rows(name, splits=3):
+    """ball-equilibrium's instances of one bundled dataset: half splits, raw
+    and standardized, the ball at rho in {0.25, 0.5, 0.75} times the free
+    equilibrium norm (binding), at 10 times it (free) and unset."""
+    from advreg.data import (TargetSpec, apply_standardizer, build_target, fit_standardizer,
+                             label_stats, split_train_test)
+    from advreg.synthetic import load_bundled
+
+    target = {"wine_like": TargetSpec(delta_scale=5.0, clip_max=10.0),
+              "housing_like": TargetSpec(delta_scale=2.0)}[name]
+    games = []
+    for k in range(splits):
+        train, _ = split_train_test(load_bundled(name), 0.5, k)
+        for X in (train.X, apply_standardizer(fit_standardizer(train.X), train.X)):
+            p = GameParams(n=5, beta=0.8, lam=1.0,
+                           z=build_target(train.y, target, label_stats(train.y)[1]))
+            norm = np.sqrt(solve_equilibrium(X, train.y, p).s_star)
+            games += [(X, train.y, replace(p, theta_radius=rho * norm))
+                      for rho in (0.25, 10.0, 0.5, 0.75)]
+            games.append((X, train.y, p))
+    return games
+
+
+@pytest.mark.parametrize("name", ["wine_like", "housing_like"])
+def test_stacked_ball_rows_mix_binding_and_free_rows(name):
+    games = ball_rows(name)
+    sols = assert_stacked_rows_equal_single_solves(games, *stacked_spectra(games))
+    assert [s.on_boundary for s in sols] == [True, False, True, True, False] * 6
+
+
+def test_stacked_rows_with_kappa_zero_and_a_newton_that_stops_at_step_0():
+    # beta = 0 and z = y give kappa = 0; y = 0 gives X^T y = 0, whose Newton
+    # stops at its first step with theta = 0
+    rng = np.random.default_rng(14)
+    games = []
+    for k in range(12):
+        X, y = rng.uniform(-1, 1, (6, 3)), rng.uniform(-1, 1, 6)
+        p = GameParams(n=3, beta=0.7, lam=1.0, z=rng.uniform(-1, 1, 6), theta_radius=10.0)
+        games.append((X, y, [p, replace(p, beta=0.0), replace(p, z=y.copy()),
+                             replace(p, theta_radius=None)][k % 4]))
+    X, _, p = games[4]
+    games.insert(3, (X, np.zeros(6), p))
+    sols = assert_stacked_rows_equal_single_solves(games, *stacked_spectra(games))
+    assert sols[3].iterations == 0 and not sols[3].theta_star.any()
+    assert all(s.iterations > 0 for k, s in enumerate(sols) if k != 3)
+
+
+def test_a_stack_of_one_runs_the_scalar_newton(monkeypatch):
+    calls = []
+    monkeypatch.setattr(eq, "_from_spectrum", lambda *a: calls.append(a) or _from_spectrum(*a))
+    game = random_instance(np.random.default_rng(15))
+    for k in (1, 2, 3):
+        calls.clear()
+        sols = _from_spectra([game] * k, *stacked_spectra([game] * k))
+        assert len(calls) == (k == 1)
+        assert all(same_solution(sol, solve_equilibrium(*game)) for sol in sols)
+
+
+def test_a_stack_raises_what_its_first_failing_row_raises_alone():
+    rng = np.random.default_rng(16)
+    X, y = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, 6)
+    p = GameParams(n=2, beta=0.5, lam=1.0, z=rng.uniform(-1, 1, 6))
+    good, singular = (X, y, p), (X[:, [0, 0]], y, p)
+    huge = (X, y, replace(p, z=np.full(6, 1e200)))  # kappa overflows to inf
+    for rows, error in (([good, singular, huge, good], SingularDesign),
+                        ([good, huge, singular], NonFinite)):
+        lam, V, b = stacked_spectra(rows)
+        k = next(k for k, row in enumerate(rows) if row is not good)
+        with np.errstate(over="ignore"):
+            with pytest.raises(error) as alone:
+                _from_spectrum(*rows[k], lam[k], V[k], b[k])
+            with pytest.raises(error) as stacked:
+                _from_spectra(rows, lam, V, b)
+        assert str(stacked.value) == str(alone.value)
