@@ -314,7 +314,8 @@ def _folds(m, cfg, seed):
     k = int(cfg.cv_folds)
     if k < 2 or k > m:
         raise ValueError(f"cv_folds must be in 2..{m}, got {k}")
-    return np.array_split(np.random.default_rng(seed).permutation(m), k)
+    perm, (q, r) = np.random.default_rng(seed).permutation(m), divmod(m, k)
+    return [perm[i * q + min(i, r):(i + 1) * q + min(i + 1, r)] for i in range(k)]
 
 
 def _fold_blocks(X, y, folds):
@@ -362,27 +363,37 @@ def _cv_choice(X, y, folds, thetas, grid):
     return float(grid[_pick(errors, grid)]), errors
 
 
-def _cv_score(X, y, folds, method, grid, blocks, thetas):
-    """`_cv_choice`'s (alpha, errors) for the fits `thetas` on `_fold_blocks`'
-    systems, each held-out error th^T P th - 2 th^T c + yy off its fold's block.
+def _cv_score(cvs, blocks, thetas, grid):
+    """`_cv_choice`'s (alpha, errors) of each CV (rows, folds, method) of a
+    stack that shares k, grid and d, rows() -> (X, y, ...), from its
+    `_fold_blocks` blocks and the fits thetas (K, k, n, d) on their systems,
+    each held-out error th^T P th - 2 th^T c + yy off its fold's block.
 
     Summed Grams move theta and the form cancels, so an error is good to its
     margin n eps (th^T P th + 2 |th^T c| + yy), n the fold's training rows. If
     another alpha's error is within its margin plus the best's, rounding could
-    decide, and the CV runs again as `_cv_choice` on gathered fold systems.
+    decide, and that CV alone runs again as `_cv_choice` on gathered rows.
     """
-    d, sizes = X.shape[1], np.array([[f.size] for f in folds])
-    P, c, yy = blocks[:, :d, :d], blocks[:, :d, d:], blocks[:, d:, d]
-    quad, lin = np.sum((thetas @ P) * thetas, axis=2), (thetas @ c)[:, :, 0]
-    errors = np.sum((quad - 2.0 * lin + yy) / sizes, axis=0) / len(folds)
-    terms = (len(y) - sizes) * np.finfo(float).eps * (np.abs(quad) + 2.0 * np.abs(lin) + yy)
-    margins = np.sum(terms / sizes, axis=0) / len(folds)
-    best = _pick(errors, grid)
-    apart = np.abs(errors - errors[best]) > margins + margins[best]  # NaN is not apart
-    apart[best] = np.isfinite(errors[best])
-    if apart.all():
-        return float(grid[best]), errors
-    return _cv_choice(X, y, folds, _fold_fits(method, *_fold_systems(X, y, folds), grid), grid)
+    k, d = thetas.shape[1], thetas.shape[3]
+    sizes = np.array([[[f.size] for f in folds] for _, folds, _ in cvs])
+    P, c, yy = blocks[..., :d, :d], blocks[..., :d, d:], blocks[..., d:, d]
+    quad, lin = np.sum((thetas @ P) * thetas, axis=3), (thetas @ c)[..., 0]
+    errors = np.sum((quad - 2.0 * lin + yy) / sizes, axis=1) / k
+    terms = (sizes.sum(axis=1, keepdims=True) - sizes) * np.finfo(float).eps * (
+        np.abs(quad) + 2.0 * np.abs(lin) + yy)
+    margins = np.sum(terms / sizes, axis=1) / k
+    scores = []
+    for (rows, folds, method), err, margin in zip(cvs, errors, margins):
+        best = _pick(err, grid)
+        apart = np.abs(err - err[best]) > margin + margin[best]  # NaN is not apart
+        apart[best] = np.isfinite(err[best])
+        if apart.all():
+            scores.append((float(grid[best]), err))
+        else:
+            X, y = rows()[:2]
+            fits = _fold_fits(method, *_fold_systems(X, y, folds), grid)
+            scores.append(_cv_choice(X, y, folds, fits, grid))
+    return scores
 
 
 def cross_validate(X, y, method, cfg=None, seed=0):
@@ -406,4 +417,5 @@ def cross_validate(X, y, method, cfg=None, seed=0):
     grid = cfg.cv_alpha_grid
     folds = _folds(len(y), cfg, seed)
     G, b, blocks = _fold_blocks(X, y, folds)
-    return _cv_score(X, y, folds, method, grid, blocks, _fold_fits(method, G, b, grid))
+    fits = _fold_fits(method, G, b, grid)[None]
+    return _cv_score([(lambda: (X, y), folds, method)], blocks[None], fits, grid)[0]

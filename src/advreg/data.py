@@ -291,22 +291,16 @@ def split_train_test(dataset, fraction, seed):
 
 def split_rows(dataset, n_train, seed):
     """Seeded shuffle, then the first n_train rows go to train."""
-    return split_by(dataset, n_train, np.random.default_rng(seed).permutation(dataset.m))
-
-
-def split_by(dataset, n_train, perm):
-    """(train, test): rows perm[:n_train] and perm[n_train:] of dataset."""
-    m = dataset.m
+    m, perm = dataset.m, np.random.default_rng(seed).permutation(dataset.m)
     if n_train < 2 or m - n_train < 2:
         raise TooFewRows(f"split {n_train}/{m - n_train} leaves a side too small")
-    tr, te = perm[:n_train], perm[n_train:]
     mk = lambda idx: Dataset(
         X=dataset.X[idx],
         y=dataset.y[idx],
         feature_names=list(dataset.feature_names),
         label_name=dataset.label_name,
     )
-    return mk(tr), mk(te)
+    return mk(perm[:n_train]), mk(perm[n_train:])
 
 
 @dataclass(eq=False)

@@ -12,9 +12,9 @@ command shares.
 Sweeps repeat scenarios over a lambda x beta grid with fresh seeded
 train/test splits per repeat. Each (cell, repeat) derives its own RNG seed
 from (base seed, cell indices, repeat) and draws its split once. The
-scenarios run in blocks of SWEEP_BLOCK in that order. A block reads each
-scenario's rows in three passes and holds only its folds, Grams and
-targets between them:
+scenarios run in blocks of SWEEP_BLOCK in that order. A block gathers a
+scenario's rows off its split by plain index as each pass needs them, and
+holds only its folds, Grams and targets between the passes:
 
 1. the fit stage `_fit`: a first pass draws both targets, runs every
    algorithm's input checks in sorted order, draws each CV's folds and
@@ -22,11 +22,11 @@ targets between them:
 2. one `lasso_paths` call runs every lasso CV fold and deployed lasso of
    the block, and one `sym_eig` call decomposes every ridge CV fold Gram
    and training X^T X;
-3. a second pass reads every scenario's training rows, solves the block's
-   mlsg fits off the spectra in one lockstep (`_from_spectra`), then scores
-   the CV folds and reads each lasso off its path, and ridge and OLS off the
-   spectra, at the chosen alphas;
-4. `_score`, a third pass, attacks and scores every model.
+3. a second pass gathers the training rows of the scenarios that fit mlsg
+   and solves those fits off the spectra in one lockstep (`_from_spectra`),
+   then `_cv_score` scores every CV of the block in one stack, and each
+   lasso is read off its path, and ridge and OLS off the spectra;
+4. `_score` gathers the test rows and scores every model off one X theta.
 
 So every input check of a scenario runs before any of its solves. No code
 stores an error: `_run_block` catches one only to run a block of several
@@ -38,7 +38,6 @@ runs the fit stage on one problem with no test set.
 # unused here; perfbench's tracer reads and rebinds this name when installed
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -52,15 +51,14 @@ from .data import (
     fit_standardizer,
     apply_standardizer,
     label_stats,
-    split_by,
 )
 from .equilibrium import _finite_system, _from_spectra
 from .exceptions import ConfigError, DimensionMismatch
 from .game import (
     GameParams,
     _check_beta_lam,
+    _symmetric_predictions,
     sq_norm,
-    symmetric_attacked_predictions,
 )
 from .linalg import _solve_spectrum, _spectrum
 
@@ -123,11 +121,11 @@ def fit_model(algorithm, X, y, *, setting, n, theta_radius, fit, seed, alpha=Non
 def _fit(problems):
     """The fit stage. Per problem (rows, cfg, alpha), rows() -> (X, y,
     y_test) with X and y row-major, returns the fits {algo: (theta,
-    diagnostics)} in sorted order, the defender's target and the actual
-    target, each `draw_target`'s (z, sigma, drawn) or None: the defender's
-    is drawn if mlsg is fit or y_test is given, the actual one if y_test is
-    given. A given alpha replaces ridge's and lasso's CV. rows() is called
-    twice; the module docstring gives the order of the work."""
+    diagnostics)}, the defender's target and the actual target, each
+    `draw_target`'s (z, sigma, drawn) or None: the defender's is drawn if
+    mlsg is fit or y_test is given, the actual one if y_test is given. A
+    given alpha replaces ridge's and lasso's CV. rows() is read again for
+    mlsg and for a CV near a tie; the module docstring gives the order."""
     held, lasso, lasso_alphas, eig = [], [], [], []
     for rows, cfg, alpha in problems:
         X, y, y_test = rows()
@@ -171,12 +169,22 @@ def _fit(problems):
                                                 np.array(lasso_alphas))
     if eig:
         lam, V, c = _spectrum(*map(np.array, zip(*eig)))
-    data = [rows()[:2] for rows, _, _ in problems]
+
+    def deploy(algo, t, at, grid, alpha, diagnostics):
+        """The fit at alpha, read off the deployed lasso path or the training spectrum."""
+        if algo != "ols":
+            diagnostics["alpha"] = float(alpha)
+        if algo != "lasso":
+            return _solve_spectrum(lam[t], V[t], c[t], np.array([alpha]))[0], diagnostics
+        i = at.stop - 1, int(np.argmax(grid == alpha))  # the deployed path's read
+        return lasso_thetas[i], {**diagnostics, "solver": "path", "path_knots": int(lasso_knots[i])}
+
     at = [t for plan, t, _, _ in held if "mlsg" in plan]
-    games = [(X, y, plan["mlsg"]) for (X, y), (plan, *_) in zip(data, held) if "mlsg" in plan]
-    mlsg = iter(_from_spectra(games, lam[at], [V[t] for t in at], c[at]) if at else ())
-    out = []
-    for (_, cfg, _), (X, y), (plan, t, defender, actual) in zip(problems, data, held):
+    games = ((*rows()[:2], plan["mlsg"]) for (rows, _, _), (plan, *_) in zip(problems, held)
+             if "mlsg" in plan)  # no rows are held past the solve
+    mlsg = iter(_from_spectra(list(games), lam[at], [V[t] for t in at], c[at]) if at else ())
+    out, cvs = [], {}  # the CVs that share (k, grid, d), to score as one stack
+    for (rows, cfg, _), (plan, t, defender, actual) in zip(problems, held):
         fits = {}
         for algo in sorted(cfg.algorithms):
             if algo == "mlsg":
@@ -187,21 +195,19 @@ def _fit(problems):
                     "converged": sol.converged, "sigma": defender[1], "drawn_value": defender[2]}
                 continue
             folds, blocks, at, grid = plan[algo]
-            alpha, diagnostics = grid[0], {}
-            if folds is not None:
-                thetas = (lasso_thetas[at][:-1] if algo == "lasso"
-                          else _solve_spectrum(lam[at], V[at], c[at], grid))
-                alpha, errs = _cv_score(X, y, folds, algo, grid, blocks, thetas)
-                diagnostics["cv_errors"] = [float(e) for e in errs]
-            if algo != "ols":
-                diagnostics["alpha"] = float(alpha)
-            if algo == "lasso":
-                i = at.stop - 1, int(np.argmax(grid == alpha))  # the deployed path's read
-                fits[algo] = lasso_thetas[i], {
-                    **diagnostics, "solver": "path", "path_knots": int(lasso_knots[i])}
-            else:
-                fits[algo] = _solve_spectrum(lam[t], V[t], c[t], np.array([alpha]))[0], diagnostics
+            if folds is None:
+                fits[algo] = deploy(algo, t, at, grid, grid[0], {})
+                continue
+            thetas = (lasso_thetas[at][:-1] if algo == "lasso"
+                      else _solve_spectrum(lam[at], V[at], c[at], grid))
+            cvs.setdefault((len(folds), grid.tobytes(), thetas.shape[-1]), []).append(
+                ((rows, folds, algo), blocks, thetas, (fits, algo, t, at, grid)))
         out.append((fits, defender, actual))
+    for group in cvs.values():
+        stack, blocks, thetas, deploys = zip(*group)
+        scores = _cv_score(stack, np.array(blocks), np.array(thetas), deploys[0][-1])
+        for (alpha, errs), (fits, algo, *args) in zip(scores, deploys):
+            fits[algo] = deploy(algo, *args, alpha, {"cv_errors": [float(e) for e in errs]})
     return out
 
 
@@ -342,50 +348,64 @@ def run_scenario(train, test, cfg):
 SWEEP_BLOCK = 12  # scenarios per block; bounds what a block's stacks hold
 
 
-def _features(rows, cfg):
-    """(train, test, X_tr, X_te) of a scenario whose rows() is (train, test)."""
-    train, test = rows()
-    if train.d != test.d:
-        raise DimensionMismatch(f"train has {train.d} features, test has {test.d}")
-    if cfg.standardize:
-        std = fit_standardizer(train.X)
-        return train, test, apply_standardizer(std, train.X), apply_standardizer(std, test.X)
-    return train, test, train.X, test.X
+class _Rows:
+    """Rows idx of a dataset, taken by a plain index gather at each read."""
+
+    def __init__(self, data, idx):
+        self.data, self.idx, self.m, self.d = data, idx, idx.size, data.d
+
+    X = property(lambda self: self.data.X[self.idx])
+    y = property(lambda self: self.data.y[self.idx])
+
+
+class _Split:
+    """A scenario's rows() -> (train, test), Datasets or `_Rows`; X(side) is
+    standardized by the training rows, whose first read fits the standardizer."""
+
+    def __init__(self, rows, cfg):
+        self.train, self.test = rows()
+        if self.train.d != self.test.d:
+            raise DimensionMismatch(f"train has {self.train.d} features, test has {self.test.d}")
+        self.std = None if cfg.standardize else False
+
+    def X(self, side):
+        X = side.X
+        self.std = fit_standardizer(X) if self.std is None else self.std
+        return apply_standardizer(self.std, X) if self.std else X
+
+    def fit_rows(self):  # what the fit stage reads
+        return self.X(self.train), self.train.y, self.test.y
 
 
 def _run_block(scenarios):
     """EvalReports of scenarios (rows, cfg), rows() -> (train, test): one fit
-    stage for the block, then a third pass over the rows to score. If
+    stage for the block, then a pass over the test rows to score. If
     anything raises, the scenarios run as blocks of one, so the error comes
     where the scenario alone raises it."""
     try:
-        fitted = _fit([(partial(_stage_rows, rows, cfg), cfg, None) for rows, cfg in scenarios])
-        return [_score(rows, cfg, *fit) for (rows, cfg), fit in zip(scenarios, fitted)]
+        splits = [_Split(rows, cfg) for rows, cfg in scenarios]
+        fitted = _fit([(split.fit_rows, cfg, None) for split, (_, cfg) in zip(splits, scenarios)])
+        return [_score(split, cfg, *fit) for split, (_, cfg), fit in zip(splits, scenarios, fitted)]
     except Exception:
         if len(scenarios) == 1:
             raise
     return [report for one in scenarios for report in _run_block([one])]
 
 
-def _stage_rows(rows, cfg):
-    """What the fit stage reads of a scenario: (X_tr, y_tr, y_te)."""
-    train, test, X_tr, _ = _features(rows, cfg)
-    return X_tr, train.y, test.y
-
-
-def _score(rows, cfg, fits, defender, actual):
+def _score(split, cfg, fits, defender, actual):
     """run_scenario's report from the fit stage's result for the scenario."""
-    train, test, _, X_te = _features(rows, cfg)
+    X_te, y_te = split.X(split.test), split.test.y
     est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
     _, est_sigma, est_drawn = defender
     z_test, act_sigma, act_drawn = actual
 
-    results = {}
-    diagnostics = {}
+    results, diagnostics = {}, {}
     for algo in sorted(cfg.algorithms):
         theta, diagnostics[algo] = fits[algo]
-        pred_att = symmetric_attacked_predictions(theta, X_te, z_test, cfg.actual.lam, cfg.n)
-        exp, clean, att = expected_rmse(X_te @ theta, pred_att, test.y, cfg.actual.beta)
+        if not results:  # the first model's call checks the game, X_te and z for every model
+            params = GameParams(n=cfg.n, beta=1.0, lam=cfg.actual.lam, z=z_test)
+        pred_clean, pred_att = _symmetric_predictions(theta, X_te, params, check_X=not results)
+        exp, clean, att = expected_rmse(pred_clean, pred_att, y_te, cfg.actual.beta)
         results[algo] = {
             "rmse_expected": exp,
             "rmse_clean": clean,
@@ -397,8 +417,8 @@ def _score(rows, cfg, fits, defender, actual):
         "config": cfg.as_dict(),
         "resolved": {
             "sigma_source": "defender_train_actual_test_population",
-            "rows_train": train.m,
-            "rows_test": test.m,
+            "rows_train": split.train.m,
+            "rows_test": split.test.m,
             "defender_target": _target_used(est.target, est_drawn, est_sigma),
             "actual_target": _target_used(cfg.actual.target, act_drawn, act_sigma),
             "label_standardized": False,
@@ -442,6 +462,8 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed):
     """
     lambda_grid = _grid("lambda_grid", lambda_grid, lambda lam: _check_beta_lam(0.0, lam))
     beta_grid = _grid("beta_grid", beta_grid, lambda beta: _check_beta_lam(beta, 1.0))
+    if isinstance(repeats, bool) or not isinstance(repeats, (int, np.integer)):
+        raise ConfigError(f"repeats must be an integer, got {repeats!r}")
     repeats = int(repeats)
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
@@ -460,7 +482,8 @@ def run_sweep(train, test, cfg, lambda_grid, beta_grid, repeats, seed):
             if (i, j, r) == (0, 0, 0):
                 scenario = cell_cfg.as_dict()
             perm = np.random.default_rng(s).permutation(full.m)  # split_rows's shuffle, once
-            block.append((partial(split_by, full, train.m, perm), cell_cfg))
+            sides = _Rows(full, perm[:train.m]), _Rows(full, perm[train.m:])
+            block.append((lambda sides=sides: sides, cell_cfg))
         for (i, j, r), report in zip(flat[start:], _run_block(block)):
             runs[i, j, :, :, r] = [[report.results[algo][k] for k in _RMSE_KEYS] for algo in algos]
     means = runs.mean(axis=-1).tolist()  # each cell's repeats are one row, reduced in repeat order

@@ -151,19 +151,25 @@ def symmetric_attacked_predictions(theta, X, z, lam, n):
     Equals `attacker_best_response(np.tile(theta, (n, 1)), X, params) @ theta`
     up to rounding; see the module docstring for the form.
     """
-    params = GameParams(n=n, beta=1.0, lam=lam, z=z)
+    return _symmetric_predictions(theta, X, GameParams(n=n, beta=1.0, lam=lam, z=z))[1]
+
+
+def _symmetric_predictions(theta, X, params, check_X=True):
+    """(X theta, X' theta) off one X theta; check_X=False trusts X and z as checked."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise DimensionMismatch(f"theta must be a vector, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise NonFinite("theta contains non-finite entries")
-    X = _check_design(X, theta.shape[0])
-    _check_target_rows(params.z, X)
+    if check_X:
+        X = _check_design(X, theta.shape[0])
+        _check_target_rows(params.z, X)
+    X_theta = X @ theta
     ns = params.n * sq_norm(theta)
-    pred = (params.lam * (X @ theta) + ns * params.z) / (params.lam + ns)
+    pred = (params.lam * X_theta + ns * params.z) / (params.lam + ns)
     if not np.all(np.isfinite(pred)):
         raise NonFinite("attacked predictions are non-finite")
-    return pred
+    return X_theta, pred
 
 
 def attacker_cost(thetas, X, X_prime, params):

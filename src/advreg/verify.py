@@ -85,8 +85,9 @@ def _draw_instance(rng, n_min=1, full_rank=False):
     lo_m = max(2, d + 1) if full_rank else max(2, d)
     m = int(rng.integers(lo_m, ENVELOPE["m_max"] + 1))
     X = rng.uniform(-1.0, 1.0, (m, d))
-    # ends almost surely: of 200,000 envelope draws, 204 needed one redraw, none two
-    while full_rank and sym_eig(X.T @ X)[0][-1] < 1e-3:
+    # ends almost surely: of 200,000 envelope draws, 204 needed one redraw, none two;
+    # eigh is sym_eig's LAPACK call (eigvalsh's driver could flip a redraw)
+    while full_rank and np.linalg.eigh(X.T @ X)[0][0] < 1e-3:
         X = rng.uniform(-1.0, 1.0, (m, d))
     n = int(rng.integers(n_min, ENVELOPE["n_max"] + 1))
     return {

@@ -137,16 +137,18 @@ def test_expected_rmse_hand_value():
 # ------------------------------------------------------------ run_scenario
 
 def test_scenario_attacked_predictions_match_the_attack_command_path(monkeypatch):
-    # the sweep scores X' theta in closed form; the `attack` command writes
-    # the full X' from attacker_best_response; both must give the same predictions
+    # the sweep scores X' theta in closed form off X theta; the `attack`
+    # command writes the full X' from attacker_best_response; both must give
+    # the same predictions
     seen = []
+    predictions = evaluate_mod._symmetric_predictions
 
-    def recording(theta, X, z, lam, n):
-        pred = symmetric_attacked_predictions(theta, X, z, lam, n)
-        seen.append(pred)
-        return pred
+    def recording(theta, X, params, check_X=True):
+        pred_clean, pred_att = predictions(theta, X, params, check_X)
+        seen.append(pred_att)
+        return pred_clean, pred_att
 
-    monkeypatch.setattr(evaluate_mod, "symmetric_attacked_predictions", recording)
+    monkeypatch.setattr(evaluate_mod, "_symmetric_predictions", recording)
     train, test = small_data(seed=3)
     cfg = small_config(actual=GameSetting(lam=0.7, beta=0.5, target=TargetSpec(delta_scale=2.0)))
     results = run_scenario(train, test, cfg).results
@@ -161,6 +163,32 @@ def test_scenario_attacked_predictions_match_the_attack_command_path(monkeypatch
         assert np.linalg.norm(pred - want) <= 1e-12 * np.linalg.norm(want), algo
         rmse_att = np.sqrt(np.mean((want - test.y) ** 2))
         assert results[algo]["rmse_attacked"] == pytest.approx(rmse_att, rel=1e-12), algo
+
+
+@pytest.mark.parametrize("sweep", ["sweep-mismatch", "criterion 5, standardized"])
+def test_block_predictions_equal_x_theta_and_the_closed_form_for_every_model(monkeypatch, sweep):
+    # one block of 12 scenarios: each model's clean predictions are X_te theta
+    # and its attacked ones symmetric_attacked_predictions', to the bit; only
+    # a scenario's first model checks X_te and z
+    from test_acceptance import _criterion_5_sweep, _criterion_6_sweep
+
+    seen = []
+    predictions = evaluate_mod._symmetric_predictions
+
+    def recording(theta, X, params, check_X=True):
+        seen.append((theta, X, params, check_X, predictions(theta, X, params, check_X)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(evaluate_mod, "_symmetric_predictions", recording)
+    if sweep == "sweep-mismatch":  # the benchmark's `advreg sweep` config: criterion 6, raw
+        _criterion_6_sweep(1)
+    else:
+        _criterion_5_sweep("wine_like", 3, standardize=True)
+    assert [check_X for *_, check_X, _ in seen] == [True, False, False, False] * 12
+    for theta, X, params, _, (clean, attacked) in seen:
+        assert clean.tobytes() == (X @ theta).tobytes()
+        want = symmetric_attacked_predictions(theta, X, params.z, params.lam, params.n)
+        assert attacked.tobytes() == want.tobytes()
 
 
 def test_scenario_rmse_mixture_identity():
@@ -253,6 +281,18 @@ def test_sweep_shapes_and_sorted_csv():
     assert keys == sorted(keys)
     assert CSV_HEADER[0] == "lambda"
     assert grid.metadata["base_seed"] == 7
+
+
+@pytest.mark.parametrize("repeats", [2.7, 2.0, True, "2"])
+def test_sweep_refuses_repeats_that_are_not_integers(repeats):
+    # int() would run 2, 2, 1 and 2 repeats of these
+    from advreg.exceptions import ConfigError
+
+    train, test = small_data(seed=6, m=50)
+    with pytest.raises(ConfigError, match="repeats must be an integer"):
+        run_sweep(train, test, small_config(), [1.0], [0.5], repeats=repeats, seed=0)
+    grid = run_sweep(train, test, small_config(), [1.0], [0.5], repeats=np.int64(2), seed=0)
+    assert grid.repeats == 2 and grid.metadata["repeats"] == 2
 
 
 def test_sweep_cells_are_repeat_means_of_direct_scenarios():
@@ -508,18 +548,27 @@ def test_every_input_check_of_a_scenario_runs_before_any_of_its_solves():
 
 def test_sweep_draws_each_split_and_defender_target_once(monkeypatch):
     # each scenario's seeded shuffle, its ranged targets and its two CV
-    # permutations are drawn once, and its rows are read in three passes
+    # permutations are drawn once; its training rows are gathered in the fit
+    # stage's first pass and for its mlsg solve, its test features once, to
+    # score, and its test labels in both fit passes (the actual target's
+    # draw, then unused) and to score; its standardizer is fit once
     from collections import Counter
 
-    from advreg.data import ConstantTarget, split_by
+    from advreg.data import ConstantTarget
     from advreg.evaluate import (STREAM_ACTUAL_TARGET, STREAM_CV_LASSO, STREAM_CV_RIDGE,
                                  STREAM_DEFENDER_TARGET)
 
-    seeds, reads = [], []
+    seeds, reads, fitted = [], Counter(), []
     rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or rng(seed))
-    monkeypatch.setattr(evaluate_mod, "split_by", lambda full, m, perm: (
-        reads.append(perm.tobytes()) or split_by(full, m, perm)))
+
+    class Rows(evaluate_mod._Rows):
+        X = property(lambda self: reads.update([("X", self.idx.tobytes())]) or super().X)
+        y = property(lambda self: reads.update([("y", self.idx.tobytes())]) or super().y)
+
+    monkeypatch.setattr(evaluate_mod, "_Rows", Rows)
+    monkeypatch.setattr(evaluate_mod, "fit_standardizer",
+                        lambda X: fitted.append(X.tobytes()) or fit_standardizer(X))
     train, test = small_data(seed=14, m=50)
     ranged = GameSetting(lam=1.0, beta=0.5, target=ConstantTarget(value_range=(0.0, 3.0)))
     run_sweep(train, test, small_config(defender_estimates=ranged, actual=ranged),
@@ -532,7 +581,11 @@ def test_sweep_draws_each_split_and_defender_target_once(monkeypatch):
                 for stream in (STREAM_DEFENDER_TARGET, STREAM_ACTUAL_TARGET, STREAM_CV_RIDGE,
                                STREAM_CV_LASSO):
                     assert seeds.count(derive_seed(s, stream)) == 1, stream
-    assert sorted(Counter(reads).values()) == [3] * 8
+                perm = rng(s).permutation(train.m + test.m)
+                tr, te = perm[:train.m].tobytes(), perm[train.m:].tobytes()
+                assert [reads.pop((k, idx)) for k, idx in
+                        (("X", tr), ("y", tr), ("X", te), ("y", te))] == [2, 2, 1, 3]
+    assert not reads and len(fitted) == len(set(fitted)) == 8
 
 
 def test_sweep_decomposes_each_block_in_one_call(monkeypatch):

@@ -288,7 +288,7 @@ def criterion6_systems(name):
     """Every ridge CV fold system and training (X^T X, X^T y) that the
     criterion-6 sweep (4 x 3 cells, 50 repeats, raw features) stacks."""
     from advreg.baselines import FitConfig, _fold_systems, _folds
-    from advreg.data import concat_datasets, split_by, split_train_test
+    from advreg.data import concat_datasets, split_rows, split_train_test
     from advreg.evaluate import STREAM_CV_RIDGE, derive_seed
     from advreg.synthetic import load_bundled
 
@@ -297,7 +297,7 @@ def criterion6_systems(name):
     G, b = [], []
     for i, j, r in np.ndindex(4, 3, 50):
         s = derive_seed(0, i, j, r)
-        tr = split_by(full, train.m, np.random.default_rng(s).permutation(full.m))[0]
+        tr = split_rows(full, train.m, s)[0]
         X, y = tr.X, tr.y
         Gf, bf = _fold_systems(X, y, _folds(len(y), FitConfig(), derive_seed(s, STREAM_CV_RIDGE)))
         G += [*Gf, X.T @ X]
