@@ -365,7 +365,7 @@ def _cv_choice(X, y, folds, thetas, grid):
 
 def _cv_score(cvs, blocks, thetas, grid):
     """`_cv_choice`'s (alpha, errors) of each CV (rows, folds, method) of a
-    stack that shares k, grid and d, rows() -> (X, y, ...), from its
+    stack that shares k, grid and d, rows() -> (X, y), from its
     `_fold_blocks` blocks and the fits thetas (K, k, n, d) on their systems,
     each held-out error th^T P th - 2 th^T c + yy off its fold's block.
 
@@ -390,7 +390,7 @@ def _cv_score(cvs, blocks, thetas, grid):
         if apart.all():
             scores.append((float(grid[best]), err))
         else:
-            X, y = rows()[:2]
+            X, y = rows()
             fits = _fold_fits(method, *_fold_systems(X, y, folds), grid)
             scores.append(_cv_choice(X, y, folds, fits, grid))
     return scores

@@ -134,13 +134,10 @@ def _int(val):
 
 
 def _label(val):
-    """A column index if val is an integer or its digits, else a column name."""
+    """A column index if val is an integer or its ASCII digits, else a column name."""
     if not isinstance(val, str):
         return _int(val)
-    try:
-        return int(val)
-    except ValueError:
-        return val
+    return int(val) if val.isascii() and val.isdigit() else val
 
 
 def _list_of(kind):

@@ -185,8 +185,10 @@ def load_csv(path, label):
     left to right) raises ParseError with the 1-based file line its record
     starts on (a quoted line break spans lines) and its column.
     Data rows take numpy's C reader (`_read_table`) where that provably gives
-    this row-by-row parse (`_parse_rows`) to the bit; any other file (a quote
-    in the header line, a blank first data line, invalid UTF-8) goes row by row.
+    the row-by-row parse (`_parse_rows`) to the bit; any other file (a quote
+    in the header line, a blank first data line, invalid UTF-8) goes row by
+    row, in one pass that raises at the first violation. A decode error
+    surfaces where that pass meets it.
     """
     with open(path, newline="", encoding="utf-8") as f:
         try:
@@ -198,6 +200,7 @@ def load_csv(path, label):
         header = [c.strip() for c in next(reader, [])]
         if not any(header):
             raise EmptyFile(f"{path}: no header row")
+        line = reader.line_num + 1  # the file line the first data record starts on
         first = next(reader, None)
         if first is None:
             raise EmptyFile(f"{path}: no data rows")
@@ -214,20 +217,7 @@ def load_csv(path, label):
         fast = first and lines is not f and '"' not in lines[0]
         values = _read_table(lines[1:], width) if fast else None
         if values is None:
-            try:
-                values = _parse_rows(itertools.chain([first], reader), width)
-            except ValueError:
-                # a second pass, row by row, finds the first violation
-                f.seek(0)
-                rows = csv.reader(f)
-                next(rows)
-                line = rows.line_num + 1  # a quoted line break spans lines: the record's first
-                for row in rows:
-                    error = _row_error(line, row, width)
-                    if error is not None:
-                        raise error from None
-                    line = rows.line_num + 1
-                raise
+            values = _parse_rows(first, reader, line, width)
     keep = [j for j in range(width) if j != label_idx]
     return Dataset(
         X=values[:, keep],
@@ -243,7 +233,7 @@ def _read_table(lines, width):
     `PyOS_string_to_double` of its whitespace-stripped text; numpy refuses
     `1_000`, non-ASCII digits and quotes, so one row per line (no blank line
     skipped) is the csv records, cell by cell. Non-finite values, which
-    `_row_error` locates, and lines over the csv field limit, which the csv
+    `_parse_rows` locates, and lines over the csv field limit, which the csv
     module refuses, fall back too."""
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
@@ -253,33 +243,27 @@ def _read_table(lines, width):
     return values if ok and np.isfinite(values).all() else None
 
 
-def _parse_rows(rows, width):
-    """The rows as one (rows, width) float array; ValueError if a row has
-    another cell count or a cell is unparsable or non-finite."""
+def _parse_rows(first, reader, line, width):
+    """The record first, then the rest of the csv reader's, as one (rows,
+    width) float array, each cell `float` of its stripped text. The first
+    record with another cell count, or a cell that is unparsable or
+    non-finite, raises ParseError with its column and the file line the
+    record starts on, `line` for first."""
     flat = []
-    for row in rows:
+    for row in itertools.chain([first], reader):
         if len(row) != width:
-            raise ValueError
-        flat.extend(map(float, map(str.strip, row)))
-    values = np.array(flat).reshape(-1, width)
-    if not np.isfinite(values).all():
-        raise ValueError
-    return values
-
-
-def _row_error(line, row, width):
-    """The ParseError for a row's wrong cell count or first bad cell; None
-    for a good row."""
-    if len(row) != width:
-        return ParseError(line, min(len(row), width) + 1,
-                          f"expected {width} cells, got {len(row)}")
-    for c, cell in enumerate(row):
-        try:
-            v = float(cell.strip())
-        except ValueError:
-            return ParseError(line, c + 1, f"cannot parse {cell!r}")
-        if not math.isfinite(v):
-            return ParseError(line, c + 1, f"non-finite value {cell!r}")
+            raise ParseError(line, min(len(row), width) + 1,
+                             f"expected {width} cells, got {len(row)}")
+        for c, cell in enumerate(row):
+            try:
+                v = float(cell.strip())
+            except ValueError:
+                raise ParseError(line, c + 1, f"cannot parse {cell!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(line, c + 1, f"non-finite value {cell!r}")
+            flat.append(v)
+        line = reader.line_num + 1  # a quoted line break spans lines: the record's first
+    return np.array(flat).reshape(-1, width)
 
 
 def split_train_test(dataset, fraction, seed):

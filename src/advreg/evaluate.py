@@ -16,16 +16,19 @@ scenarios run in blocks of SWEEP_BLOCK in that order. A block gathers a
 scenario's rows off its split by plain index as each pass needs them, and
 holds only its folds, Grams and targets between the passes:
 
-1. the fit stage `_fit`: a first pass draws both targets, runs every
-   algorithm's input checks in sorted order, draws each CV's folds and
-   builds its fold blocks and Grams and the training X^T X and X^T y;
+1. the fit stage `_fit`: a first pass gathers the training rows and the
+   test labels, draws both targets, runs every algorithm's input checks in
+   sorted order, draws each CV's folds and builds its fold blocks and
+   Grams and the training X^T X and X^T y;
 2. one `lasso_paths` call runs every lasso CV fold and deployed lasso of
    the block, and one `sym_eig` call decomposes every ridge CV fold Gram
    and training X^T X;
-3. a second pass gathers the training rows of the scenarios that fit mlsg
-   and solves those fits off the spectra in one lockstep (`_from_spectra`),
-   then `_cv_score` scores every CV of the block in one stack, and each
-   lasso is read off its path, and ridge and OLS off the spectra;
+3. a second pass gathers the training rows, and only those, of the
+   scenarios that fit mlsg and solves those fits off the spectra in one
+   lockstep (`_from_spectra`), then `_cv_score` scores every CV of the
+   block in one stack (a CV near a tie gathers its training rows once
+   more), and each lasso is read off its path, and ridge and OLS off the
+   spectra;
 4. `_score` gathers the test rows and scores every model off one X theta.
 
 So every input check of a scenario runs before any of its solves. No code
@@ -115,20 +118,22 @@ def fit_model(algorithm, X, y, *, setting, n, theta_radius, fit, seed, alpha=Non
     y = np.ascontiguousarray(y, dtype=float)
     cfg = ScenarioConfig(n, setting, setting, (algorithm,), seed, theta_radius=theta_radius,
                          fit=fit)
-    return _fit([(lambda: (X, y, None), cfg, alpha)])[0][0][algorithm]
+    return _fit([(lambda: (X, y), None, cfg, alpha)])[0][0][algorithm]
 
 
 def _fit(problems):
-    """The fit stage. Per problem (rows, cfg, alpha), rows() -> (X, y,
-    y_test) with X and y row-major, returns the fits {algo: (theta,
-    diagnostics)}, the defender's target and the actual target, each
-    `draw_target`'s (z, sigma, drawn) or None: the defender's is drawn if
-    mlsg is fit or y_test is given, the actual one if y_test is given. A
-    given alpha replaces ridge's and lasso's CV. rows() is read again for
-    mlsg and for a CV near a tie; the module docstring gives the order."""
+    """The fit stage. Per problem (rows, test, cfg, alpha), rows() -> (X, y)
+    the training rows, row-major, and test the test rows or None, returns
+    the fits {algo: (theta, diagnostics)}, the defender's target and the
+    actual target, each `draw_target`'s (z, sigma, drawn) or None: the
+    defender's is drawn if mlsg is fit or test is given, the actual one, on
+    test.y, if test is given. A given alpha replaces ridge's and lasso's CV.
+    rows() is read again for mlsg and for a CV near a tie, and test.y only
+    in the first pass; the module docstring gives the order."""
     held, lasso, lasso_alphas, eig = [], [], [], []
-    for rows, cfg, alpha in problems:
-        X, y, y_test = rows()
+    for rows, test, cfg, alpha in problems:
+        X, y = rows()
+        y_test = None if test is None else test.y
         est = cfg.actual if cfg.defender_knows_actual else cfg.defender_estimates
         defender = actual = None
         if "mlsg" in cfg.algorithms or y_test is not None:
@@ -180,11 +185,11 @@ def _fit(problems):
         return lasso_thetas[i], {**diagnostics, "solver": "path", "path_knots": int(lasso_knots[i])}
 
     at = [t for plan, t, _, _ in held if "mlsg" in plan]
-    games = ((*rows()[:2], plan["mlsg"]) for (rows, _, _), (plan, *_) in zip(problems, held)
+    games = ((*rows(), plan["mlsg"]) for (rows, *_), (plan, *_) in zip(problems, held)
              if "mlsg" in plan)  # no rows are held past the solve
     mlsg = iter(_from_spectra(list(games), lam[at], [V[t] for t in at], c[at]) if at else ())
     out, cvs = [], {}  # the CVs that share (k, grid, d), to score as one stack
-    for (rows, cfg, _), (plan, t, defender, actual) in zip(problems, held):
+    for (rows, _, cfg, _), (plan, t, defender, actual) in zip(problems, held):
         fits = {}
         for algo in sorted(cfg.algorithms):
             if algo == "mlsg":
@@ -373,8 +378,8 @@ class _Split:
         self.std = fit_standardizer(X) if self.std is None else self.std
         return apply_standardizer(self.std, X) if self.std else X
 
-    def fit_rows(self):  # what the fit stage reads
-        return self.X(self.train), self.train.y, self.test.y
+    def fit_rows(self):  # the training rows, as the fit stage reads them
+        return self.X(self.train), self.train.y
 
 
 def _run_block(scenarios):
@@ -384,7 +389,8 @@ def _run_block(scenarios):
     where the scenario alone raises it."""
     try:
         splits = [_Split(rows, cfg) for rows, cfg in scenarios]
-        fitted = _fit([(split.fit_rows, cfg, None) for split, (_, cfg) in zip(splits, scenarios)])
+        fitted = _fit([(split.fit_rows, split.test, cfg, None)
+                       for split, (_, cfg) in zip(splits, scenarios)])
         return [_score(split, cfg, *fit) for split, (_, cfg), fit in zip(splits, scenarios, fitted)]
     except Exception:
         if len(scenarios) == 1:

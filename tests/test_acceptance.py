@@ -3,6 +3,9 @@
 These run the package end to end at full scale (1000-trial certificates,
 50-repeat benchmark sweeps), so this file is slower than the unit tests.
 Each criterion prints one `criterion N: PASS/FAIL` line with its measurements.
+Criteria 5 and 6 read their sweeps, and the time each took, off the session's
+`acceptance_sweeps` (conftest.py), which runs each once for every test that
+reads its blocks.
 """
 
 import hashlib
@@ -163,12 +166,11 @@ def _criterion_6_sweep(repeats, standardize=False):
     return run_sweep(train, test, scen, [0.1, 0.5, 1.0, 2.0], [0.2, 0.5, 0.8], repeats, 0)
 
 
-def test_criterion_5_mlsg_beats_baselines_under_attack():
-    t0 = time.perf_counter()
+def test_criterion_5_mlsg_beats_baselines_under_attack(acceptance_sweeps):
     ok = True
     lines = []
     for name in CRITERION_5_ATTACKS:
-        grid = _criterion_5_sweep(name, 50)
+        grid = acceptance_sweeps[name].grid
         for j, beta in enumerate(grid.beta_values):
             cell = grid.cells[0][j]
             mlsg = cell["mlsg"]["rmse_expected"]
@@ -176,15 +178,14 @@ def test_criterion_5_mlsg_beats_baselines_under_attack():
             ok = ok and mlsg < best_other
             lines.append(f"{name} beta={beta:g} mlsg {mlsg:.2f} vs best baseline "
                          f"{best_other:.2f}")
-    elapsed = time.perf_counter() - t0
+    elapsed = sum(acceptance_sweeps[name].seconds for name in CRITERION_5_ATTACKS)
     ok = ok and elapsed < 300.0
     _report(5, ok, f"50 repeats: {'; '.join(lines)}; {elapsed:.0f}s")
 
 
-def test_criterion_6_robust_to_estimate_mismatch():
-    t0 = time.perf_counter()
-    grid = _criterion_6_sweep(50)
-    elapsed = time.perf_counter() - t0
+def test_criterion_6_robust_to_estimate_mismatch(acceptance_sweeps):
+    sweep = acceptance_sweeps["criterion 6"]
+    grid, elapsed = sweep.grid, sweep.seconds
     hits = 0
     for i in range(len(grid.lambda_values)):
         for j in range(len(grid.beta_values)):

@@ -777,33 +777,25 @@ def test_cv_exact_tie_of_zero_fits_goes_to_the_larger_alpha():
 
 # ------------------------------------------------------------- stacked CV
 
-def assert_stacked_cv_scores_equal_each_cv_alone(cvs, blocks, thetas, grid):
-    """`_cv_score` on a stack of CVs equals it on each CV alone, as
+def assert_cv_scores_equal_each_cv_alone(cvs, blocks, thetas, grid, scores):
+    """scores, `_cv_score` on a stack of CVs, equal it on each CV alone, as
     `cross_validate` runs it: the chosen alpha and the errors' bytes."""
-    scores = baselines._cv_score(cvs, blocks, thetas, grid)
     assert len(scores) == len(cvs)
     for i, (alpha, errors) in enumerate(scores):
         ((want_alpha, want_errors),) = baselines._cv_score(
             cvs[i:i + 1], blocks[i:i + 1], thetas[i:i + 1], grid)
         assert (alpha, errors.tobytes()) == (want_alpha, want_errors.tobytes()), i
-    return scores
 
 
-def test_stacked_cv_scores_equal_each_cv_alone_on_the_criterion_5_and_6_blocks(monkeypatch):
-    # every ridge and lasso CV of a sweep block is scored in one stack
-    import advreg.evaluate as evaluate
-    from test_acceptance import CRITERION_5_ATTACKS, _criterion_5_sweep, _criterion_6_sweep
-
+def test_stacked_cv_scores_equal_each_cv_alone_on_the_criterion_5_and_6_blocks(
+        acceptance_sweeps):
+    # every ridge and lasso CV of a sweep block is scored in one stack; each
+    # stack as the sweeps ran it, recorded once a session
     stacks = []
-
-    def spy(cvs, blocks, thetas, grid):
-        stacks.append(len(cvs))
-        return assert_stacked_cv_scores_equal_each_cv_alone(cvs, blocks, thetas, grid)
-
-    monkeypatch.setattr(evaluate, "_cv_score", spy)
-    for name in CRITERION_5_ATTACKS:
-        _criterion_5_sweep(name, 50)
-    _criterion_6_sweep(50)
+    for sweep in acceptance_sweeps.values():
+        for (cvs, blocks, thetas, grid), scores in sweep.cvs:
+            stacks.append(len(cvs))
+            assert_cv_scores_equal_each_cv_alone(cvs, blocks, thetas, grid, scores)
     assert stacks == ([24] * 16 + [16]) * 2 + [24] * 50
 
 
@@ -829,10 +821,11 @@ def test_a_stacked_cv_near_a_tie_reruns_alone(monkeypatch):
     best = int(np.argmax(grid == scores[j][0]))
     tied = thetas.copy()
     tied[j, :, (best + 1) % grid.size] = tied[j, :, best]
-    tie = assert_stacked_cv_scores_equal_each_cv_alone(cvs, blocks, tied, grid)
+    tie = baselines._cv_score(cvs, blocks, tied, grid)
+    assert_cv_scores_equal_each_cv_alone(cvs, blocks, tied, grid, tie)
     assert len(reruns) == 2 and reruns[0] is reruns[1] is cvs[j][1]
     rows, folds, method = cvs[j]
-    X, y, _ = rows()
+    X, y = rows()
     fits = baselines._fold_fits(method, *baselines._fold_systems(X, y, folds), grid)
     alpha, errors = cv_choice(X, y, folds, fits, grid)
     assert (tie[j][0], tie[j][1].tobytes()) == (alpha, errors.tobytes())

@@ -495,6 +495,24 @@ def test_train_refuses_a_label_index_whose_name_an_earlier_column_has(tmp_path, 
     assert read_json(model_out)["preprocessing"]["feature_names"] == ["0", "a"]
 
 
+def test_a_label_reads_as_an_index_only_when_it_is_ascii_digits(tmp_path, capsys):
+    # int() also reads "1_0" as 10, "\u0663" as 3, " 2 " as 2 and "+3" as 3;
+    # each of those is a column name, and only plain digits pick by index
+    names = [*"abcdefghijk", "1_0"]
+    data = tmp_path / "data.csv"
+    write_csv(str(data), names, np.random.default_rng(9).normal(size=(16, 12)))
+    model_out = tmp_path / "model.json"
+    args = ("--dataset", str(data), "--algorithm", "ridge", "--alpha", "1", "--quiet",
+            "--out", str(model_out))
+    for label in ("1_0", "11"):
+        assert run_cli("train", "--label", label, *args) == 0
+        assert read_json(model_out)["preprocessing"]["label_name"] == "1_0"
+    capsys.readouterr()
+    for label in ("\u0663", " 2 ", "+3", "-1"):
+        assert run_cli("train", "--label", label, *args) == 3
+        assert f"label column {label!r} not in header" in capsys.readouterr().err
+
+
 def test_attack_rejects_wrong_test_columns(tmp_path):
     test_csv = tmp_path / "test.csv"
     test_csv.write_text("a,c,y\n1,2,10\n3,4,20\n", encoding="utf-8")

@@ -345,31 +345,29 @@ def stacked_spectra(games):
                      np.array([X.T @ y for X, y, _ in games]))
 
 
-def assert_stacked_rows_equal_single_solves(games, lam, V, b):
-    """`_from_spectra` on a stack; every row must equal `_from_spectrum` on
-    its slice and `solve_equilibrium` on its game, bit for bit."""
-    sols = _from_spectra(games, lam, V, b)
+def assert_rows_equal_single_solves(games, lam, V, b, sols):
+    """sols, `_from_spectra` on a stack: every row must equal `_from_spectrum`
+    on its slice and `solve_equilibrium` on its game, bit for bit."""
     assert len(sols) == len(games)
     for k, ((X, y, p), sol) in enumerate(zip(games, sols)):
         assert same_solution(sol, _from_spectrum(X, y, p, lam[k], V[k], b[k])), k
         assert same_solution(sol, solve_equilibrium(X, y, p)), k
+
+
+def assert_stacked_rows_equal_single_solves(games, lam, V, b):
+    """`_from_spectra` on a stack, each row held to its single solves."""
+    sols = _from_spectra(games, lam, V, b)
+    assert_rows_equal_single_solves(games, lam, V, b, sols)
     return sols
 
 
-def test_stacked_rows_equal_single_solves_on_the_criterion_5_and_6_blocks(monkeypatch):
-    import advreg.evaluate as evaluate
-    from test_acceptance import CRITERION_5_ATTACKS, _criterion_5_sweep, _criterion_6_sweep
-
+def test_stacked_rows_equal_single_solves_on_the_criterion_5_and_6_blocks(acceptance_sweeps):
+    # each block's lockstep solve as the sweeps ran it, recorded once a session
     stacks = []
-
-    def spy(games, lam, V, b):
-        stacks.append(len(games))
-        return assert_stacked_rows_equal_single_solves(games, lam, V, b)
-
-    monkeypatch.setattr(evaluate, "_from_spectra", spy)
-    for name in CRITERION_5_ATTACKS:
-        _criterion_5_sweep(name, 50)
-    _criterion_6_sweep(50)
+    for sweep in acceptance_sweeps.values():
+        for (games, lam, V, b), sols in sweep.rows:
+            stacks.append(len(games))
+            assert_rows_equal_single_solves(games, lam, V, b, sols)
     assert stacks == ([12] * 16 + [8]) * 2 + [12] * 50
 
 

@@ -550,8 +550,8 @@ def test_sweep_draws_each_split_and_defender_target_once(monkeypatch):
     # each scenario's seeded shuffle, its ranged targets and its two CV
     # permutations are drawn once; its training rows are gathered in the fit
     # stage's first pass and for its mlsg solve, its test features once, to
-    # score, and its test labels in both fit passes (the actual target's
-    # draw, then unused) and to score; its standardizer is fit once
+    # score, and its test labels in the first fit pass (the actual target's
+    # draw) and to score; its standardizer is fit once
     from collections import Counter
 
     from advreg.data import ConstantTarget
@@ -584,7 +584,7 @@ def test_sweep_draws_each_split_and_defender_target_once(monkeypatch):
                 perm = rng(s).permutation(train.m + test.m)
                 tr, te = perm[:train.m].tobytes(), perm[train.m:].tobytes()
                 assert [reads.pop((k, idx)) for k, idx in
-                        (("X", tr), ("y", tr), ("X", te), ("y", te))] == [2, 2, 1, 3]
+                        (("X", tr), ("y", tr), ("X", te), ("y", te))] == [2, 2, 1, 2]
     assert not reads and len(fitted) == len(set(fitted)) == 8
 
 
